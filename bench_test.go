@@ -210,8 +210,8 @@ func BenchmarkFleetScale1kLockstep(b *testing.B) { bench.FleetScale1kLockstep(b)
 
 // BenchmarkFleetScale1kSteady is the managed-busy 1024-node fleet with the
 // steady-phase turbo path on; the SteadyOff variant runs the identical
-// fleet through the general per-tick loop, and their ratio is the tracked
-// steady speedup.
+// fleet's busy nodes through the general per-tick loop, and their ratio is
+// the tracked steady speedup.
 func BenchmarkFleetScale1kSteady(b *testing.B) { bench.FleetScale1kSteady(b) }
 
 // BenchmarkFleetScale1kSteadyOff is the steady benchmark's general-loop

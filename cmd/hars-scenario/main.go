@@ -9,7 +9,7 @@
 //
 //	hars-scenario -in scenario.json [-trace out.csv] [-strict] [-check]
 //	              [-summary json] [-trace-decisions] [-lockstep]
-//	              [-steady=false] [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
+//	              [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //	hars-scenario -in scenario.json -counterfactual <id> [-counterfactual-k 3]
 //	hars-scenario -gen -seed 7 [-manager mphars-i] [-apps 3] [-events 6]
 //	              [-duration 20000] [-nodes 3] [-placement coolest] [-faults]
@@ -62,8 +62,7 @@ func main() {
 	strict := flag.Bool("strict", false, "verify runtime invariants after every action and sample")
 	check := flag.Bool("check", false, "verify runtime invariants after every tick (debug; slower)")
 	summary := flag.String("summary", "text", `summary format: "text" (stderr) or "json" (stdout, byte-stable field order)`)
-	lockstep := flag.Bool("lockstep", false, "force the reference per-tick fleet advancement instead of the event-driven core (bit-identical; for benchmarking)")
-	steady := flag.Bool("steady", true, "steady-phase turbo path on busy machines; -steady=false forces the general per-tick loop (bit-identical; for benchmarking)")
+	lockstep := flag.Bool("lockstep", false, "force the reference strategy, every machine stepped tick by tick, instead of the event-driven core and its windows (bit-identical; for benchmarking)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	workers := flag.Int("workers", 1, "shard node advancement between fleet decision points across N goroutines (any width is byte-identical)")
@@ -162,7 +161,7 @@ func main() {
 
 	opts := scenario.Options{
 		Trace: trace, Strict: *strict, CheckEveryTick: *check,
-		Lockstep: *lockstep, NoSteady: !*steady, Workers: *workers,
+		Lockstep: *lockstep, Workers: *workers,
 		TraceDecisions: *traceDecisions,
 	}
 

@@ -57,21 +57,22 @@
 // named machine bundling its platform, power model, thermal governor, and
 // manager daemons behind the shared-clock Ticker interface, with
 // node-tagged trace events — and fleet.Fleet advances any number of Nodes
-// on one deterministic clock. Advancement is event-driven: a node that
-// provably has nothing to do (sim.Machine.InertUntil certifies every
-// per-tick phase a no-op) jumps its clock to its next event instead of
-// stepping, the fleet advances to the earliest wake time its scheduler
-// hooks report (fleet.Sleeper), and node advancement can shard across
-// workers with a deterministic merge. The fast path is an execution
-// strategy, not a semantic change — traces and digests are bit-for-bit
-// identical to per-tick lockstep, which remains available as a reference
-// (fleet.Fleet.SetLockstep, hars-scenario -lockstep). Placement is
-// pluggable (least-loaded, big-first for heterogeneity, coolest for
-// heat-aware placement, slo-aware for per-app target-slack scoring against
-// predicted node capacity and migration cost — policies take their
-// checkpoint-cost model explicitly via fleet.PolicyByName, and every
-// policy scores a down node -Inf so it can never win placement); arrivals
-// with no free partition
+// on one deterministic clock. Advancement is event-driven: the fleet
+// advances to the earliest wake time its scheduler hooks report
+// (fleet.Sleeper), each node runs ahead to it through the windows its
+// machine certifies (sim.Machine.SteadyUntil; an idle or crashed node's
+// window has an empty plan and is jumped in one step), and node
+// advancement can shard across workers with a deterministic merge. The
+// fast path is an execution strategy, not a semantic change — traces and
+// digests are bit-for-bit identical to per-tick lockstep, which remains
+// available as the reference (fleet.Fleet.SetLockstep, scenario
+// Options.Lockstep, hars-scenario -lockstep: the one strategy switch).
+// Placement is pluggable (least-loaded, big-first for heterogeneity,
+// coolest for heat-aware placement, slo-aware for per-app target-slack
+// scoring against predicted node capacity and migration cost — policies
+// take their checkpoint-cost model explicitly via fleet.PolicyByName, and
+// every policy scores a down node -Inf so it can never win placement);
+// arrivals with no free partition
 // anywhere queue FIFO — admitted strictly in arrival order as capacity
 // frees (the same queue upgrades classic MP-HARS scenarios from silently
 // skipping saturated arrivals); saturated nodes shed an application to
@@ -157,9 +158,7 @@
 // placement policies over a contended fleet and ranks them by the
 // realized regret of their own decisions.
 //
-// See README.md for a guided tour, DESIGN.md for the system inventory and
-// substitution rationale, and EXPERIMENTS.md for the paper-versus-measured
-// record. The benchmarks in bench_test.go regenerate each experiment:
+// The benchmarks in bench_test.go regenerate each experiment:
 //
 //	go test -bench=Fig51 -benchmem
 //
@@ -186,7 +185,7 @@
 //   - internal/experiments runs independent figure rows and whole
 //     experiments through worker pools (hars-experiments -parallel N);
 //     reports are identical whatever the pool width.
-//   - internal/fleet advances quiescent nodes by event jump instead of
+//   - internal/fleet advances quiescent nodes by window jump instead of
 //     per-tick stepping (see the fleet layer above), so a mostly-idle
 //     fleet costs wall-clock proportional to its busy nodes and decision
 //     points, not nodes × ticks; BenchmarkFleetQuiescent tracks the
@@ -198,32 +197,35 @@
 //     detection deadlines in a min-heap maintained by machine failure
 //     listeners, declared-down nodes in a short heal-probe list) instead
 //     of scanning every node per barrier — the O(nodes) scan survives as
-//     the verification reference (fleet.Scheduler.SetWakeScan /
-//     SetWakeVerify); node advancement between barriers runs on a
+//     the verification reference (fleet.Scheduler.SetWakeVerify); node
+//     advancement between barriers runs on a
 //     persistent worker pool fed by a chunked cursor instead of spawning
 //     goroutines per barrier; and bit-identical idle nodes share one
 //     energy-replay computation per jump through a bit-exact-keyed cache
 //     (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
 //     steady-state barrier loop performs no allocations, pinned by the
 //     hars-bench -alloc-ceiling guard in CI.
-//   - Busy machines get the same treatment as idle ones: when a machine's
-//     runnable set, placement, per-thread speeds, and platform state
-//     provably cannot change — threads mid-unit, managers in-band, the
-//     governor between actuations — sim.Machine.SteadyUntil certifies the
-//     window and RunSteady executes it as a tight loop, accruing per-tick
-//     progress and the memoized energy additions in registers with the
-//     same IEEE operations in the same order as the general path, skipping
-//     the runnable scan, placer dispatch, daemon walk, and trace checks.
-//     Daemons opt in via sim.SteadyDaemon (core.Manager, mphars.Manager,
-//     and thermal.Governor do; anything else bounds or vetoes the window),
-//     placers via sim.SteadyPlacer. Unit completions, heartbeats, timer
-//     wakeups, and governor actuations always run through the general
-//     per-tick loop, which survives as the bit-exactness reference
-//     (sim.Machine.SetSteady, scenario Options.NoSteady, hars-scenario
-//     -steady=false) pinned by the golden digests, the steady boundary
-//     tests, and the steady-vs-general property suite. The
-//     BenchmarkFleetScale1kSteady pair tracks the speedup over the general
-//     loop on a managed busy fleet, guarded by hars-bench
+//   - One window engine advances busy, idle, and crashed machines alike:
+//     when a machine's runnable set, placement, per-thread speeds, and
+//     platform state provably cannot change — threads mid-unit or nothing
+//     runnable, managers in-band, the governor between actuations —
+//     sim.Machine.SteadyUntil certifies the window. RunSteady executes it
+//     as a tight loop, accruing per-tick progress and the memoized energy
+//     additions in registers with the same IEEE operations in the same
+//     order as the general path, skipping the runnable scan, placer
+//     dispatch, daemon walk, and trace checks; a window with an empty plan
+//     (nothing runs, nothing is charged, no daemon ticks) only replays the
+//     energy sums (FastForwardCached). Daemons opt in via
+//     sim.SteadyDaemon, declaring their per-tick charge, internal ticker,
+//     and wake bound (core.Manager, mphars.Manager, and thermal.Governor
+//     do; anything else pins its machine to per-tick stepping), placers
+//     via sim.SteadyPlacer. Unit completions, heartbeats, timer wakeups,
+//     and governor actuations always run through the general per-tick
+//     loop, which survives as the bit-exactness reference — the lockstep
+//     strategy steps every machine through it — pinned by the golden
+//     digests, the window boundary tests, and the scenario equivalence
+//     suite. The BenchmarkFleetScale1kSteady pair tracks the speedup over
+//     the general loop on a managed busy fleet, guarded by hars-bench
 //     -steady-ratio-floor in CI.
 //
 // The tracked hot-path benchmarks live in internal/bench and run two ways:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
 	"repro/internal/power"
@@ -226,31 +224,19 @@ func (mgr *Manager) LearnedRatio() float64 {
 	return mgr.learner.Ratio()
 }
 
-// Tick implements sim.Daemon: the main function of Algorithm 1.
-// NextWake implements sim.Sleeper. While the managed process lives the
-// manager polls (and charges overhead) every tick, so the machine must run
-// in lockstep; once the process has exited every Tick call is the no-op
-// early return in Tick and the manager sleeps forever.
-func (mgr *Manager) NextWake(m *sim.Machine) sim.Time {
-	if mgr.proc.Exited() {
-		return sim.Time(math.MaxInt64)
-	}
-	return m.Now()
-}
-
-// SteadyBegin implements sim.SteadyDaemon: inside a certified steady window
-// no unit completes, so no heartbeat can arrive and Tick reduces to its
-// polling charge plus a reconcilePlatform that is a pure no-op on the frozen
-// platform. The declared entry is exactly that per-tick charge; the window
-// is accepted only when the platform already fits the manager's state (so
+// SteadyBegin implements sim.SteadyDaemon. Once the managed process has
+// exited every Tick is the no-op early return, so the manager declares a
+// zero entry. Otherwise, inside a certified window no unit completes, so no
+// heartbeat can arrive and Tick reduces to its polling charge plus a
+// reconcilePlatform that is a pure no-op on the frozen platform. The
+// declared entry is exactly that per-tick charge; the window is accepted
+// only when the platform already fits the manager's state (so
 // reconcilePlatform would not re-apply) and no unconsumed heartbeat is
 // pending (Tick would process it). No per-tick internal state advances, so
 // no Ticker is declared.
 func (mgr *Manager) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 	if mgr.proc.Exited() {
-		// Tick is a pure no-op, but NextWake already reports "sleep
-		// forever"; declining keeps the two contracts from overlapping.
-		return sim.SteadyEntry{}, false
+		return sim.SteadyEntry{}, true
 	}
 	if !mgr.platformSettled(m) || mgr.proc.HB.Count() != mgr.lastSeen {
 		return sim.SteadyEntry{}, false
@@ -287,6 +273,7 @@ func (mgr *Manager) platformSettled(m *sim.Machine) bool {
 	return true
 }
 
+// Tick implements sim.Daemon: the main function of Algorithm 1.
 func (mgr *Manager) Tick(m *sim.Machine) {
 	if mgr.proc.Exited() {
 		return

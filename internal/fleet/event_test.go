@@ -9,6 +9,7 @@ import (
 	"repro/internal/hmp"
 	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // TestDownNodeScoresNegInf pins the down-node scoring fix: every built-in
@@ -250,5 +251,112 @@ func TestHealWakeDoesNotCollapseJumping(t *testing.T) {
 	if eventTicks >= lockstepTicks/10 {
 		t.Fatalf("heal wake collapsed barrier jumping: %d event barriers vs %d lockstep ticks",
 			eventTicks, lockstepTicks)
+	}
+}
+
+// burster alternates a short unit of work on each thread with a timed
+// sleep, beating on every unit, so its node is idle most ticks but not all.
+type burster struct{ period sim.Time }
+
+func (b *burster) Name() string    { return "burster" }
+func (b *burster) NumThreads() int { return 2 }
+func (b *burster) Start(p *sim.Process) {
+	for i := 0; i < b.NumThreads(); i++ {
+		p.SetWork(i, 0.02)
+	}
+}
+func (b *burster) UnitDone(p *sim.Process, local int) {
+	p.Beat()
+	p.WakeAt(local, p.Now()+b.period, 0.02)
+}
+func (b *burster) SpeedFactor(int, hmp.ClusterKind) float64 { return 1 }
+
+// stepCounter declares every Tick a no-op window entry and counts the Tick
+// calls it actually receives, exposing how many ticks its machine stepped
+// instead of jumping. The count, which no comparison reads, is the only
+// state it keeps.
+type stepCounter struct{ n int }
+
+func (c *stepCounter) Tick(*sim.Machine) { c.n++ }
+func (c *stepCounter) SteadyBegin(*sim.Machine) (sim.SteadyEntry, bool) {
+	return sim.SteadyEntry{}, true
+}
+
+// TestSharedTracerMatchesLockstep covers the interleaved advancement path:
+// nodes sharing one sim.Tracer advance in global tick order, jumping only
+// when every node has an empty window ahead, so that trace events keep
+// their global order. A node that sleeps between short bursts, an idle
+// node, and a busy node that crashes and heals share one tracer; the event
+// core must give the lockstep reference's clocks, energy bits, and
+// Events() sequence, and must actually have jumped.
+func TestSharedTracerMatchesLockstep(t *testing.T) {
+	type outcome struct {
+		now    sim.Time
+		energy []uint64
+		events []sim.Event
+		steps  int
+	}
+	run := func(lockstep bool) outcome {
+		tr := &sim.Tracer{}
+		nodes := make([]*fleet.Node, 3)
+		for i := range nodes {
+			plat := hmp.Default()
+			sn := sim.NewNode(i, string(rune('a'+i)), plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			sn.SetTracer(tr)
+			nodes[i] = &fleet.Node{Node: sn}
+		}
+		f, err := fleet.New(nodes...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.SetLockstep(lockstep)
+		f.SetWorkers(4) // ignored while the tracer is shared
+		ctr := &stepCounter{}
+		nodes[1].AddDaemon(ctr)
+		nodes[0].Spawn("burst", &burster{period: 150 * sim.Millisecond}, 4)
+		b, _ := workload.ByShort("SW")
+		nodes[2].Spawn("busy", b.New(4), 10)
+
+		f.RunUntil(400 * sim.Millisecond)
+		nodes[2].Fail()
+		f.RunUntil(1200 * sim.Millisecond)
+		nodes[2].Heal()
+		f.RunUntil(2 * sim.Second)
+
+		out := outcome{now: f.Now(), events: tr.Events(), steps: ctr.n}
+		for _, n := range nodes {
+			out.energy = append(out.energy, math.Float64bits(n.EnergyJ()))
+		}
+		return out
+	}
+
+	ref, got := run(true), run(false)
+	if got.now != ref.now {
+		t.Fatalf("clocks diverged: %d != %d", got.now, ref.now)
+	}
+	for i := range ref.energy {
+		if got.energy[i] != ref.energy[i] {
+			t.Fatalf("node %d energy bits diverged: %x != %x", i, got.energy[i], ref.energy[i])
+		}
+	}
+	if len(got.events) != len(ref.events) {
+		t.Fatalf("event counts diverged: %d != %d", len(got.events), len(ref.events))
+	}
+	for i := range ref.events {
+		if got.events[i] != ref.events[i] {
+			t.Fatalf("event %d diverged: %+v != %+v", i, got.events[i], ref.events[i])
+		}
+	}
+	kinds := map[sim.EventKind]bool{}
+	for _, e := range ref.events {
+		kinds[e.Kind] = true
+	}
+	for _, k := range []sim.EventKind{sim.EvMigrate, sim.EvBeat, sim.EvNodeDown, sim.EvNodeUp} {
+		if !kinds[k] {
+			t.Fatalf("fixture emitted no %v event; the sequence check is weak", k)
+		}
+	}
+	if got.steps >= ref.steps/2 {
+		t.Fatalf("interleaved advancement stepped %d of %d ticks: no collective jumps", got.steps, ref.steps)
 	}
 }

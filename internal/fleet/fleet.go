@@ -19,15 +19,17 @@
 // tick in index order, then runs the fleet-wide hooks. RunUntil, however,
 // is discrete-event: it asks every hook implementing Sleeper for its next
 // wake time, takes the minimum as a barrier, advances each node to the
-// barrier independently (machines jump their own provably-inert stretches
-// via sim.Machine.InertUntil/FastForward, and node advancement can be
-// sharded across workers — see SetWorkers), and runs the hooks once at the
-// barrier. The skipped hook invocations are certified no-ops by the
-// Sleeper contract, so the walk visits exactly the states lockstep would:
-// every digest, counter, and trace byte is bit-for-bit identical. A hook
-// that does not implement Sleeper (or one that wants to run now) drops the
-// fleet back to per-tick lockstep, which is always correct. SetLockstep
-// forces the reference path outright.
+// barrier independently (each machine runs its own certified windows —
+// sim.Machine.SteadyUntil, with idle and crashed machines jumping empty
+// windows — and node advancement can be sharded across workers, see
+// SetWorkers), and runs the hooks once at the barrier. The skipped hook
+// invocations are certified no-ops by the Sleeper contract, so the walk
+// visits exactly the states lockstep would: every digest, counter, and
+// trace byte is bit-for-bit identical. A hook that does not implement
+// Sleeper (or one that wants to run now) drops the fleet back to per-tick
+// lockstep, which is always correct. SetLockstep is the one strategy
+// switch: it forces the reference path outright, stepping every machine
+// tick by tick.
 //
 // # Wake index
 //
@@ -40,14 +42,14 @@
 // cadences are scalars — so a barrier on a thousand-node fleet costs
 // O(active), where active counts crashed-undetected and down nodes, not
 // O(nodes). The historical full-scan NextWake survives as the bit-exactness
-// reference (Scheduler.SetWakeScan), and Scheduler.SetWakeVerify runs both
-// per barrier and records the first divergence — the equivalence suite
-// replays generated fault scenarios with it on. Node advancement between
-// barriers reuses a persistent worker pool (no per-barrier goroutine spawn)
-// fed by a chunked atomic counter, and machines route their inert jumps
-// through per-worker sim.JumpCaches, so a barrier over a mostly-idle fleet
-// replays the energy accumulation of each distinct machine state once
-// instead of once per node.
+// reference: Scheduler.SetWakeVerify computes both per barrier and records
+// the first divergence — the equivalence suite replays generated fault
+// scenarios with it on. Node advancement between barriers reuses a
+// persistent worker pool (no per-barrier goroutine spawn) fed by a chunked
+// atomic counter, and machines route their empty-window jumps through
+// per-worker sim.JumpCaches, so a barrier over a mostly-idle fleet replays
+// the energy accumulation of each distinct machine state once instead of
+// once per node.
 //
 // # Determinism
 //
@@ -197,13 +199,12 @@ type HookFunc func(f *Fleet)
 func (fn HookFunc) Tick(f *Fleet) { fn(f) }
 
 // Sleeper is the opt-in contract that lets a Hook participate in
-// event-driven advancement (the fleet-level analogue of sim.Sleeper).
-// NextWake returns the earliest future clock time at which the hook's Tick
-// is anything but a no-op; a return at or before f.Now() means "run me
-// every tick". The contract mirrors sim.Sleeper exactly: skipped Tick
-// invocations strictly before the returned time must be pure no-ops, and
-// NextWake itself must not mutate anything. Hooks that do not implement
-// Sleeper force per-tick lockstep, which is always correct.
+// event-driven advancement. NextWake returns the earliest future clock time
+// at which the hook's Tick is anything but a no-op; a return at or before
+// f.Now() means "run me every tick". Skipped Tick invocations strictly
+// before the returned time must be pure no-ops, and NextWake itself must
+// not mutate anything. Hooks that do not implement Sleeper force per-tick
+// lockstep, which is always correct.
 type Sleeper interface {
 	NextWake(f *Fleet) sim.Time
 }
@@ -232,7 +233,7 @@ type Fleet struct {
 	shared      bool
 	sharedValid bool
 
-	// jump is the inert-stretch replay memo for sequential and interleaved
+	// jump is the empty-window replay memo for sequential and interleaved
 	// advancement; pool workers carry their own.
 	jump *sim.JumpCache
 
@@ -298,17 +299,6 @@ func (f *Fleet) AddHook(h Hook) {
 // the equivalence suite that proves exactly that.
 func (f *Fleet) SetLockstep(on bool) { f.lockstep = on }
 
-// SetSteady toggles the steady-phase turbo path on every node's machine
-// (sim.Machine.SetSteady). On by default; the switch exists for the
-// equivalence suite that pins the turbo path against the general loop and
-// for benchmarking the general loop on busy fleets. Applies to the nodes
-// present now — add nodes before calling, or call again after.
-func (f *Fleet) SetSteady(on bool) {
-	for _, n := range f.nodes {
-		n.Machine.SetSteady(on)
-	}
-}
-
 // SetWorkers shards node advancement between hook barriers across a
 // persistent pool of w goroutines fed through a chunked work cursor. Nodes
 // evolve independently between barriers, so any width — including 1, the
@@ -362,8 +352,8 @@ func (f *Fleet) RunUntil(t sim.Time) {
 }
 
 // advanceTo brings every node to the barrier. Nodes are independent between
-// hook barriers, so each machine can run ahead on its own (jumping its
-// inert stretches), sequentially or sharded across the persistent worker
+// hook barriers, so each machine can run ahead on its own (running its
+// certified windows), sequentially or sharded across the persistent worker
 // pool — except when a tracer is shared between nodes: trace bytes must
 // then interleave in global tick order, so the fleet steps (and
 // collectively fast-forwards) all nodes together.
@@ -466,8 +456,8 @@ func (p *advancePool) stop() { close(p.work) }
 
 // advanceInterleaved advances all nodes to the barrier in global tick
 // order: one tick each in index order, with a collective jump whenever
-// every node is provably inert (the jump preserves byte order because an
-// inert machine emits nothing).
+// every node has an empty window ahead (the jump preserves byte order
+// because a machine in an empty window emits nothing).
 func (f *Fleet) advanceInterleaved(to sim.Time) {
 	if f.jump == nil {
 		f.jump = sim.NewJumpCache()

@@ -261,10 +261,9 @@ type Scheduler struct {
 
 	// Wake-index state: idx is the incremental NextWake source (nil when
 	// Config.Fault is nil — without a detector there is nothing per-node
-	// to index), wakeScan selects the full-scan reference instead, and
-	// wakeVerify runs both and records the first divergence in wakeErr.
+	// to index), and wakeVerify runs the full-scan reference beside it and
+	// records the first divergence in wakeErr.
 	idx        *wakeIndex
-	wakeScan   bool
 	wakeVerify bool
 	wakeErr    error
 
@@ -373,12 +372,6 @@ func (s *Scheduler) Depart(app *App) {
 	app.node = nil
 }
 
-// Tick implements Hook: drain the admission queue against freshly freed
-// capacity, then run the periodic saturation/migration pass. Partition
-// tables are reconciled once up front; the per-node checks are pure reads
-// (Register/Unregister keep the tables current within the pass). With
-// fault-aware scheduling the detector, recovery, and background-checkpoint
-// passes run every tick before the drain.
 // NextWake implements Sleeper: the earliest future clock time at which Tick
 // is anything but a no-op. A non-empty admission queue wakes the scheduler
 // every tick — node-local adaptation can free partition capacity at any
@@ -392,25 +385,18 @@ func (s *Scheduler) Depart(app *App) {
 // scheduler immediately so the recovery transition lands on the next tick,
 // as it would in lockstep.
 func (s *Scheduler) NextWake(f *Fleet) sim.Time {
+	indexed := s.nextWakeIndexed(f)
 	if s.wakeVerify {
-		scan, indexed := s.nextWakeScan(f), s.nextWakeIndexed(f)
-		if scan != indexed && s.wakeErr == nil {
+		if scan := s.nextWakeScan(f); scan != indexed && s.wakeErr == nil {
 			s.wakeErr = fmt.Errorf("fleet: wake index diverged at t=%d: scan=%d indexed=%d", f.Now(), scan, indexed)
 		}
-		if s.wakeScan {
-			return scan
-		}
-		return indexed
 	}
-	if s.wakeScan || s.idx == nil {
-		return s.nextWakeScan(f)
-	}
-	return s.nextWakeIndexed(f)
+	return indexed
 }
 
 // nextWakeScan is the O(nodes) full-scan reference implementation of
 // NextWake, kept verbatim as the bit-exactness oracle for the wake index
-// (SetWakeScan selects it, SetWakeVerify checks the index against it).
+// (SetWakeVerify checks the index against it).
 func (s *Scheduler) nextWakeScan(f *Fleet) sim.Time {
 	now := f.Now()
 	if len(s.queue) > 0 {
@@ -474,12 +460,6 @@ func (s *Scheduler) nextWakeIndexed(f *Fleet) sim.Time {
 	return wake
 }
 
-// SetWakeScan switches NextWake to the full-scan reference implementation
-// instead of the incremental wake index. Both produce identical wake times
-// (the equivalence suite proves it); the switch exists for benchmarking
-// and verification.
-func (s *Scheduler) SetWakeScan(on bool) { s.wakeScan = on }
-
 // SetWakeVerify makes every NextWake compute both the scan and the index
 // answer and record the first divergence, retrievable via WakeVerifyErr.
 // For tests; doubles the wake cost.
@@ -489,6 +469,12 @@ func (s *Scheduler) SetWakeVerify(on bool) { s.wakeVerify = on }
 // SetWakeVerify, or nil.
 func (s *Scheduler) WakeVerifyErr() error { return s.wakeErr }
 
+// Tick implements Hook: drain the admission queue against freshly freed
+// capacity, then run the periodic saturation/migration pass. Partition
+// tables are reconciled once up front; the per-node checks are pure reads
+// (Register/Unregister keep the tables current within the pass). With
+// fault-aware scheduling the detector, recovery, and background-checkpoint
+// passes run every tick before the drain.
 func (s *Scheduler) Tick(f *Fleet) {
 	if s.detector != nil {
 		s.faultTick(f)

@@ -102,7 +102,7 @@ func (g *Scheduler) Load(t *sim.Thread) float64 {
 }
 
 // Place implements sim.Placer. It deliberately does NOT implement
-// sim.QuiescentPlacer: the migration pass fires on a count of Place
+// sim.SteadyPlacer: the migration pass fires on a count of Place
 // invocations (g.ticks below), so even a Place call that moves nothing
 // advances internal phase — skipping it would shift every later migration
 // pass. Machines driven by the GTS model therefore always step in lockstep.

@@ -267,14 +267,14 @@
 // ΔSLO misses, Δenergy, and Δmigrations against the baseline — the
 // realized regret of the choice the policy actually made.
 //
-// Advancement strategy is an Options matter, never a scenario one: the
-// engine runs the event-driven fleet core with the machines' steady-phase
-// turbo path on by default, and every combination replays byte-identically.
-// Options.Lockstep (hars-scenario -lockstep) forces the per-tick reference
-// fleet advancement; Options.NoSteady (hars-scenario -steady=false) forces
-// the general per-tick loop through every busy stretch. Both switches exist
-// for benchmarking and for the equivalence suites that prove the
-// bit-exactness, not for changing results.
+// Advancement strategy is an Options matter, never a scenario one: by
+// default the engine runs the event-driven fleet core, and each machine
+// advances through the windows sim.Machine.SteadyUntil certifies — busy,
+// idle, and crashed alike — between barriers. Options.Lockstep
+// (hars-scenario -lockstep) is the one switch: it forces the reference
+// strategy, every machine stepped tick by tick, and replays
+// byte-identically. It exists for benchmarking and for the equivalence
+// suite that proves the bit-exactness, not for changing results.
 //
 // Determinism: the engine is single-threaded over deterministic
 // simulators — nodes step in index order within each shared tick, and

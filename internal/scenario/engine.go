@@ -71,28 +71,16 @@ type Options struct {
 	// checking needs.
 	CheckEveryTick bool
 
-	// Lockstep forces the fleet's reference per-tick advancement strategy
-	// instead of the event-driven core. Results are bit-for-bit identical
-	// either way (the equivalence suite proves it); the switch exists for
-	// benchmarking and for that proof.
+	// Lockstep forces the reference advancement strategy: the fleet steps
+	// every machine tick by tick instead of running the event-driven core
+	// and the machines' certified windows. Results are bit-for-bit
+	// identical either way (the equivalence suite proves it); the switch
+	// exists for benchmarking and for that proof.
 	Lockstep bool
 
-	// NoSteady disables the machines' steady-phase turbo path
-	// (sim.Machine.SetSteady(false)), leaving the general per-tick loop to
-	// run every busy stretch. Results are bit-for-bit identical either way
-	// (the steady equivalence suite proves it); the switch exists for
-	// benchmarking and for that proof. Mirrors the hars-scenario -steady
-	// flag.
-	NoSteady bool
-
-	// WakeScan switches the fleet scheduler's NextWake to the full-scan
-	// reference implementation instead of the incremental wake index.
-	// Identical wake times either way (the equivalence suite proves it);
-	// the switch exists for benchmarking and for that proof.
-	WakeScan bool
-
-	// VerifyWake makes every NextWake compute both the scan and the index
-	// answer; the run fails with the first divergence. For tests.
+	// VerifyWake makes every fleet scheduler NextWake compute both the
+	// full-scan reference and the wake index answer; the run fails with
+	// the first divergence. For tests.
 	VerifyWake bool
 
 	// Workers shards node advancement between fleet decision points across
@@ -481,9 +469,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		return nil, err
 	}
 	e.fl.SetLockstep(opts.Lockstep)
-	if opts.NoSteady {
-		e.fl.SetSteady(false)
-	}
 	if opts.Workers > 1 && opts.PerTick == nil {
 		e.fl.SetWorkers(opts.Workers)
 	}
@@ -526,7 +511,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		Observer:     obs,
 		Force:        force,
 	})
-	e.sched.SetWakeScan(opts.WakeScan)
 	e.sched.SetWakeVerify(opts.VerifyWake)
 	if opts.CheckEveryTick {
 		// Registered after the scheduler's hook, so each tick is checked in

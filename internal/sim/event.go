@@ -6,137 +6,33 @@ import (
 	"repro/internal/hmp"
 )
 
-// Event-driven advancement: a Machine that provably has nothing to do can
-// jump its clock to the next event instead of stepping tick by tick. The
-// fast path is an execution strategy, not a semantic change — every state a
-// later observer can see (clock, tick counters, energy accumulators, run
-// queues, timers, trace bytes) is bit-for-bit what the equivalent sequence
-// of Step calls would have produced. fleet.Fleet and the scenario engine
-// build on this to jump whole quiescent fleets.
+// Empty windows: a window (see SteadyUntil) whose plan is empty — no thread
+// runs, no overhead is stolen, no daemon keeps per-tick state — moves only
+// the clock, the tick counters, and the energy sums. Idle and crashed
+// machines spend most of their time in such windows, and FastForwardCached
+// executes one without walking the per-core plan, with the energy replay
+// shared across bit-identical machines through a JumpCache. fleet.Fleet
+// and the scenario engine build on this to jump whole quiescent fleets.
 
-// Sleeper is the opt-in contract that lets a Daemon participate in
-// event-driven advancement. NextWake returns the earliest future tick at
-// which the daemon's Tick call is anything but a no-op; returning a time at
-// or before m.Now() means "run me every tick" and disables the fast path.
-//
-// The contract is strict: if NextWake(m) returns w > m.Now(), then every
-// skipped Tick invocation in (now, w) must have been a no-op — no machine
-// mutation, no internal phase advance (a daemon that counts its own Tick
-// calls must not implement Sleeper), no trace emission. NextWake itself
-// must be pure. Daemons that do not implement Sleeper force full lockstep
-// stepping of their machine, which is always correct.
-type Sleeper interface {
-	NextWake(m *Machine) Time
-}
-
-// QuiescentPlacer is the analogous opt-in for a Placer: Quiescent reports
-// whether the next Place call is certain to be a pure no-op (no migrations,
-// no internal phase advance, no trace events). Placers that keep per-call
-// state (e.g. gts.Scheduler, whose migration pass fires on a count of Place
-// invocations) must not implement it.
-type QuiescentPlacer interface {
-	Placer
-	Quiescent(m *Machine) bool
-}
-
-// InertUntil returns the latest time ≤ limit up to which the machine can be
-// fast-forwarded without any observable difference from per-tick stepping.
-// A return of m.Now() means the machine is not inert and the next tick must
-// run through Step. The bound is conservative: every "maybe" is a "no".
-//
-// A machine is inert when each per-tick phase is a certified no-op:
-//
-//   - fireTimers: no timer due (the first pending timer bounds the jump);
-//   - Place: no runnable or misplaced threads, and the placer is a
-//     QuiescentPlacer reporting quiescence (or nil);
-//   - execute: nothing runnable and no stolen manager overhead, so the only
-//     effect is execTick++ (replayed by FastForward);
-//   - integratePower: the memo is warm and keyed exactly as integratePower
-//     would key it (levels, online-core counts, all-zero tick utilisation),
-//     so the tick adds the memoized lastE — replayed by FastForward;
-//   - daemons: every daemon is a Sleeper whose wake time bounds the jump.
+// InertUntil returns the end of the window SteadyUntil certifies up to
+// limit when that window's plan is empty, and m.Now() otherwise. A fleet
+// whose nodes share a tracer steps them in global tick order and uses it
+// to find the stretches every node can jump together.
 func (m *Machine) InertUntil(limit Time) Time {
-	if limit <= m.now {
-		return m.now
+	if until := m.SteadyUntil(limit); until > m.now && m.steady.empty() {
+		return until
 	}
-	if len(m.runnable) != 0 || m.misplaced != 0 {
-		return m.now
-	}
-	for i := range m.cores {
-		if m.cores[i].stolen > 0 {
-			return m.now
-		}
-	}
-	if m.placer != nil {
-		qp, ok := m.placer.(QuiescentPlacer)
-		if !ok || !qp.Quiescent(m) {
-			return m.now
-		}
-	}
-	if m.cfg.Power != nil && !m.failed {
-		// The energy memo must be warm and its key unchanged, mirroring
-		// integratePower's `changed` computation: same level, same online
-		// count, and a tick utilisation of zero everywhere (true on an idle
-		// machine, where execute zeroes tickUse and nothing runs).
-		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-			if !m.powerValid[k] || m.levels[k] != m.lastLevel[k] {
-				return m.now
-			}
-			online := m.plat.Clusters[k].Cores
-			if m.opm != nil && m.online != m.allMask {
-				online = m.OnlineCount(k)
-			}
-			if online != m.lastOnline[k] {
-				return m.now
-			}
-			for _, tu := range m.lastTickUse[k] {
-				if tu != 0 {
-					return m.now
-				}
-			}
-		}
-	}
-	until := limit
-	if m.timers.Len() > 0 {
-		at := m.timers.entries[0].at
-		if at <= m.now {
-			return m.now
-		}
-		if at < until {
-			until = at
-		}
-	}
-	for _, d := range m.daemons {
-		s, ok := d.(Sleeper)
-		if !ok {
-			return m.now
-		}
-		w := s.NextWake(m)
-		if w <= m.now {
-			return m.now
-		}
-		if w < until {
-			until = w
-		}
-	}
-	return until
+	return m.now
 }
 
-// FastForward replays the per-tick bookkeeping of an inert machine up to
-// (exactly) until: the memoized per-cluster energy is accumulated in the
-// same order and with the same float additions Step would have performed
-// (no closed-form shortcut — repeated IEEE addition is not multiplication),
-// and the clock, tick and execute counters advance tick by tick. The caller
-// must have established inertness via InertUntil; FastForward itself does
-// not re-check.
-func (m *Machine) FastForward(until Time) { m.fastForward(until, nil) }
-
-// FastForwardCached is FastForward consulting (and feeding) a JumpCache:
-// bit-for-bit the same resulting state, with the replay loop skipped when
-// the cache already holds this exact transition.
-func (m *Machine) FastForwardCached(until Time, jc *JumpCache) { m.fastForward(until, jc) }
-
-func (m *Machine) fastForward(until Time, jc *JumpCache) {
+// FastForwardCached executes an empty window up to (exactly) until: the
+// memoized per-cluster energy is accumulated in the same order and with the
+// same float additions Step would have performed (no closed-form shortcut —
+// repeated IEEE addition is not multiplication), through jc when it is not
+// nil, and the clock, tick and execute counters advance tick by tick. The
+// caller must have certified the window (InertUntil, or SteadyUntil with an
+// empty plan); FastForwardCached itself does not re-check.
+func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 	d := until - m.now
 	if d <= 0 {
 		return
@@ -195,12 +91,12 @@ type jumpEntry struct {
 	c   [hmp.NumClusters]float64
 }
 
-// JumpCache memoizes FastForward's replayed energy accumulation across
-// machines and jumps. The replay is a pure function of the starting
-// accumulator values, the per-tick increments, and the step count, so two
-// machines in bit-identical power states — the common case in a large
-// mostly-idle fleet, where every quiescent node evolves identically — need
-// the O(steps) addition loop run only once; every other machine replays the
+// JumpCache memoizes FastForwardCached's energy replay across machines and
+// jumps. The replay is a pure function of the starting accumulator values,
+// the per-tick increments, and the step count, so two machines in
+// bit-identical power states — the common case in a large mostly-idle
+// fleet, where every quiescent node evolves identically — need the
+// O(steps) addition loop run only once; every other machine replays the
 // memoized result, bit-for-bit. A cache is single-goroutine state: sharded
 // fleet advancement gives each worker its own (hits only affect wall-clock,
 // never results, so per-worker caching costs nothing in determinism).

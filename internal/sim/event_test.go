@@ -9,14 +9,16 @@ import (
 	"repro/internal/sim"
 )
 
-// tickCounter is a daemon that does NOT implement sim.Sleeper: it must force
-// the machine into per-tick stepping, and counts the ticks to prove it ran.
+// tickCounter is a daemon that does NOT implement sim.SteadyDaemon: it must
+// force the machine into per-tick stepping, and counts the ticks to prove it
+// ran.
 type tickCounter struct{ n int }
 
 func (d *tickCounter) Tick(*sim.Machine) { d.n++ }
 
-// napper is a periodic Sleeper daemon: it records the times it was invoked
-// at while awake and sleeps between its deadlines.
+// napper is a periodic sleeping daemon: it records the times it was invoked
+// at while awake, and between its deadlines declares an empty window entry
+// bounded by the next one.
 type napper struct {
 	period sim.Time
 	next   sim.Time
@@ -31,13 +33,18 @@ func (d *napper) Tick(m *sim.Machine) {
 	d.next = m.Now() + d.period
 }
 
-func (d *napper) NextWake(m *sim.Machine) sim.Time { return d.next }
+func (d *napper) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
+	if d.next <= m.Now() {
+		return sim.SteadyEntry{}, false
+	}
+	return sim.SteadyEntry{Until: d.next}, true
+}
 
 // TestFastForwardMatchesStepping is the machine-level equivalence property:
-// RunUntil (which jumps inert stretches) must leave the machine bit-for-bit
+// RunUntil (which jumps empty windows) must leave the machine bit-for-bit
 // where an explicit per-tick Step loop leaves it — clock, energy (exact
-// float bits, because FastForward replays the memoized additions instead of
-// multiplying), retired work, heartbeats, and timer deliveries.
+// float bits, because FastForwardCached replays the memoized additions
+// instead of multiplying), retired work, heartbeats, and timer deliveries.
 func TestFastForwardMatchesStepping(t *testing.T) {
 	build := func() (*sim.Machine, *sim.Process) {
 		plat := hmp.Default()
@@ -109,7 +116,7 @@ func TestInertUntilBounds(t *testing.T) {
 }
 
 // TestNonSleeperDaemonForcesLockstep pins the conservative default: a daemon
-// that does not implement Sleeper runs on every tick even across an
+// that does not implement SteadyDaemon runs on every tick even across an
 // otherwise-idle run, so RunUntil may not skip any.
 func TestNonSleeperDaemonForcesLockstep(t *testing.T) {
 	m := sim.New(hmp.Default(), sim.Config{})
@@ -117,14 +124,14 @@ func TestNonSleeperDaemonForcesLockstep(t *testing.T) {
 	m.AddDaemon(d)
 	m.RunUntil(100 * sim.Millisecond)
 	if want := 100; d.n != want {
-		t.Fatalf("non-Sleeper daemon ticked %d times, want %d", d.n, want)
+		t.Fatalf("non-window daemon ticked %d times, want %d", d.n, want)
 	}
 }
 
-// TestSleeperDaemonWakesExactly pins the Sleeper contract end to end: a
-// periodic sleeper is invoked at exactly the ticks its deadlines name, with
-// the idle time in between jumped, and the invocation times match the
-// per-tick reference run.
+// TestSleeperDaemonWakesExactly pins the Until bound end to end: a periodic
+// sleeper is invoked at exactly the ticks its deadlines name, with the idle
+// time in between jumped, and the invocation times match the per-tick
+// reference run.
 func TestSleeperDaemonWakesExactly(t *testing.T) {
 	run := func(step bool) []sim.Time {
 		m := sim.New(hmp.Default(), sim.Config{})

@@ -31,15 +31,10 @@ func (b *MaskBalancer) Prime(nc int) {
 	}
 }
 
-// Quiescent implements QuiescentPlacer: with no runnable threads every
-// per-core count is zero, so both the repair pass and the balancing sweep
-// are vacuous and Place is a pure no-op. The balancer keeps no per-call
-// state, so skipping those no-op calls is invisible.
-func (b *MaskBalancer) Quiescent(m *Machine) bool {
-	return len(m.runnable) == 0 && m.misplaced == 0
-}
-
-// Settled implements SteadyPlacer: with no misplaced thread the repair pass
+// Settled implements SteadyPlacer. With nothing runnable every per-core
+// count is zero, so both the repair pass and the balancing sweep are
+// vacuous — on a crashed machine too, which has no online core for the
+// spread check below. Otherwise, with no misplaced thread the repair pass
 // is vacuous and the per-core counts Place would compute equal the O(1)
 // run-queue lengths, so Place is a pure no-op exactly when its balancing
 // sweep would move nothing — and stays one while runnability, placement,
@@ -51,10 +46,14 @@ func (b *MaskBalancer) Quiescent(m *Machine) bool {
 // replayed read-only: a single thread with a permitted online core two
 // lighter than its own refutes settledness. Certification runs this once
 // per window, not per tick, so the O(runnable × cores) scan amortizes
-// across every tick the window jumps.
+// across every tick the window jumps. The balancer keeps no per-call
+// state, so skipping the no-op calls is invisible.
 func (b *MaskBalancer) Settled(m *Machine) bool {
 	if m.misplaced != 0 {
 		return false
+	}
+	if len(m.runnable) == 0 {
+		return true
 	}
 	online := m.online
 	all := online == m.allMask

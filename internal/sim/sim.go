@@ -198,14 +198,13 @@ type Machine struct {
 	busyScratch [hmp.NumClusters][]float64
 	ticks       int64
 
-	// steadySkip is runUntil's certification back-off: ticks left to skip
-	// the SteadyUntil attempt after a failed or too-short window, so churny
-	// phases do not pay the scan every tick (see steadySkipTicks).
+	// steadySkip is RunUntilCached's certification back-off: ticks left to
+	// skip the SteadyUntil attempt after a failed or too-short window, so
+	// churny phases do not pay the scan every tick (see steadySkipTicks).
+	// steady is the reusable window plan SteadyUntil certifies and
+	// RunSteady executes.
 	steadySkip int
-	// steadyOff disables steady-phase advancement (SetSteady); steady is the
-	// reusable window plan SteadyUntil certifies and RunSteady executes.
-	steadyOff bool
-	steady    steadyPlan
+	steady     steadyPlan
 
 	tracer *Tracer
 	// nodeName is the machine's fleet identity (set by NewNode, "" for a
@@ -678,30 +677,32 @@ func (m *Machine) reconcile() {
 func (m *Machine) Run(d Time) { m.RunUntil(m.now + d) }
 
 // RunUntil advances the simulation until the clock reaches t. Stretches
-// during which the machine is provably inert (see InertUntil) are jumped in
-// one FastForward instead of stepped tick by tick, and busy-but-steady
-// stretches (see SteadyUntil) run through RunSteady's tight loop; the
-// resulting state is bit-for-bit identical either way.
-func (m *Machine) RunUntil(t Time) { m.runUntil(t, nil) }
+// that provably repeat the same tick (see SteadyUntil) run as windows: an
+// empty window — an idle or crashed machine — is jumped in one
+// FastForwardCached, any other runs through RunSteady's tight loop. The
+// resulting state is bit-for-bit identical to stepping tick by tick.
+func (m *Machine) RunUntil(t Time) { m.RunUntilCached(t, nil) }
 
-// RunUntilCached is RunUntil with inert jumps routed through a JumpCache
+// RunUntilCached is RunUntil with empty windows routed through a JumpCache
 // (see FastForwardCached): identical resulting state, shared replay work.
-func (m *Machine) RunUntilCached(t Time, jc *JumpCache) { m.runUntil(t, jc) }
-
-func (m *Machine) runUntil(t Time, jc *JumpCache) {
+func (m *Machine) RunUntilCached(t Time, jc *JumpCache) {
 	for m.now < t {
-		if until := m.InertUntil(t); until > m.now {
-			m.fastForward(until, jc)
+		idle := len(m.runnable) == 0
+		if m.steadySkip > 0 && !idle {
+			m.steadySkip--
+			m.Step()
 			continue
 		}
-		if !m.steadyOff {
-			if m.steadySkip > 0 {
-				m.steadySkip--
-			} else if until := m.SteadyUntil(t); until >= m.now+steadyMinTicks*m.cfg.TickLen && m.RunSteady(until) {
-				continue
-			} else {
-				m.steadySkip = steadySkipTicks
-			}
+		until := m.SteadyUntil(t)
+		if until > m.now && m.steady.empty() {
+			m.FastForwardCached(until, jc)
+			continue
+		}
+		if until >= m.now+steadyMinTicks*m.cfg.TickLen && m.RunSteady(until) {
+			continue
+		}
+		if !idle {
+			m.steadySkip = steadySkipTicks
 		}
 		m.Step()
 	}

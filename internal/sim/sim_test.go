@@ -17,6 +17,7 @@ type spinner struct {
 	beats   bool    // emit a heartbeat per completed unit (thread 0 only)
 	bonus   float64 // cache bonus, 0 = none
 	delay   sim.Time
+	nap     sim.Time // sleep between units, 0 = none
 }
 
 func (s *spinner) Name() string    { return "spinner" }
@@ -35,6 +36,10 @@ func (s *spinner) Start(p *sim.Process) {
 func (s *spinner) UnitDone(p *sim.Process, local int) {
 	if s.beats && local == 0 {
 		p.Beat()
+	}
+	if s.nap > 0 {
+		p.WakeAt(local, p.Now()+s.nap, s.unit)
+		return
 	}
 	p.SetWork(local, s.unit)
 }

@@ -2,19 +2,20 @@ package sim
 
 import "repro/internal/hmp"
 
-// Steady-phase advancement: the busy-machine counterpart of InertUntil/
-// FastForward. A machine whose runnable threads are all mid-unit — nothing
-// completes, nothing migrates, nothing actuates — repeats the same tick over
-// and over, differing only in the float accumulators. SteadyUntil certifies
-// a window in which that repetition is provable, and RunSteady executes it
-// as a tight loop: per-tick progress accrual and the memoized energy
-// additions in registers, the same IEEE operations in the same order as the
-// general path, skipping the runnable scan, placer dispatch, daemon walk,
-// and trace checks that are provably no-ops. Like FastForward, this is an
-// execution strategy, not a semantic change — every observable state is
-// bit-for-bit what the equivalent sequence of Step calls would produce, and
-// the general per-tick loop survives as the reference the golden digests and
-// the steady-vs-general property suite pin it to.
+// Window advancement: a machine whose runnable threads are all mid-unit —
+// nothing completes, nothing migrates, nothing actuates — repeats the same
+// tick over and over, differing only in the float accumulators. An idle or
+// crashed machine is the same case with an empty plan: no thread runs, so
+// only the clock and the energy sums move. SteadyUntil certifies a window
+// in which that repetition is provable; RunSteady executes it as a tight
+// loop (per-tick progress accrual and the memoized energy additions in
+// registers, the same IEEE operations in the same order as the general
+// path, skipping the runnable scan, placer dispatch, daemon walk, and trace
+// checks that are provably no-ops), and FastForwardCached executes an empty
+// one. This is an execution strategy, not a semantic change — every
+// observable state is bit-for-bit what the equivalent sequence of Step
+// calls would produce, and the general per-tick loop survives as the
+// reference the golden digests and the equivalence suites pin it to.
 
 // SteadyTicker is the per-tick half of a SteadyDaemon whose Tick calls
 // inside a certified window are internal-only (they advance daemon state —
@@ -32,40 +33,45 @@ type SteadyTicker interface {
 }
 
 // SteadyEntry is a daemon's declaration of what its per-tick work amounts to
-// inside a steady window: a fixed overhead charge (Charge µs against
-// ChargeCPU per tick, exactly what its Tick would ChargeOverhead) and an
-// optional per-tick Ticker for internal state that must advance. A zero
-// Charge with a nil Ticker declares every in-window Tick a pure no-op.
+// inside a window: a fixed overhead charge (Charge µs against ChargeCPU per
+// tick, exactly what its Tick would ChargeOverhead), an optional per-tick
+// Ticker for internal state that must advance, and an optional wake bound
+// Until: the daemon's Tick may do anything on the first tick starting at or
+// after Until, so the window ends before that tick. A zero Until means no
+// bound, and a zero entry declares every in-window Tick a pure no-op.
 type SteadyEntry struct {
 	ChargeCPU int
 	Charge    Time
 	Ticker    SteadyTicker
+	Until     Time
 }
 
-// SteadyDaemon is the opt-in contract that lets a Daemon participate in
-// steady-phase advancement, the busy-machine analogue of Sleeper. When
-// SteadyBegin returns ok, every Tick call during the window must reduce to
-// the declared entry: charge exactly (ChargeCPU, Charge) and otherwise
-// mutate nothing the machine or a later observer can see — no actuation
-// (DVFS, caps, hotplug, migration), no trace emission, no decision — with
-// internal state advanced solely through the entry's Ticker. SteadyBegin
-// itself must be pure; it is consulted once per window, so any condition it
-// certifies must be invariant while the runnable set, placement, platform
-// state, and heartbeat counts are frozen (which the machine-side
-// certification guarantees for the window). Returning !ok is always safe:
-// the machine falls back to the daemon's Sleeper contract, or to full
-// per-tick stepping.
+// SteadyDaemon is the opt-in contract that lets a Daemon's machine advance
+// in windows instead of tick by tick. When SteadyBegin returns ok, every
+// Tick call during the window must reduce to the declared entry: charge
+// exactly (ChargeCPU, Charge) and otherwise mutate nothing the machine or a
+// later observer can see — no actuation (DVFS, caps, hotplug, migration), no
+// trace emission, no decision, no internal phase advance (a daemon that
+// counts its own Tick calls must advance the count through the entry's
+// Ticker). SteadyBegin itself must be pure; it is consulted once per
+// window, so any condition it certifies must be invariant while the
+// runnable set, placement, platform state, and heartbeat counts are frozen
+// (which the machine-side certification guarantees for the window).
+// Returning !ok is always safe: the next tick runs through Step. Daemons
+// that do not implement SteadyDaemon pin their machine to per-tick
+// stepping, which is always correct.
 type SteadyDaemon interface {
 	Daemon
 	SteadyBegin(m *Machine) (SteadyEntry, bool)
 }
 
-// SteadyPlacer is the busy-machine analogue of QuiescentPlacer: Settled
-// reports whether the next Place call is certain to be a pure no-op even
-// though threads are runnable — every thread in its mask and no balancing
-// move available — and will stay one while runnability, placement, affinity,
-// and the online mask are all frozen. Placers with per-call state (e.g.
-// gts.Scheduler) must not implement it.
+// SteadyPlacer is the opt-in contract that lets a Placer's machine advance
+// in windows: Settled reports whether the next Place call is certain to be
+// a pure no-op — nothing runnable, or every thread in its mask and no
+// balancing move available — and will stay one while runnability,
+// placement, affinity, and the online mask are all frozen. Placers with
+// per-call state (e.g. gts.Scheduler, whose migration pass fires on a count
+// of Place invocations) must not implement it.
 type SteadyPlacer interface {
 	Placer
 	Settled(m *Machine) bool
@@ -109,19 +115,20 @@ type steadyPlan struct {
 	totalCharge Time
 }
 
-// SetSteady enables or disables steady-phase advancement for Run/RunUntil
-// (enabled by default). Results are bit-for-bit identical either way — the
-// switch mirrors fleet.SetLockstep: it exists for benchmarking and for the
-// equivalence suite that proves exactly that.
-func (m *Machine) SetSteady(on bool) { m.steadyOff = !on }
+// empty reports whether the certified plan moves only the clock and the
+// energy sums: no core runs a thread or consumes stolen overhead, and no
+// daemon advances per-tick state.
+func (p *steadyPlan) empty() bool { return len(p.cores) == 0 && len(p.tickers) == 0 }
 
 // steadyMinTicks is the shortest certified window worth entering RunSteady
 // for — below it the certification scan costs more than the batched loop
-// saves. steadySkipTicks is the back-off runUntil arms after a failed or
-// too-short certification: churny phases (a pipeline blocking on I/O every
-// few ticks) would otherwise pay the full scan every tick for nothing. Both
-// only steer which advancement path runs; results are bit-identical either
-// way.
+// saves. steadySkipTicks is the back-off RunUntilCached arms after a failed
+// or too-short certification on a machine with runnable threads: churny
+// phases (a pipeline blocking on I/O every few ticks) would otherwise pay
+// the full scan every tick for nothing. The minimum does not apply to
+// empty windows, whose jumps pay from one tick on, nor the back-off to a
+// machine with nothing runnable, whose certification is cheap. Both only
+// steer which advancement path runs; results are bit-identical either way.
 const (
 	steadyMinTicks  = 4
 	steadySkipTicks = 4
@@ -150,15 +157,16 @@ func (m *Machine) primeSteady() {
 	}
 }
 
-// SteadyUntil certifies the longest window ≤ limit in which the machine is
-// busy but steady: the runnable set, per-thread speed factors, placement,
-// and online/cap state provably cannot change, so every tick repeats the
-// same work pattern. A return of m.Now() means no window could be certified
-// and the next tick must run through Step. The bound is conservative (every
-// "maybe" is a "no") and is the earliest of: the first pending timer wakeup,
-// each non-steady Sleeper daemon's NextWake, and the caller's limit.
-// In-window unit completions are not predicted here — RunSteady detects the
-// first completing tick exactly and stops before it.
+// SteadyUntil certifies the longest window ≤ limit in which every tick
+// provably repeats the same work: the runnable set, per-thread speed
+// factors, placement, and online/cap state cannot change. Busy, idle, and
+// crashed machines all qualify; an idle or crashed machine's window has an
+// empty plan (see FastForwardCached). A return of m.Now() means no window
+// could be certified and the next tick must run through Step. The bound is
+// conservative (every "maybe" is a "no") and is the earliest of: the first
+// pending timer wakeup, each daemon's declared Until, and the caller's
+// limit. In-window unit completions are not predicted here — RunSteady
+// detects the first completing tick exactly and stops before it.
 //
 // Certification requires, mirroring each per-tick phase of Step:
 //
@@ -167,27 +175,19 @@ func (m *Machine) primeSteady() {
 //     reporting itself settled (or nil);
 //   - execute: every queued thread stall-free (no pending migration
 //     penalty), and every core's pending stolen overhead exactly equal to
-//     the per-tick charge the window's SteadyDaemons declare — so the
+//     the per-tick charge the window's daemons declare — so the
 //     steal/recharge cycle is a fixed point and capacity shares repeat;
-//   - integratePower: the memo warm and keyed exactly as integratePower
-//     keys it (levels, online counts, and the steady per-core tick
-//     utilisation, accumulated here in execute's order);
-//   - daemons: every daemon a SteadyDaemon whose SteadyBegin accepts, or a
-//     Sleeper whose future wake bounds the window.
+//   - integratePower (skipped on a crashed machine, which integrates
+//     nothing): the memo warm and keyed exactly as integratePower keys it
+//     (levels, online counts, and the per-core tick utilisation,
+//     accumulated here in execute's order);
+//   - daemons: every daemon a SteadyDaemon whose SteadyBegin accepts.
 //
-// A successful certification leaves the window plan in m; RunSteady
-// executes against it and must be the next advancement call.
-
+// A successful certification leaves the window plan in m; RunSteady (or,
+// for an empty plan, FastForwardCached) executes it and must be the next
+// advancement call.
 func (m *Machine) SteadyUntil(limit Time) Time {
-	if limit <= m.now || m.failed {
-		return m.now
-	}
-	if len(m.runnable) == 0 {
-		// An idle machine is InertUntil's domain; steady certification
-		// exists for machines with work in flight.
-		return m.now
-	}
-	if m.misplaced != 0 || len(m.journal) != 0 {
+	if limit <= m.now || m.misplaced != 0 || len(m.journal) != 0 {
 		return m.now
 	}
 	if m.placer != nil {
@@ -213,41 +213,43 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 	}
 	p.chargedCPUs = p.chargedCPUs[:0]
 	p.tickers = p.tickers[:0]
+	p.cores = p.cores[:0]
+	p.threads = p.threads[:0]
 	p.totalCharge = 0
 	for _, d := range m.daemons {
-		if sd, ok := d.(SteadyDaemon); ok {
-			if ent, ok := sd.SteadyBegin(m); ok {
-				if ent.Charge > 0 {
-					cpu := ent.ChargeCPU
-					if cpu < 0 || cpu >= len(m.cores) || !m.online.Has(cpu) {
-						cpu = m.firstOnline() // ChargeOverhead's fallback
-					}
-					if p.charges[cpu] == 0 {
-						p.chargedCPUs = append(p.chargedCPUs, cpu)
-					}
-					p.charges[cpu] += ent.Charge
-					p.totalCharge += ent.Charge
-				}
-				if ent.Ticker != nil {
-					p.tickers = append(p.tickers, ent.Ticker)
-				}
-				continue
-			}
-		}
-		s, ok := d.(Sleeper)
+		sd, ok := d.(SteadyDaemon)
 		if !ok {
 			return m.now
 		}
-		w := s.NextWake(m)
-		if w <= m.now {
+		ent, ok := sd.SteadyBegin(m)
+		if !ok {
 			return m.now
 		}
-		if w < until {
-			until = w
+		if ent.Until != 0 {
+			if ent.Until <= m.now {
+				return m.now
+			}
+			if ent.Until < until {
+				until = ent.Until
+			}
+		}
+		if ent.Charge > 0 {
+			cpu := ent.ChargeCPU
+			if cpu < 0 || cpu >= len(m.cores) || !m.online.Has(cpu) {
+				cpu = m.firstOnline() // ChargeOverhead's fallback
+			}
+			if p.charges[cpu] == 0 {
+				p.chargedCPUs = append(p.chargedCPUs, cpu)
+			}
+			p.charges[cpu] += ent.Charge
+			p.totalCharge += ent.Charge
+		}
+		if ent.Ticker != nil {
+			p.tickers = append(p.tickers, ent.Ticker)
 		}
 	}
 
-	powerOn := m.cfg.Power != nil
+	powerOn := m.cfg.Power != nil && !m.failed
 	if powerOn {
 		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 			if !m.powerValid[k] || m.levels[k] != m.lastLevel[k] {
@@ -263,12 +265,31 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 		}
 	}
 
+	if len(m.runnable) == 0 && p.totalCharge == 0 {
+		// Empty per-core plan: nothing runs and nothing is charged, so the
+		// tick repeats exactly when no core has overhead left to steal and
+		// the power memo is keyed on an all-zero tick utilisation.
+		for i := range m.cores {
+			if m.cores[i].stolen != 0 {
+				return m.now
+			}
+		}
+		if powerOn {
+			for k := range m.lastTickUse {
+				for _, tu := range m.lastTickUse[k] {
+					if tu != 0 {
+						return m.now
+					}
+				}
+			}
+		}
+		return until
+	}
+
 	var speedByCluster [hmp.NumClusters]float64
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		speedByCluster[k] = m.freqScale[k][m.levels[k]]
 	}
-	p.cores = p.cores[:0]
-	p.threads = p.threads[:0]
 	for i := range m.cores {
 		c := &m.cores[i]
 		stealT := p.charges[i]
@@ -344,7 +365,7 @@ func (m *Machine) RunSteady(until Time) bool {
 	p := &m.steady
 	start := m.now
 	tickLen := m.cfg.TickLen
-	powerOn := m.cfg.Power != nil
+	powerOn := m.cfg.Power != nil && !m.failed
 	// Hoist the energy accumulators into registers for the window; nothing
 	// observes them mid-window.
 	e := m.lastE

@@ -4,7 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/heartbeat"
 	"repro/internal/hmp"
+	"repro/internal/mphars"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -25,19 +28,18 @@ func busySteady(t *testing.T, daemons ...sim.Daemon) *sim.Machine {
 	return m
 }
 
-// TestSteadyUntilGates pins the conditions under which no steady window
-// exists at all: idle machines belong to InertUntil, a cold power memo
-// declines, and a daemon outside both the SteadyDaemon and Sleeper
-// contracts pins the machine to per-tick stepping.
+// TestSteadyUntilGates pins the conditions under which no window exists at
+// all: a cold power memo declines, and a daemon outside the SteadyDaemon
+// contract pins the machine to per-tick stepping. A warm machine, idle or
+// busy, is certifiable to the caller's limit.
 func TestSteadyUntilGates(t *testing.T) {
 	plat := hmp.Default()
 
-	// Idle machine: steady certification is for machines with work in
-	// flight.
+	// Idle and warm: a window with an empty plan, to the caller's limit.
 	m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 	m.Step()
-	if u := m.SteadyUntil(m.Now() + sim.Second); u != m.Now() {
-		t.Fatalf("idle machine certified steady until %d", u)
+	if limit := m.Now() + sim.Second; m.SteadyUntil(limit) != limit {
+		t.Fatalf("warm idle machine not certified to %d", limit)
 	}
 
 	// Busy but cold: the first tick after spawn must run through Step to
@@ -55,8 +57,7 @@ func TestSteadyUntilGates(t *testing.T) {
 		t.Fatalf("warm busy machine certified until %d, want %d", u, limit)
 	}
 
-	// A daemon that is neither SteadyDaemon nor Sleeper forces per-tick
-	// stepping.
+	// A daemon outside the SteadyDaemon contract forces per-tick stepping.
 	m2 := busySteady(t, &tickCounter{})
 	if u := m2.SteadyUntil(m2.Now() + sim.Second); u != m2.Now() {
 		t.Fatalf("non-steady daemon certified steady until %d", u)
@@ -65,8 +66,9 @@ func TestSteadyUntilGates(t *testing.T) {
 
 // TestSteadyBoundaryExact pins the window bound to the exact microsecond for
 // each bounding source — the caller's limit, the first pending timer
-// (tick-aligned and not), and a sleeping daemon's NextWake. Off-by-one
-// errors here would silently shift which tick runs through the general path.
+// (tick-aligned and not), and a sleeping daemon's next wake (its declared
+// Until). Off-by-one errors here would silently shift which tick runs
+// through the general path.
 func TestSteadyBoundaryExact(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -245,65 +247,161 @@ func TestSteadyGovernorEdgeExact(t *testing.T) {
 }
 
 // TestSteadyMatchesStepping is the machine-level equivalence property for
-// the steady turbo path: RunUntil with steady advancement must leave a busy,
-// thermally instrumented, heartbeat-emitting machine bit-for-bit where the
-// per-tick reference loop leaves it — clock, exact energy bits, retired
-// work, heartbeats, overhead, temperatures, and governor counters.
+// windows: RunUntil must leave each fixture bit-for-bit where the per-tick
+// Step loop leaves it — clock, exact energy bits, retired work, heartbeats,
+// overhead, temperatures, and governor counters — across a mid-run action
+// (registering an app, spawning one, healing). The fixtures are a busy,
+// thermally instrumented, heartbeat-emitting machine with a sleeping
+// daemon, a machine whose threads nap between short units (so it turns
+// idle right after ticks that ran work), and the machines with nothing
+// runnable: an idle machine under an
+// MP-HARS manager (a per-tick polling charge), an idle machine under a
+// thermal governor (a per-tick Ticker), and crashed machines, bare and
+// with an exited HARS manager and a cooling governor. Each fixture must be
+// certifiable after its set-up.
 func TestSteadyMatchesStepping(t *testing.T) {
-	build := func() (*sim.Machine, *sim.Process, *thermal.Governor) {
-		plat := hmp.Default()
-		m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
-		gov, err := thermal.NewGovernor(thermal.Spec{Enabled: true, TripC: 45, ThrottleC: 33, ReleaseC: 30})
+	plat := hmp.Default()
+	spec := thermal.Spec{Enabled: true, TripC: 45, ThrottleC: 33, ReleaseC: 30}
+	newGov := func(t *testing.T, m *sim.Machine) *thermal.Governor {
+		gov, err := thermal.NewGovernor(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.AddDaemon(gov)
-		m.AddDaemon(&napper{period: 70 * sim.Millisecond})
-		p := m.Spawn("s", &spinner{threads: 4, unit: 0.3, beats: true}, 0)
-		return m, p, gov
+		return gov
 	}
+	type fixture struct {
+		m   *sim.Machine
+		gov *thermal.Governor
+		act func() // applied at the mid-run instant on both machines, if set
+	}
+	cases := []struct {
+		name  string
+		build func(t *testing.T) fixture
+	}{
+		{"busy", func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			gov := newGov(t, m)
+			m.AddDaemon(&napper{period: 70 * sim.Millisecond})
+			m.Spawn("s", &spinner{threads: 4, unit: 0.3, beats: true}, 0)
+			m.Step()
+			return fixture{m: m, gov: gov}
+		}},
+		{"napping", func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			m.Spawn("s", &spinner{threads: 2, unit: 0.02, nap: 150 * sim.Millisecond, beats: true}, 0)
+			m.Step()
+			return fixture{m: m}
+		}},
+		{"idle mphars", func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			mgr := mphars.New(m, power.SyntheticLinearModel(plat), mphars.Config{})
+			m.AddDaemon(mgr)
+			// The first poll charge is stolen on the second tick, whose
+			// power memo the window is then keyed on.
+			m.Step()
+			m.Step()
+			return fixture{m: m, act: func() {
+				p := m.Spawn("s", &spinner{threads: 2, unit: 0.3, beats: true}, 4)
+				mgr.Register(m, p, heartbeat.Target{Min: 1, Avg: 2, Max: 3}, 1, 1)
+			}}
+		}},
+		{"idle thermal", func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			gov := newGov(t, m)
+			m.Step()
+			return fixture{m: m, gov: gov, act: func() {
+				m.Spawn("s", &spinner{threads: 8, unit: 1e9}, 0)
+			}}
+		}},
+		{"crashed", func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			m.Spawn("s", &spinner{threads: 4, unit: 0.05}, 0)
+			for i := 0; i < 50; i++ {
+				m.Step()
+			}
+			m.Fail()
+			return fixture{m: m, act: m.Heal}
+		}},
+		{"crashed managed", func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			gov := newGov(t, m)
+			p := m.Spawn("s", &spinner{threads: 8, unit: 1e9}, 0)
+			mgr := core.NewManager(m, p, power.SyntheticLinearModel(plat),
+				heartbeat.Target{Min: 1, Avg: 2, Max: 3}, core.Config{Version: core.HARSE})
+			m.AddDaemon(mgr)
+			for i := 0; i < 3000; i++ {
+				m.Step()
+			}
+			m.Fail()
+			m.Step() // consumes the manager's last poll charge
+			return fixture{m: m, gov: gov, act: m.Heal}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := tc.build(t).m
+			if u := probe.SteadyUntil(probe.Now() + sim.Second); u <= probe.Now() {
+				t.Fatal("no window certified")
+			}
 
-	fast, fp, fgov := build()
-	slow, sp, sgov := build()
+			fast, slow := tc.build(t), tc.build(t)
+			mid, end := fast.m.Now()+sim.Second, fast.m.Now()+2*sim.Second
+			fast.m.RunUntil(mid)
+			if fast.act != nil {
+				fast.act()
+			}
+			fast.m.RunUntil(end)
+			for slow.m.Now() < end {
+				if slow.m.Now() == mid && slow.act != nil {
+					slow.act()
+				}
+				slow.m.Step()
+			}
 
-	end := sim.Time(2 * sim.Second)
-	fast.RunUntil(end)
-	for slow.Now() < end {
-		slow.Step()
-	}
-
-	if fast.Now() != slow.Now() {
-		t.Fatalf("clocks diverged: %d != %d", fast.Now(), slow.Now())
-	}
-	if fb, sb := math.Float64bits(fast.EnergyJ()), math.Float64bits(slow.EnergyJ()); fb != sb {
-		t.Fatalf("energy diverged: %x != %x (%v vs %v)", fb, sb, fast.EnergyJ(), slow.EnergyJ())
-	}
-	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-		if math.Float64bits(fast.ClusterEnergyJ(k)) != math.Float64bits(slow.ClusterEnergyJ(k)) {
-			t.Fatalf("cluster %v energy diverged: %v != %v", k, fast.ClusterEnergyJ(k), slow.ClusterEnergyJ(k))
-		}
-		if math.Float64bits(fgov.TempC(k)) != math.Float64bits(sgov.TempC(k)) {
-			t.Fatalf("cluster %v temperature diverged: %v != %v", k, fgov.TempC(k), sgov.TempC(k))
-		}
-		if math.Float64bits(fgov.PeakC(k)) != math.Float64bits(sgov.PeakC(k)) {
-			t.Fatalf("cluster %v peak diverged: %v != %v", k, fgov.PeakC(k), sgov.PeakC(k))
-		}
-		if fast.LevelCap(k) != slow.LevelCap(k) {
-			t.Fatalf("cluster %v cap diverged: %d != %d", k, fast.LevelCap(k), slow.LevelCap(k))
-		}
-	}
-	if math.Float64bits(fp.WorkDone()) != math.Float64bits(sp.WorkDone()) {
-		t.Fatalf("work diverged: %v != %v", fp.WorkDone(), sp.WorkDone())
-	}
-	if fp.HB.Count() != sp.HB.Count() {
-		t.Fatalf("heartbeats diverged: %d != %d", fp.HB.Count(), sp.HB.Count())
-	}
-	if fast.Overhead() != slow.Overhead() {
-		t.Fatalf("overhead diverged: %d != %d", fast.Overhead(), slow.Overhead())
-	}
-	if fgov.Throttles() != sgov.Throttles() || fgov.Trips() != sgov.Trips() || fgov.Releases() != sgov.Releases() {
-		t.Fatalf("governor counters diverged: %d/%d/%d != %d/%d/%d",
-			fgov.Throttles(), fgov.Trips(), fgov.Releases(),
-			sgov.Throttles(), sgov.Trips(), sgov.Releases())
+			f, s := fast.m, slow.m
+			if f.Now() != s.Now() {
+				t.Fatalf("clocks diverged: %d != %d", f.Now(), s.Now())
+			}
+			if math.Float64bits(f.EnergyJ()) != math.Float64bits(s.EnergyJ()) {
+				t.Fatalf("energy diverged: %v != %v", f.EnergyJ(), s.EnergyJ())
+			}
+			if f.Overhead() != s.Overhead() {
+				t.Fatalf("overhead diverged: %d != %d", f.Overhead(), s.Overhead())
+			}
+			for i, fp := range f.Procs() {
+				sp := s.Procs()[i]
+				if math.Float64bits(fp.WorkDone()) != math.Float64bits(sp.WorkDone()) {
+					t.Fatalf("process %d work diverged: %v != %v", i, fp.WorkDone(), sp.WorkDone())
+				}
+				if fp.HB.Count() != sp.HB.Count() {
+					t.Fatalf("process %d heartbeats diverged: %d != %d", i, fp.HB.Count(), sp.HB.Count())
+				}
+			}
+			for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
+				if math.Float64bits(f.ClusterEnergyJ(k)) != math.Float64bits(s.ClusterEnergyJ(k)) {
+					t.Fatalf("cluster %v energy diverged: %v != %v", k, f.ClusterEnergyJ(k), s.ClusterEnergyJ(k))
+				}
+				if f.LevelCap(k) != s.LevelCap(k) {
+					t.Fatalf("cluster %v cap diverged: %d != %d", k, f.LevelCap(k), s.LevelCap(k))
+				}
+				if fast.gov == nil {
+					continue
+				}
+				if math.Float64bits(fast.gov.TempC(k)) != math.Float64bits(slow.gov.TempC(k)) {
+					t.Fatalf("cluster %v temperature diverged: %v != %v", k, fast.gov.TempC(k), slow.gov.TempC(k))
+				}
+				if math.Float64bits(fast.gov.PeakC(k)) != math.Float64bits(slow.gov.PeakC(k)) {
+					t.Fatalf("cluster %v peak diverged: %v != %v", k, fast.gov.PeakC(k), slow.gov.PeakC(k))
+				}
+			}
+			if fast.gov != nil {
+				fg, sg := fast.gov, slow.gov
+				if fg.Throttles() != sg.Throttles() || fg.Trips() != sg.Trips() || fg.Releases() != sg.Releases() {
+					t.Fatalf("governor counters diverged: %d/%d/%d != %d/%d/%d",
+						fg.Throttles(), fg.Trips(), fg.Releases(), sg.Throttles(), sg.Trips(), sg.Releases())
+				}
+			}
+		})
 	}
 }
