@@ -137,6 +137,7 @@ func main() {
 		}
 	}
 
+	var cpuFile *os.File
 	if *cpuprofile != "" {
 		pf, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -147,7 +148,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer pprof.StopCPUProfile()
+		cpuFile = pf
 	}
 
 	f := File{
@@ -188,6 +189,15 @@ func main() {
 		fmt.Printf("%-22s %12d iters %14.1f ns/op %8d B/op %6d allocs/op%s%s\n",
 			res.Name, res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp,
 			deltaSuffix(prevFile, res), spread)
+	}
+	// Stop the profile before anything below can exit: os.Exit skips
+	// deferred calls, and a failed guard is when the profile is wanted most.
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		if err := cpuFile.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	data, err := json.MarshalIndent(f, "", "  ")

@@ -193,14 +193,12 @@
 //     BenchmarkFleetScale1k family tracks it at 1024 nodes (idle, ~5%
 //     active, and fault-armed crash/heal variants).
 //   - The fleet core itself is engineered for thousand-node fleets: the
-//     scheduler's NextWake reads an incremental wake index (silent-node
-//     detection deadlines in a min-heap maintained by machine failure
-//     listeners, declared-down nodes in a short heal-probe list) instead
-//     of scanning every node per barrier — the O(nodes) scan survives as
-//     the verification reference (fleet.Scheduler.SetWakeVerify); node
-//     advancement between barriers runs on a
-//     persistent worker pool fed by a chunked cursor instead of spawning
-//     goroutines per barrier; and bit-identical idle nodes share one
+//     scheduler's NextWake keeps no index — without the failure detector
+//     it reads no node, and with it one scan of each node's failed flag
+//     and detector verdict adds a pass to a barrier whose Tick already
+//     visits every node; node advancement between barriers runs
+//     on a persistent worker pool fed by a chunked cursor instead of
+//     spawning goroutines per barrier; and bit-identical idle nodes share one
 //     energy-replay computation per jump through a bit-exact-keyed cache
 //     (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
 //     steady-state barrier loop performs no allocations, pinned by the

@@ -141,10 +141,10 @@ func (benchHost) Salvage(*fleet.Node, *fleet.App)                 {}
 // shape the event-driven core exists for: wall-clock should track the busy
 // nodes plus the decision points, not nodes × ticks. With faults armed the
 // run crashes a band of idle nodes mid-flight and heals them later, so the
-// detector deadlines, the down set, and the recovery wakes — the wake
-// index's whole surface — are on the measured path. The lockstep variants
-// pin the price of the reference strategy; the ratios are the tracked
-// speedups.
+// detector deadlines, the down set, and the recovery wakes — every input
+// of the scheduler's NextWake scan — are on the measured path. The
+// lockstep variants pin the price of the reference strategy; the ratios
+// are the tracked speedups.
 func fleetScale(b *testing.B, nodes, busy int, faults, lockstep bool) {
 	bench, ok := workload.ByShort("SW")
 	if !ok {
@@ -263,7 +263,8 @@ func FleetScale1k(b *testing.B) { fleetScale(b, 1024, 1, false, false) }
 func FleetScale1kActive(b *testing.B) { fleetScale(b, 1024, 51, false, false) }
 
 // FleetScale1kFaults is FleetScale1k with the failure detector armed and a
-// scripted crash/heal band — the wake index under fire.
+// scripted crash/heal band — the fault-armed barrier loop, NextWake's
+// per-node scan included.
 func FleetScale1kFaults(b *testing.B) { fleetScale(b, 1024, 1, true, false) }
 
 // FleetScale1kLockstep is the 1024-node fleet under the reference per-tick

@@ -1,7 +1,9 @@
 package fleet_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -121,16 +123,18 @@ func TestPolicyCostInjection(t *testing.T) {
 // TestEventCoreMatchesLockstepFleet is the fleet-level equivalence
 // property: the same arrival schedule replayed through the lockstep
 // reference, the event-driven core, and the event-driven core with sharded
-// node advancement produces identical energy (exact float equality),
-// heartbeats, migrations, and clocks.
+// node advancement produces identical energy (exact float bits),
+// heartbeats, migrations, and clocks. The worker width is set per RunUntil
+// phase, so one case also resizes the pool mid-run — widening it, then
+// dropping back to sequential advancement.
 func TestEventCoreMatchesLockstepFleet(t *testing.T) {
 	type outcome struct {
-		energy     float64
+		energy     uint64
 		beats      int64
 		migrations int
 		now        sim.Time
 	}
-	run := func(lockstep bool, workers int) outcome {
+	run := func(lockstep bool, widths [3]int) outcome {
 		n0 := newMPNode(0, "n0", hmp.Default())
 		n1 := newMPNode(1, "n1", tinyPlatform())
 		// An unmanaged time-shared node: its machine has no per-tick
@@ -143,16 +147,18 @@ func TestEventCoreMatchesLockstepFleet(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.SetLockstep(lockstep)
-		f.SetWorkers(workers)
 		host := &testHost{t: t}
 		s := fleet.NewScheduler(f, host, fleet.Config{Policy: mustPolicy(t, fleet.PolicyBigFirst)})
 		a0 := &fleet.App{Name: "a0", Pinned: n0}
 		a1 := &fleet.App{Name: "a1", Pinned: n1}
 		s.Arrive(a0)
+		f.SetWorkers(widths[0])
 		f.RunUntil(500 * sim.Millisecond)
 		s.Arrive(a1)
+		f.SetWorkers(widths[1])
 		f.RunUntil(1 * sim.Second)
 		a1.Pinned = nil // the tiny node is saturated: a1 migrates off it
+		f.SetWorkers(widths[2])
 		f.RunUntil(2500 * sim.Millisecond)
 		checkInv(t, s)
 		var beats int64
@@ -161,16 +167,16 @@ func TestEventCoreMatchesLockstepFleet(t *testing.T) {
 				beats += app.Proc.HB.Count()
 			}
 		}
-		return outcome{f.EnergyJ(), beats, s.Stats().Migrations, f.Now()}
+		return outcome{math.Float64bits(f.EnergyJ()), beats, s.Stats().Migrations, f.Now()}
 	}
-	ref := run(true, 1)
+	ref := run(true, [3]int{1, 1, 1})
 	if ref.migrations == 0 {
 		t.Fatal("fixture produced no migrations; the equivalence check is vacuous")
 	}
-	for _, w := range []int{1, 4} {
+	for _, w := range [][3]int{{1, 1, 1}, {4, 4, 4}, {2, 4, 1}} {
 		got := run(false, w)
 		if got != ref {
-			t.Fatalf("event core (workers=%d) diverged: %+v != %+v", w, got, ref)
+			t.Fatalf("event core (workers %v) diverged: %+v != %+v", w, got, ref)
 		}
 	}
 }
@@ -186,10 +192,28 @@ func (h *faultTestHost) Salvage(n *fleet.Node, app *fleet.App)  {}
 // barrierCounter counts fleet hook invocations without ever asking to run:
 // with it registered, every Tick the fleet takes was forced by some OTHER
 // wake source, so the count exposes exactly how often the scheduler's
-// NextWake fires.
-type barrierCounter struct{ ticks int }
+// NextWake fires. Registered after the scheduler, it also logs every
+// detector verdict change at the barrier that made it, so the log pins the
+// tick of each detection and recovery.
+type barrierCounter struct {
+	ticks    int
+	down     []bool
+	verdicts []string
+}
 
-func (h *barrierCounter) Tick(*fleet.Fleet) { h.ticks++ }
+func (h *barrierCounter) Tick(f *fleet.Fleet) {
+	h.ticks++
+	if h.down == nil {
+		h.down = make([]bool, len(f.Nodes()))
+	}
+	for i, n := range f.Nodes() {
+		if n.Down() != h.down[i] {
+			h.down[i] = n.Down()
+			h.verdicts = append(h.verdicts, fmt.Sprintf("t=%d node %d down=%v", f.Now(), i, n.Down()))
+		}
+	}
+}
+
 func (h *barrierCounter) NextWake(*fleet.Fleet) sim.Time {
 	return sim.Time(math.MaxInt64)
 }
@@ -198,59 +222,93 @@ func (h *barrierCounter) NextWake(*fleet.Fleet) sim.Time {
 // proving alive while still declared down wakes the scheduler immediately
 // (`!failed && down` → now), and that immediate wake must cost O(1) ticks
 // per heal — not collapse barrier jumping into per-tick lockstep for the
-// rest of the run, stranding the unrelated nodes in slow motion. The same
-// schedule replays in lockstep to prove the event-core outcome is
-// bit-identical, and the wake index is verified against the full scan at
-// every barrier across the crash, detection, and heal transitions.
+// rest of the run, stranding the unrelated nodes in slow motion. Each
+// schedule replays in lockstep to prove the event-core clock, energy bits,
+// and the tick of every detector verdict are identical. The staggered case
+// keeps several nodes silent at once, so NextWake must take the minimum
+// over their detection deadlines, and heals them out of crash order.
 func TestHealWakeDoesNotCollapseJumping(t *testing.T) {
+	const ms = sim.Millisecond
+	// action fails (or heals) one node at a clock time.
+	type action struct {
+		at   sim.Time
+		node int
+		fail bool
+	}
+	cases := []struct {
+		name    string
+		nodes   int
+		actions []action // in time order
+	}{
+		{"one-crash", 4, []action{{1000 * ms, 2, true}, {2000 * ms, 2, false}}},
+		// Crashes 25–35 ms apart under a 100 ms timeout: every silent
+		// window overlaps the next, and no two nodes heal in crash order.
+		{"staggered", 16, []action{
+			{1000 * ms, 3, true}, {1030 * ms, 9, true}, {1055 * ms, 14, true},
+			{1090 * ms, 0, true}, {1120 * ms, 6, true},
+			{1500 * ms, 14, false}, {1620 * ms, 3, false}, {1700 * ms, 6, false},
+			{1810 * ms, 0, false}, {1990 * ms, 9, false},
+		}},
+	}
 	type outcome struct {
-		energy    float64
+		energy    uint64
 		now       sim.Time
 		recovered int
+		verdicts  string
 	}
-	run := func(lockstep bool) (outcome, int) {
-		nodes := make([]*fleet.Node, 4)
-		for i := range nodes {
-			plat := hmp.Default()
-			sn := sim.NewNode(i, string(rune('a'+i)), plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
-			nodes[i] = &fleet.Node{Node: sn}
-		}
-		f, err := fleet.New(nodes...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.SetLockstep(lockstep)
-		host := &faultTestHost{testHost{t: t}}
-		s := fleet.NewScheduler(f, host, fleet.Config{
-			Fault: &fault.Config{HeartbeatTimeout: 100 * sim.Millisecond},
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(lockstep bool) (outcome, int) {
+				nodes := make([]*fleet.Node, tc.nodes)
+				for i := range nodes {
+					plat := hmp.Default()
+					sn := sim.NewNode(i, fmt.Sprintf("n%d", i), plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+					nodes[i] = &fleet.Node{Node: sn}
+				}
+				f, err := fleet.New(nodes...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.SetLockstep(lockstep)
+				host := &faultTestHost{testHost{t: t}}
+				s := fleet.NewScheduler(f, host, fleet.Config{
+					Fault: &fault.Config{HeartbeatTimeout: 100 * ms},
+				})
+				ctr := &barrierCounter{}
+				f.AddHook(ctr)
+
+				for _, a := range tc.actions {
+					f.RunUntil(a.at)
+					if a.fail {
+						nodes[a.node].Fail() // silent: declared down after the timeout
+					} else {
+						nodes[a.node].Heal() // alive while declared down: immediate wake, one-tick recovery
+					}
+				}
+				f.RunUntil(3 * sim.Second)
+				out := outcome{math.Float64bits(f.EnergyJ()), f.Now(), s.Stats().Recovered,
+					strings.Join(ctr.verdicts, "\n")}
+				return out, ctr.ticks
+			}
+
+			ref, lockstepTicks := run(true)
+			if want := len(tc.actions); strings.Count(ref.verdicts, "down=") != want {
+				t.Fatalf("lockstep logged verdicts\n%s\nwant %d (a detection per crash, a recovery per heal)", ref.verdicts, want)
+			}
+			got, eventTicks := run(false)
+			if got != ref {
+				t.Fatalf("event core diverged:\n%+v\n!=\n%+v", got, ref)
+			}
+			// Lockstep pays one hook invocation per tick. The event core
+			// must stay within the barrier budget: the migrate cadence plus
+			// a handful of extra barriers per crash for its deadline, its
+			// detection tick, and its heal — orders of magnitude below
+			// per-tick.
+			if eventTicks >= lockstepTicks/10 {
+				t.Fatalf("heal wake collapsed barrier jumping: %d event barriers vs %d lockstep ticks",
+					eventTicks, lockstepTicks)
+			}
 		})
-		s.SetWakeVerify(true)
-		ctr := &barrierCounter{}
-		f.AddHook(ctr)
-
-		f.RunUntil(1 * sim.Second)
-		nodes[2].Fail() // silent: detector declares it down after the timeout
-		f.RunUntil(2 * sim.Second)
-		nodes[2].Heal() // alive while declared down: immediate wake, one-tick recovery
-		f.RunUntil(3 * sim.Second)
-		if err := s.WakeVerifyErr(); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{f.EnergyJ(), f.Now(), s.Stats().Recovered}, ctr.ticks
-	}
-
-	ref, lockstepTicks := run(true)
-	got, eventTicks := run(false)
-	if got != ref {
-		t.Fatalf("event core diverged: %+v != %+v", got, ref)
-	}
-	// Lockstep pays one hook invocation per tick. The event core must stay
-	// within the barrier budget: the migrate cadence plus a handful of
-	// extra barriers for the crash deadline, the detection tick, and the
-	// heal — orders of magnitude below per-tick.
-	if eventTicks >= lockstepTicks/10 {
-		t.Fatalf("heal wake collapsed barrier jumping: %d event barriers vs %d lockstep ticks",
-			eventTicks, lockstepTicks)
 	}
 }
 

@@ -31,25 +31,20 @@
 // switch: it forces the reference path outright, stepping every machine
 // tick by tick.
 //
-// # Wake index
+// # Barrier cost
 //
-// Barrier cost is proportional to activity, not fleet size. The scheduler
-// derives its NextWake from an incremental wake index instead of scanning
-// every node: detector deadlines enter a min-ordered index when a machine
-// crashes (sim.Machine failure listeners notify the scheduler at the
-// transition) and leave it on detection or heal, declared-down nodes sit in
-// a short list consulted for pending heals, and the migrate/checkpoint
-// cadences are scalars — so a barrier on a thousand-node fleet costs
-// O(active), where active counts crashed-undetected and down nodes, not
-// O(nodes). The historical full-scan NextWake survives as the bit-exactness
-// reference: Scheduler.SetWakeVerify computes both per barrier and records
-// the first divergence — the equivalence suite replays generated fault
-// scenarios with it on. Node advancement between barriers reuses a
-// persistent worker pool (no per-barrier goroutine spawn) fed by a chunked
-// atomic counter, and machines route their empty-window jumps through
-// per-worker sim.JumpCaches, so a barrier over a mostly-idle fleet replays
-// the energy accumulation of each distinct machine state once instead of
-// once per node.
+// A barrier costs O(nodes) — one pass to bring every node to it — and the
+// scheduler's NextWake stays within that bound without keeping state of
+// its own. Without fault-aware scheduling it reads only the queue and the
+// migration cadence. With it, every barrier's Tick already loops over all
+// nodes (reconcile and detection), so NextWake's scan of each node's
+// failed flag and detector verdict is one more pass of two flag reads per
+// node. Node advancement between barriers reuses a persistent worker pool
+// (no per-barrier goroutine spawn) fed by a chunked atomic counter, and
+// machines route their empty-window jumps through per-worker
+// sim.JumpCaches, so a barrier over a mostly-idle fleet replays the energy
+// accumulation of each distinct machine state once instead of once per
+// node.
 //
 // # Determinism
 //
@@ -237,7 +232,12 @@ type Fleet struct {
 	// advancement; pool workers carry their own.
 	jump *sim.JumpCache
 
-	pool *advancePool
+	// pool is the sharded-advancement crew, nil while advancing
+	// sequentially. finalizer records that the fleet's finalizer — which
+	// stops whatever pool is current when the fleet is collected — is
+	// registered; the runtime allows one per object.
+	pool      *advancePool
+	finalizer bool
 }
 
 // New builds a fleet over the given nodes. All nodes must share one tick
@@ -367,6 +367,10 @@ func (f *Fleet) advanceTo(to sim.Time) {
 		w = len(f.nodes)
 	}
 	if w <= 1 {
+		if f.pool != nil {
+			f.pool.stop()
+			f.pool = nil
+		}
 		if f.jump == nil {
 			f.jump = sim.NewJumpCache()
 		}
@@ -380,9 +384,16 @@ func (f *Fleet) advanceTo(to sim.Time) {
 			f.pool.stop()
 		}
 		f.pool = newAdvancePool(f.nodes, w)
-		// The workers reference only the pool, never the Fleet, so an
-		// abandoned fleet stays collectable; its finalizer releases them.
-		runtime.SetFinalizer(f, func(f *Fleet) { f.pool.stop() })
+		if !f.finalizer {
+			// The workers reference only the pool, never the Fleet, so an
+			// abandoned fleet stays collectable; its finalizer releases them.
+			runtime.SetFinalizer(f, func(f *Fleet) {
+				if f.pool != nil {
+					f.pool.stop()
+				}
+			})
+			f.finalizer = true
+		}
 	}
 	f.pool.advance(to)
 }
@@ -451,7 +462,7 @@ func (p *advancePool) advance(to sim.Time) {
 }
 
 // stop releases the pool's goroutines. Idempotence is not needed: the fleet
-// replaces the pool pointer whenever it stops one.
+// replaces or clears the pool pointer whenever it stops one.
 func (p *advancePool) stop() { close(p.work) }
 
 // advanceInterleaved advances all nodes to the barrier in global tick

@@ -252,20 +252,15 @@ type Scheduler struct {
 	nextMigrate sim.Time
 
 	// Fault-aware scheduling state (nil/zero when Config.Fault is nil).
+	// NextWake reads the detector's deadlines and verdicts directly: with a
+	// detector armed, every barrier's Tick already loops over all nodes, so
+	// its per-node pass keeps the barrier O(nodes), as it already is.
 	fhost         FaultHost
 	detector      *fault.Detector
 	backoff       *fault.Backoff
 	nextCkpt      sim.Time
 	recovered     int
 	transferFails int
-
-	// Wake-index state: idx is the incremental NextWake source (nil when
-	// Config.Fault is nil — without a detector there is nothing per-node
-	// to index), and wakeVerify runs the full-scan reference beside it and
-	// records the first divergence in wakeErr.
-	idx        *wakeIndex
-	wakeVerify bool
-	wakeErr    error
 
 	// rollup is the always-on decision-observability aggregate; its
 	// Decisions counter doubles as the next decision ID, assigned whether
@@ -288,11 +283,6 @@ func NewScheduler(f *Fleet, host Host, cfg Config) *Scheduler {
 		s.detector = fault.NewDetector(len(f.Nodes()), fc.HeartbeatTimeout, f.Now())
 		s.backoff = fault.NewBackoff(*fc)
 		s.nextCkpt = f.Now() + fc.CheckpointEvery
-		s.idx = newWakeIndex(len(f.Nodes()))
-		for i, n := range f.Nodes() {
-			i := i
-			n.Machine.OnFailureChange(func(bool) { s.idx.noteDirty(i) })
-		}
 	}
 	f.AddHook(s)
 	return s
@@ -383,21 +373,9 @@ func (s *Scheduler) Depart(app *App) {
 // alive observations are last-write-wins and silence keeps the deadline
 // fixed). A node that proved alive while still declared down wakes the
 // scheduler immediately so the recovery transition lands on the next tick,
-// as it would in lockstep.
+// as it would in lockstep. Without a detector no node is read; with one,
+// the per-node scan is two flag reads per node.
 func (s *Scheduler) NextWake(f *Fleet) sim.Time {
-	indexed := s.nextWakeIndexed(f)
-	if s.wakeVerify {
-		if scan := s.nextWakeScan(f); scan != indexed && s.wakeErr == nil {
-			s.wakeErr = fmt.Errorf("fleet: wake index diverged at t=%d: scan=%d indexed=%d", f.Now(), scan, indexed)
-		}
-	}
-	return indexed
-}
-
-// nextWakeScan is the O(nodes) full-scan reference implementation of
-// NextWake, kept verbatim as the bit-exactness oracle for the wake index
-// (SetWakeVerify checks the index against it).
-func (s *Scheduler) nextWakeScan(f *Fleet) sim.Time {
 	now := f.Now()
 	if len(s.queue) > 0 {
 		return now
@@ -428,85 +406,33 @@ func (s *Scheduler) nextWakeScan(f *Fleet) sim.Time {
 	return wake
 }
 
-// nextWakeIndexed computes the same wake time from the incremental index:
-// the silent heap replaces the per-node deadline scan, and the pending-heal
-// probe touches only declared-down nodes. O(dirty + down + 1) per call.
-func (s *Scheduler) nextWakeIndexed(f *Fleet) sim.Time {
-	now := f.Now()
-	if len(s.queue) > 0 {
-		return now
-	}
-	wake := sim.Time(math.MaxInt64)
-	if s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 {
-		wake = s.nextMigrate
-	}
-	if s.detector != nil {
-		if s.cfg.Fault.CheckpointEvery > 0 && s.nextCkpt < wake {
-			wake = s.nextCkpt
-		}
-		s.idx.sync(s)
-		for _, i := range s.idx.down {
-			if !f.Node(i).Failed() {
-				return now
-			}
-		}
-		if d, ok := s.idx.minSilent(); ok && d < wake {
-			wake = d
-		}
-	}
-	if wake < now {
-		return now
-	}
-	return wake
-}
-
-// SetWakeVerify makes every NextWake compute both the scan and the index
-// answer and record the first divergence, retrievable via WakeVerifyErr.
-// For tests; doubles the wake cost.
-func (s *Scheduler) SetWakeVerify(on bool) { s.wakeVerify = on }
-
-// WakeVerifyErr returns the first scan/index divergence observed under
-// SetWakeVerify, or nil.
-func (s *Scheduler) WakeVerifyErr() error { return s.wakeErr }
-
 // Tick implements Hook: drain the admission queue against freshly freed
 // capacity, then run the periodic saturation/migration pass. Partition
 // tables are reconciled once up front; the per-node checks are pure reads
-// (Register/Unregister keep the tables current within the pass). With
-// fault-aware scheduling the detector, recovery, and background-checkpoint
-// passes run every tick before the drain.
+// (Register/Unregister keep the tables current within the pass). Without
+// fault-aware scheduling the tick is a no-op unless the queue is non-empty
+// or a migration pass is due. With it, every tick first observes node
+// liveness (marking nodes down after the heartbeat timeout and salvaging
+// their apps into the queue) and takes the periodic background checkpoints
+// before the drain — so an app recovered this tick re-places on a surviving
+// node in the same tick when capacity exists, and simply stays queued when
+// none does.
 func (s *Scheduler) Tick(f *Fleet) {
-	if s.detector != nil {
-		s.faultTick(f)
-		return
-	}
-	due := s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 && f.Now() >= s.nextMigrate
-	if len(s.queue) == 0 && !due {
+	now := f.Now()
+	due := s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 && now >= s.nextMigrate
+	if s.detector == nil && len(s.queue) == 0 && !due {
 		return
 	}
 	s.reconcileAll()
+	if s.detector != nil {
+		s.detectPass(now)
+		if s.cfg.Fault.CheckpointEvery > 0 && now >= s.nextCkpt {
+			s.snapshotPass()
+			s.nextCkpt = now + s.cfg.Fault.CheckpointEvery
+		}
+	}
 	s.drain()
 	if due {
-		s.migratePass()
-		s.nextMigrate = f.Now() + s.cfg.MigrateEvery
-	}
-}
-
-// faultTick is the fault-aware per-tick pass: observe node liveness (marking
-// nodes down after the heartbeat timeout and salvaging their apps into the
-// queue), take the periodic background checkpoints, then drain — so an app
-// recovered this tick re-places on a surviving node in the same tick when
-// capacity exists, and simply stays queued when none does.
-func (s *Scheduler) faultTick(f *Fleet) {
-	now := f.Now()
-	s.reconcileAll()
-	s.detectPass(now)
-	if s.cfg.Fault.CheckpointEvery > 0 && now >= s.nextCkpt {
-		s.snapshotPass()
-		s.nextCkpt = now + s.cfg.Fault.CheckpointEvery
-	}
-	s.drain()
-	if s.cfg.MigrateEvery > 0 && len(f.Nodes()) > 1 && now >= s.nextMigrate {
 		s.migratePass()
 		s.nextMigrate = now + s.cfg.MigrateEvery
 	}
@@ -521,12 +447,10 @@ func (s *Scheduler) detectPass(now sim.Time) {
 		failed, recovered := s.detector.Observe(i, !n.Failed(), now)
 		if failed {
 			n.SetDown(true)
-			s.idx.setDown(i, true)
 			s.recoverNode(n)
 		}
 		if recovered {
 			n.SetDown(false)
-			s.idx.setDown(i, false)
 		}
 	}
 }

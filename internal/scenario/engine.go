@@ -78,11 +78,6 @@ type Options struct {
 	// exists for benchmarking and for that proof.
 	Lockstep bool
 
-	// VerifyWake makes every fleet scheduler NextWake compute both the
-	// full-scan reference and the wake index answer; the run fails with
-	// the first divergence. For tests.
-	VerifyWake bool
-
 	// Workers shards node advancement between fleet decision points across
 	// this many goroutines (fleet.SetWorkers). Any width produces
 	// byte-identical results; values above 1 are ignored when PerTick is
@@ -511,7 +506,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		Observer:     obs,
 		Force:        force,
 	})
-	e.sched.SetWakeVerify(opts.VerifyWake)
 	if opts.CheckEveryTick {
 		// Registered after the scheduler's hook, so each tick is checked in
 		// its settled post-scheduling state.
@@ -582,11 +576,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	if e.trace != nil {
 		if err := e.trace.Flush(); err != nil {
 			return nil, fmt.Errorf("scenario: trace: %w", err)
-		}
-	}
-	if e.opts.VerifyWake {
-		if err := e.sched.WakeVerifyErr(); err != nil {
-			return nil, err
 		}
 	}
 	return e.result(), nil

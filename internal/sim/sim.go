@@ -180,12 +180,8 @@ type Machine struct {
 	daemons []Daemon
 	timers  timerHeap
 
-	// failListeners fire on every Fail/Heal transition; event-driven
-	// schedulers keep their wake indexes current through them instead of
-	// rescanning every machine's failed state each barrier. tracerListeners
-	// fire on SetTracer; the fleet invalidates its shared-tracer memo
-	// through them.
-	failListeners   []func(failed bool)
+	// tracerListeners fire on SetTracer; the fleet invalidates its
+	// shared-tracer memo through them.
 	tracerListeners []func()
 
 	energyJ        float64
@@ -424,9 +420,6 @@ func (m *Machine) Fail() {
 		m.lastPW[k] = 0
 		m.powerValid[k] = false
 	}
-	for _, fn := range m.failListeners {
-		fn(true)
-	}
 }
 
 // Heal brings a crashed machine back: the pre-crash hotplug state (adjusted
@@ -447,21 +440,10 @@ func (m *Machine) Heal() {
 	if m.tracer != nil {
 		m.emit(Event{T: m.now, Kind: EvNodeUp})
 	}
-	for _, fn := range m.failListeners {
-		fn(false)
-	}
 }
 
 // Failed reports whether the machine is crashed (Fail without Heal).
 func (m *Machine) Failed() bool { return m.failed }
-
-// OnFailureChange registers fn to run at the end of every Fail and Heal
-// transition (idempotent repeats do not fire). Event-driven fleet
-// schedulers subscribe so their wake indexes learn about crashes and heals
-// the moment they happen, instead of rescanning every machine per barrier.
-func (m *Machine) OnFailureChange(fn func(failed bool)) {
-	m.failListeners = append(m.failListeners, fn)
-}
 
 // evict removes a thread from its current core (which must be valid),
 // leaving it unplaced; the mask balancer's repair pass re-places runnable
