@@ -248,29 +248,18 @@ func (mgr *Manager) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 // the clamped state equals the current one and every core of the applied
 // schedule is still online.
 func (mgr *Manager) platformSettled(m *sim.Machine) bool {
-	b := MachineBounds(m)
-	cs := mgr.state
-	if cs.BigCores > b.MaxBigCores {
-		cs.BigCores = b.MaxBigCores
-	}
-	if cs.LittleCores > b.MaxLittleCores {
-		cs.LittleCores = b.MaxLittleCores
-	}
-	if c := b.BigLevelCap - 1; cs.BigLevel > c {
-		cs.BigLevel = c
-	}
-	if c := b.LittleLevelCap - 1; cs.LittleLevel > c {
-		cs.LittleLevel = c
-	}
-	if cs != mgr.state {
-		return false
-	}
+	return MachineBounds(m).Clamp(mgr.state) == mgr.state && !mgr.appliedCoreOffline(m)
+}
+
+// appliedCoreOffline reports whether any core the current schedule is
+// affine to has gone offline.
+func (mgr *Manager) appliedCoreOffline(m *sim.Machine) bool {
 	for _, cpu := range mgr.appliedCores {
 		if !m.CoreOnline(cpu) {
-			return false
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // Tick implements sim.Daemon: the main function of Algorithm 1.
@@ -391,30 +380,14 @@ func OnlineCores(m *sim.Machine, k hmp.ClusterKind, n int) []int {
 // schedule when anything shrank underneath the application. A no-op on an
 // unchanged platform.
 func (mgr *Manager) reconcilePlatform(m *sim.Machine) {
-	b := MachineBounds(m)
-	cs := mgr.state
-	if cs.BigCores > b.MaxBigCores {
-		cs.BigCores = b.MaxBigCores
-	}
-	if cs.LittleCores > b.MaxLittleCores {
-		cs.LittleCores = b.MaxLittleCores
-	}
-	if c := b.BigLevelCap - 1; cs.BigLevel > c {
-		cs.BigLevel = c
-	}
-	if c := b.LittleLevelCap - 1; cs.LittleLevel > c {
-		cs.LittleLevel = c
-	}
+	cs := MachineBounds(m).Clamp(mgr.state)
 	if cs == mgr.state {
 		// Counts and caps still fit — but the *specific* cores the current
 		// schedule is affine to may have gone offline (with enough siblings
 		// still online to keep the counts legal). Re-apply onto online
 		// cores so no thread stays stranded on a dead affinity mask.
-		for _, cpu := range mgr.appliedCores {
-			if !m.CoreOnline(cpu) {
-				mgr.apply(m, cs)
-				return
-			}
+		if mgr.appliedCoreOffline(m) {
+			mgr.apply(m, cs)
 		}
 		return
 	}

@@ -215,3 +215,35 @@ func TestReconcileReappliesWhenAllocatedCoreDies(t *testing.T) {
 		t.Fatalf("state = %v, want B1 preserved (3 big cores still online)", st)
 	}
 }
+
+// TestBoundsClamp pins the one state clamp the managers and the scenario
+// engine share: MachineBounds caps both core counts (hotplug) and levels
+// (DVFS ceilings), a state already inside is returned unchanged, and
+// Unbounded's zero level caps leave levels alone.
+func TestBoundsClamp(t *testing.T) {
+	plat := hmp.Default()
+	m := sim.New(plat, sim.Config{})
+	m.SetCoreOnline(plat.FirstCPU(hmp.Big)+plat.Clusters[hmp.Big].Cores-1, false)
+	m.SetLevelCap(hmp.Big, 3)
+	m.SetLevelCap(hmp.Little, 2)
+	maxSt := hmp.MaxState(plat)
+	want := hmp.State{
+		BigCores: plat.Clusters[hmp.Big].Cores - 1, LittleCores: plat.Clusters[hmp.Little].Cores,
+		BigLevel: 3, LittleLevel: 2,
+	}
+	if got := MachineBounds(m).Clamp(maxSt); got != want {
+		t.Fatalf("MachineBounds clamp of %v = %v, want %v", maxSt, got, want)
+	}
+	inside := hmp.State{BigCores: 1, LittleCores: 2, BigLevel: 1, LittleLevel: 0}
+	if got := MachineBounds(m).Clamp(inside); got != inside {
+		t.Fatalf("clamp of in-bounds %v = %v, want it unchanged", inside, got)
+	}
+	over := hmp.State{BigCores: 9, LittleCores: 9, BigLevel: 99, LittleLevel: 99}
+	want = hmp.State{
+		BigCores: plat.Clusters[hmp.Big].Cores, LittleCores: plat.Clusters[hmp.Little].Cores,
+		BigLevel: 99, LittleLevel: 99,
+	}
+	if got := Unbounded(plat).Clamp(over); got != want {
+		t.Fatalf("Unbounded clamp of %v = %v, want %v (core counts capped, levels untouched)", over, got, want)
+	}
+}

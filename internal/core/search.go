@@ -64,13 +64,23 @@ func Unbounded(p *hmp.Platform) Bounds {
 	}
 }
 
+// Clamp returns st with its core counts and DVFS levels brought inside the
+// bounds. A zero level cap leaves that cluster's level alone.
+func (b Bounds) Clamp(st hmp.State) hmp.State {
+	st.BigCores = min(st.BigCores, b.MaxBigCores)
+	st.LittleCores = min(st.LittleCores, b.MaxLittleCores)
+	st.BigLevel = capLevel(st.BigLevel, b.BigLevelCap)
+	st.LittleLevel = capLevel(st.LittleLevel, b.LittleLevelCap)
+	return st
+}
+
 // capLevel applies an encoded level cap (cap level + 1, 0 = uncapped) to a
-// cluster's maximum sweepable level.
-func capLevel(maxLevel, cap int) int {
-	if cap > 0 && cap-1 < maxLevel {
+// level.
+func capLevel(level, cap int) int {
+	if cap > 0 && cap-1 < level {
 		return cap - 1
 	}
-	return maxLevel
+	return level
 }
 
 // SearchResult is the outcome of one GetNextSysState invocation.

@@ -23,19 +23,13 @@ import (
 	"repro/internal/workload"
 )
 
-// Options configures a scenario run. The zero value selects the default
-// platform, the ground-truth power model, the synthetic linear estimator
-// model, engine-local max-rate calibration, and no trace output.
-//
-// Plat, Power, and Model apply to the legacy single machine only: a
-// scenario declaring nodes owns its platforms (each node builds its own
-// ground-truth power model and estimator model), and Run rejects the
-// overrides.
+// Options configures how a scenario runs, never what it simulates: the
+// scenario document owns its platforms, and every machine is built from its
+// node's platform (the default board for a classic scenario) with the
+// ground-truth power model and the synthetic linear estimator model the
+// golden-digest tests use. The zero value selects engine-local max-rate
+// calibration, the event-driven core, and no trace output.
 type Options struct {
-	Plat  *hmp.Platform      // default hmp.Default()
-	Power sim.PowerModel     // machine power model; default power.DefaultGroundTruth
-	Model *power.LinearModel // manager estimator model; default DefaultModel
-
 	// MaxRate resolves a benchmark's maximum achievable heartbeat rate for
 	// fractional targets. Nil selects an engine-local calibration run per
 	// (bench, threads, node) tuple (deterministic, cached for the run).
@@ -222,14 +216,6 @@ type Result struct {
 	Thermal *thermal.Governor
 }
 
-// DefaultModel returns the synthetic linear power model handed to the
-// managers' estimators when Options.Model is nil — the same fixture the
-// repository's golden-digest tests use (power.SyntheticLinearModel), so
-// event-free scenario runs are bit-identical to the direct-run path.
-func DefaultModel(plat *hmp.Platform) *power.LinearModel {
-	return power.SyntheticLinearModel(plat)
-}
-
 // action ordering priorities at equal timestamps (see the package comment).
 const (
 	prioPlatform = iota
@@ -414,15 +400,7 @@ type engine struct {
 // result and byte-identical trace output — whether it drives one machine
 // or a fleet.
 func Run(sc *Scenario, opts Options) (*Result, error) {
-	fleetMode := len(sc.Nodes) > 0
-	if fleetMode && (opts.Plat != nil || opts.Power != nil || opts.Model != nil) {
-		return nil, fmt.Errorf("scenario: multi-node scenarios own their platforms; Options.Plat/Power/Model must be nil")
-	}
-	plat := opts.Plat
-	if plat == nil {
-		plat = hmp.Default()
-	}
-	resolved, appSpecs, err := sc.resolveAndValidate(plat)
+	resolved, appSpecs, err := sc.resolveAndValidate()
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +413,7 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	}
 
 	e := &engine{
-		sc: sc, opts: opts, fleetMode: fleetMode,
+		sc: sc, opts: opts, fleetMode: len(sc.Nodes) > 0,
 		appSpecs: appSpecs,
 		ckptCost: ckptCost,
 		rates:    make(map[string]float64),
@@ -586,16 +564,8 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 // order (governor, observers, MP-HARS manager) the thermal subsystem
 // documents.
 func (e *engine) buildNode(rn resolvedNode) (*nodeRun, error) {
-	pm := e.opts.Power
-	if pm == nil {
-		pm = power.DefaultGroundTruth(rn.plat)
-	}
-	model := e.opts.Model
-	if model == nil {
-		model = DefaultModel(rn.plat)
-	}
-	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: pm})
-	nr := &nodeRun{rn: rn, m: sn.Machine, model: model}
+	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: power.DefaultGroundTruth(rn.plat)})
+	nr := &nodeRun{rn: rn, m: sn.Machine, model: power.SyntheticLinearModel(rn.plat)}
 
 	switch rn.manager {
 	case ManagerGTS:
@@ -605,7 +575,7 @@ func (e *engine) buildNode(rn resolvedNode) (*nodeRun, error) {
 		if rn.manager == ManagerMPHARSE {
 			v = mphars.MPHARSE
 		}
-		nr.mp = mphars.New(nr.m, model, mphars.Config{
+		nr.mp = mphars.New(nr.m, nr.model, mphars.Config{
 			Version:     v,
 			AdaptEvery:  rn.adaptEvery,
 			OverheadCPU: rn.overheadCPU,
@@ -856,12 +826,27 @@ func (e *engine) apply(act action) {
 	}
 }
 
-// Admit implements fleet.Host: place the application on the chosen node
-// and attach its runtime management. A first admission spawns the program;
-// an admission of a checkpointed app (the destination side of a
-// work-conserving migration, or a queue drain after a failed move)
-// restores the held run state instead. Called by the scheduler at arrival,
-// at queue drain, and during the migrate pass.
+// harsVersions maps the single-application HARS manager kinds to their
+// core variants.
+var harsVersions = map[string]core.Version{
+	ManagerHARSI:  core.HARSI,
+	ManagerHARSE:  core.HARSE,
+	ManagerHARSEI: core.HARSEI,
+}
+
+// Admit implements fleet.Host, and is the engine's one admission path:
+// arrivals, queue drains, migrations and crash recoveries all come through
+// here. It places the application on the chosen node and attaches the
+// node's runtime management as Algorithm 1 does: MP-HARS registration with
+// an initial core allocation, a HARS manager starting from the maximum
+// state the live platform allows, or, unmanaged, the heartbeat target and
+// the app's affinity mask. The only branch is how the process comes to
+// exist. A first admission spawns the program. An app holding a checkpoint
+// (a work-conserving move, a queue drain after a failed one, or a crash
+// recovery) restores it once the checkpoint delay, charged from the moment
+// the app was frozen, has elapsed, and its management re-attaches without
+// state loss. Under fault injection that transfer may fail transiently (the
+// seeded coin), sending the app into retry backoff.
 func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 	a := app.Payload.(*appRun)
 	nr := e.nodes[n.ID]
@@ -871,31 +856,21 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 		// itself bounces.
 		return fleet.AdmitNoCapacity
 	}
-	if a.ckpt != nil {
-		return e.admitRestored(nr, app, a)
-	}
-	b, _ := workload.ByShort(a.spec.Bench)
-	threads := a.spec.Threads
-	if threads <= 0 {
-		threads = 8
-	}
-	window := a.spec.HBWindow
-	if window <= 0 {
-		window = 10
-	}
+	threads := threadsOf(a)
 	tgtSpec, tgtFrac := a.targetSpec()
 	tgt := e.target(tgtSpec, tgtFrac, a.spec.Bench, threads, nr)
-
+	var initB, initL int
 	if nr.mp != nil {
 		// MP-HARS owns the core partition: admission requires a free core
 		// somewhere (the scheduler's CanAdmit checked it; capacity cannot
-		// change in between, but stay defensive).
+		// change in between, but stay defensive). A bounce draws no
+		// transfer coin.
 		freeB, freeL := nr.mp.FreeCores(hmp.Big), nr.mp.FreeCores(hmp.Little)
 		if freeB+freeL == 0 {
 			return fleet.AdmitNoCapacity
 		}
-		initB := minInt(intOr(a.spec.InitBig, 1), freeB)
-		initL := minInt(intOr(a.spec.InitLittle, 1), freeL)
+		initB = min(intOr(a.spec.InitBig, 1), freeB)
+		initL = min(intOr(a.spec.InitLittle, 1), freeL)
 		if initB+initL == 0 {
 			if freeL > 0 {
 				initL = 1
@@ -903,42 +878,49 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 				initB = 1
 			}
 		}
-		a.prog = b.New(threads)
-		a.applyPhaseScale()
-		a.proc = nr.m.Spawn(a.spec.Name, a.prog, window)
-		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
-		a.node = nr
-		a.res.Node = nr.rn.name
-		a.incarnAt = nr.m.Now()
-		app.Proc = a.proc
-		// No applyAffinity here: validation rejects affinity masks on
-		// managed candidate nodes — MP-HARS owns its apps' masks.
-		return fleet.AdmitOK
 	}
 
-	a.prog = b.New(threads)
-	a.applyPhaseScale()
-	a.proc = nr.m.Spawn(a.spec.Name, a.prog, window)
-	a.node = nr
-	a.res.Node = nr.rn.name
-	app.Proc = a.proc
-	switch nr.rn.manager {
-	case ManagerHARSI, ManagerHARSE, ManagerHARSEI:
-		v := core.HARSI
-		switch nr.rn.manager {
-		case ManagerHARSE:
-			v = core.HARSE
-		case ManagerHARSEI:
-			v = core.HARSEI
+	restored := a.ckpt != nil
+	start := nr.m.Now() // when this incarnation starts running
+	if !restored {
+		b, _ := workload.ByShort(a.spec.Bench)
+		window := a.spec.HBWindow
+		if window <= 0 {
+			window = 10
 		}
+		a.prog = b.New(threads)
+		a.applyPhaseScale() // before Spawn: Start hands out the first units
+		a.proc = nr.m.Spawn(a.spec.Name, a.prog, window)
+	} else {
+		// The node can take the app; now the checkpoint image must reach it.
+		if e.coin != nil && e.coin.Flip() {
+			return fleet.AdmitTransferFailed
+		}
+		start = max(a.ckptAt+e.ckptCost.Delay(), start)
+		restore := nr.m.Restore
+		if app.Recovering() {
+			restore = nr.m.Recover // the trace records it as a recovery
+		}
+		a.proc = restore(a.ckpt, start)
+		// Track the restored program object: identical to a.prog for a
+		// migration (Checkpoint moves the live object into the snapshot),
+		// but a crash recovery restores a clone — scripted phase events must
+		// mutate the live incarnation, and a phase change since the snapshot
+		// was taken must be re-applied to it.
+		a.prog = a.ckpt.Prog
+		a.applyPhaseScale()
+	}
+
+	v, hars := harsVersions[nr.rn.manager]
+	switch {
+	case nr.mp != nil:
+		// No applyAffinity here: validation rejects affinity masks on
+		// managed candidate nodes — MP-HARS owns its apps' masks.
+		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
+	case hars:
 		// Start from the maximum state the *current* platform supports, so
 		// an arrival after hotplug or capping begins inside bounds.
-		st := hmp.MaxState(nr.rn.plat)
-		bd := core.MachineBounds(nr.m)
-		st.BigCores = minInt(st.BigCores, bd.MaxBigCores)
-		st.LittleCores = minInt(st.LittleCores, bd.MaxLittleCores)
-		st.BigLevel = minInt(st.BigLevel, bd.BigLevelCap-1)
-		st.LittleLevel = minInt(st.LittleLevel, bd.LittleLevelCap-1)
+		st := core.MachineBounds(nr.m).Clamp(hmp.MaxState(nr.rn.plat))
 		a.mgr = core.NewManager(nr.m, a.proc, nr.model, tgt, core.Config{
 			Version:     v,
 			AdaptEvery:  nr.rn.adaptEvery,
@@ -950,7 +932,28 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 		a.proc.HB.SetTarget(tgt)
 		e.applyAffinity(a)
 	}
-	a.incarnAt = nr.m.Now()
+
+	if restored {
+		if e.faultCfg != nil {
+			// Promote the consumed checkpoint to the app's crash restore
+			// point (its state right now is identical — nothing has executed
+			// since the restore). Without this, a crash between re-admission
+			// and the next background snapshot could roll back past the
+			// checkpointed work.
+			if snap, ok := a.ckpt.Clone(); ok {
+				a.lastSnap, a.lastSnapAt = snap, start
+			}
+			if app.Recovering() {
+				e.traceFault(nr, "recover", a.spec.Name)
+			}
+		}
+		a.delayUS += start - a.ckptAt
+		a.ckpt = nil
+	}
+	a.node = nr
+	a.res.Node = nr.rn.name
+	a.incarnAt = start
+	app.Proc = a.proc
 	return fleet.AdmitOK
 }
 
@@ -980,125 +983,30 @@ func (e *engine) applyAffinity(a *appRun) {
 	}
 }
 
-// admitRestored continues a checkpointed application on the chosen node:
-// the held run state (program, heartbeat history, thread progress, pending
-// wakeups) resumes once the checkpoint delay — charged from the moment the
-// app was frozen — has elapsed, and the node's runtime management
-// re-attaches without state loss. Under fault injection the transfer may
-// fail transiently (the seeded coin), sending the app into retry backoff,
-// and a crash-recovery re-placement restores via Recover so the trace
-// records it as such.
-func (e *engine) admitRestored(nr *nodeRun, app *fleet.App, a *appRun) fleet.AdmitResult {
-	tgtSpec, tgtFrac := a.targetSpec()
-	tgt := e.target(tgtSpec, tgtFrac, a.spec.Bench, threadsOf(a), nr)
-	resume := a.ckptAt + e.ckptCost.Delay()
-	if now := nr.m.Now(); resume < now {
-		resume = now
-	}
-	var initB, initL int
-	if nr.mp != nil {
-		freeB, freeL := nr.mp.FreeCores(hmp.Big), nr.mp.FreeCores(hmp.Little)
-		if freeB+freeL == 0 {
-			return fleet.AdmitNoCapacity
-		}
-		initB = minInt(intOr(a.spec.InitBig, 1), freeB)
-		initL = minInt(intOr(a.spec.InitLittle, 1), freeL)
-		if initB+initL == 0 {
-			if freeL > 0 {
-				initL = 1
-			} else {
-				initB = 1
-			}
-		}
-	}
-	// The node can take the app; now the checkpoint image must reach it.
-	if e.coin != nil && e.coin.Flip() {
-		return fleet.AdmitTransferFailed
-	}
-	restore := nr.m.Restore
-	if app.Recovering() {
-		restore = nr.m.Recover
-	}
-
-	if nr.mp != nil {
-		a.proc = restore(a.ckpt, resume)
-		nr.mp.Register(nr.m, a.proc, tgt, initB, initL)
-	} else {
-		a.proc = restore(a.ckpt, resume)
-		switch nr.rn.manager {
-		case ManagerHARSI, ManagerHARSE, ManagerHARSEI:
-			v := core.HARSI
-			switch nr.rn.manager {
-			case ManagerHARSE:
-				v = core.HARSE
-			case ManagerHARSEI:
-				v = core.HARSEI
-			}
-			st := hmp.MaxState(nr.rn.plat)
-			bd := core.MachineBounds(nr.m)
-			st.BigCores = minInt(st.BigCores, bd.MaxBigCores)
-			st.LittleCores = minInt(st.LittleCores, bd.MaxLittleCores)
-			st.BigLevel = minInt(st.BigLevel, bd.BigLevelCap-1)
-			st.LittleLevel = minInt(st.LittleLevel, bd.LittleLevelCap-1)
-			a.mgr = core.NewManager(nr.m, a.proc, nr.model, tgt, core.Config{
-				Version:     v,
-				AdaptEvery:  nr.rn.adaptEvery,
-				OverheadCPU: nr.rn.overheadCPU,
-				InitState:   &st,
-			})
-			nr.m.AddDaemon(a.mgr)
-		default:
-			a.proc.HB.SetTarget(tgt)
-			e.applyAffinity(a)
-		}
-	}
-	// Track the restored program object: identical to a.prog for a
-	// migration (Checkpoint moves the live object into the snapshot), but a
-	// crash recovery restores a clone — scripted phase events must mutate
-	// the live incarnation, and a phase change since the snapshot was taken
-	// must be re-applied to it.
-	a.prog = a.ckpt.Prog
-	a.applyPhaseScale()
-	if e.faultCfg != nil {
-		// Promote the consumed checkpoint to the app's crash restore point
-		// (its state right now is identical — nothing has executed since the
-		// restore). Without this, a crash between re-admission and the next
-		// background snapshot could roll back past the checkpointed work.
-		if snap, ok := a.ckpt.Clone(); ok {
-			a.lastSnap, a.lastSnapAt = snap, resume
-		}
-		if app.Recovering() {
-			e.traceFault(nr, "recover", a.spec.Name)
-		}
-	}
-	a.delayUS += resume - a.ckptAt
-	a.ckpt = nil
-	a.node = nr
-	a.res.Node = nr.rn.name
-	a.incarnAt = resume
-	app.Proc = a.proc
-	return fleet.AdmitOK
-}
-
 // Checkpoint implements fleet.Host: freeze the application's run state on
 // its node for a work-conserving move — detach its runtime management,
 // capture progress/heartbeat/wakeup state, and tear the local incarnation
 // down. Statistics stay continuous: the next Admit resumes exactly here.
 func (e *engine) Checkpoint(n *fleet.Node, app *fleet.App) {
 	a := app.Payload.(*appRun)
-	nr := e.nodes[n.ID]
-	if nr.mp != nil {
-		nr.mp.Unregister(nr.m, a.proc)
-	}
-	if a.mgr != nil {
-		nr.m.RemoveDaemon(a.mgr)
-		a.mgr = nil
-	}
-	a.ckpt = nr.m.Checkpoint(a.proc)
-	a.ckptAt = nr.m.Now()
+	a.detach()
+	a.mgr = nil
+	a.ckpt = a.node.m.Checkpoint(a.proc)
+	a.ckptAt = a.node.m.Now()
 	a.proc = nil
 	a.node = nil
 	app.Proc = nil
+}
+
+// detach removes the app's runtime management from its node: its MP-HARS
+// registration and its HARS manager daemon. The process is the caller's.
+func (a *appRun) detach() {
+	if a.node.mp != nil {
+		a.node.mp.Unregister(a.node.m, a.proc)
+	}
+	if a.mgr != nil {
+		a.node.m.RemoveDaemon(a.mgr)
+	}
 }
 
 // Snapshot implements fleet.FaultHost: take the periodic background
@@ -1183,7 +1091,9 @@ func (e *engine) crashNode(nr *nodeRun) {
 	e.crashes++
 	now := e.fl.Now()
 	for _, a := range e.apps {
-		if a.node != nr || a.proc == nil {
+		// A departed app keeps its last node and killed process for the
+		// result; it has no work left to lose and keeps its manager.
+		if a.node != nr || a.proc == nil || a.res.Departed {
 			continue
 		}
 		base := a.incarnAt
@@ -1193,13 +1103,8 @@ func (e *engine) crashNode(nr *nodeRun) {
 		if lost := now - base; lost > 0 {
 			a.res.LostWorkUS += lost
 		}
-		if nr.mp != nil && !a.proc.Exited() {
-			nr.mp.Unregister(nr.m, a.proc)
-		}
-		if a.mgr != nil {
-			nr.m.RemoveDaemon(a.mgr)
-			a.mgr = nil
-		}
+		a.detach()
+		a.mgr = nil
 	}
 	nr.m.Fail()
 	if nr.mp != nil {
@@ -1270,12 +1175,7 @@ func (e *engine) depart(a *appRun) {
 	}
 	a.res.Departed = true
 	a.res.Node = a.node.rn.name
-	if a.node.mp != nil {
-		a.node.mp.Unregister(a.node.m, a.proc)
-	}
-	if a.mgr != nil {
-		a.node.m.RemoveDaemon(a.mgr)
-	}
+	a.detach() // a.mgr stays: Result.Managers reports departed apps too
 	a.node.m.Kill(a.proc)
 	e.sched.Depart(a.fapp)
 }
@@ -1517,11 +1417,4 @@ func (e *engine) checkStrict() error {
 		return fmt.Errorf("scenario: t=%d: %w", e.fl.Now(), err)
 	}
 	return nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

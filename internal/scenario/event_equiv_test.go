@@ -2,7 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -54,30 +56,17 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 	)
 }
 
-// checkMatchesLockstep replays every generated scenario of both seed sets,
-// 1–4 and 101–104, through the lockstep reference and each variant.
+// checkMatchesLockstep replays every input of equivInputs through the
+// lockstep reference and each variant.
 func checkMatchesLockstep(t *testing.T, variants ...equivVariant) {
 	t.Helper()
-	policies := []string{"least-loaded", "big-first", "coolest", "slo-aware"}
 	// A fixed calibration rate keeps the suite fast (no per-run max-rate
 	// calibration); equivalence only needs every variant to see the same
 	// targets.
 	maxRate := func(string, int) float64 { return 50 }
 
-	for _, seed := range []int64{1, 2, 3, 4, 101, 102, 103, 104} {
-		// One policy per seed covers all four in each seed set; the
-		// generator alone never draws slo-aware.
-		placement := policies[(seed-1)%int64(len(policies))]
-		sc := Generate(seed, GenConfig{
-			Nodes:      3,
-			MaxApps:    3,
-			Events:     5,
-			DurationMS: 6000,
-			Placement:  placement,
-			Thermal:    seed%2 == 0,
-			Periodic:   true,
-			Faults:     true,
-		})
+	for _, in := range equivInputs() {
+		sc := in.sc
 		// The generator draws neither SLOs nor checkpoint costs; add both
 		// so the slo-aware pricing path is on the equivalence surface.
 		sc.Checkpoint = &CheckpointSpec{FreezeUS: 30_000, PerMBUS: 1_000, SizeMB: 8}
@@ -85,31 +74,106 @@ func checkMatchesLockstep(t *testing.T, variants ...equivVariant) {
 			sc.Apps[i].SLO = &SLOSpec{TargetHPS: 20, SlackMS: 150}
 		}
 
-		run := func(label string, opts Options) (string, uint64) {
+		run := func(label string, opts Options) (*Result, string) {
 			var buf bytes.Buffer
 			opts.Trace = &buf
 			opts.MaxRate = maxRate
 			opts.Strict = true
 			res, err := Run(sc, opts)
 			if err != nil {
-				t.Fatalf("seed %d (%s, %s): %v", seed, placement, label, err)
+				t.Fatalf("%s (%s): %v", in.label, label, err)
 			}
-			return buf.String(), res.TraceDigest
+			return res, buf.String()
 		}
 
-		refTrace, refDigest := run("lockstep", Options{Lockstep: true})
+		ref, refTrace := run("lockstep", Options{Lockstep: true})
+		if in.reaches != nil {
+			if err := in.reaches(ref, refTrace); err != nil {
+				t.Errorf("%s: %v", in.label, err)
+			}
+		}
 		for _, v := range variants {
-			trace, digest := run(v.name, v.opts)
-			if digest != refDigest {
-				t.Errorf("seed %d (%s): %s digest %016x != lockstep %016x",
-					seed, placement, v.name, digest, refDigest)
+			res, trace := run(v.name, v.opts)
+			if res.TraceDigest != ref.TraceDigest {
+				t.Errorf("%s: %s digest %016x != lockstep %016x",
+					in.label, v.name, res.TraceDigest, ref.TraceDigest)
 			}
 			if trace != refTrace {
-				t.Errorf("seed %d (%s): %s trace diverged from lockstep (%s)",
-					seed, placement, v.name, firstDiff(trace, refTrace))
+				t.Errorf("%s: %s trace diverged from lockstep (%s)",
+					in.label, v.name, firstDiff(trace, refTrace))
 			}
 		}
 	}
+}
+
+// equivInput is one scenario of the shared fixture. reaches, when set,
+// checks on the lockstep run that the input still exercises the paths it
+// was added for, so a generator change cannot silently drop them.
+type equivInput struct {
+	label   string
+	sc      *Scenario
+	reaches func(res *Result, trace string) error
+}
+
+// equivInputs lists the fixture's generated fleets: both seed sets, 1–4 and
+// 101–104, then one fleet that reaches Admit's restore branches.
+func equivInputs() []equivInput {
+	policies := []string{"least-loaded", "big-first", "coolest", "slo-aware"}
+	var out []equivInput
+	for _, seed := range []int64{1, 2, 3, 4, 101, 102, 103, 104} {
+		// One policy per seed covers all four in each seed set; the
+		// generator alone never draws slo-aware.
+		placement := policies[(seed-1)%int64(len(policies))]
+		out = append(out, equivInput{
+			label: fmt.Sprintf("seed %d (%s)", seed, placement),
+			sc: Generate(seed, GenConfig{
+				Nodes:      3,
+				MaxApps:    3,
+				Events:     5,
+				DurationMS: 6000,
+				Placement:  placement,
+				Thermal:    seed%2 == 0,
+				Periodic:   true,
+				Faults:     true,
+			}),
+		})
+	}
+
+	// The fleets above make no migration and no transfer failure, and run
+	// only mphars-i nodes. This one migrates, recovers from snapshots, fails
+	// a transfer, and restores an app onto its last node, switched to HARS-E.
+	sc := Generate(124, GenConfig{Nodes: 3, MaxApps: 5, Events: 5, DurationMS: 8000, Periodic: true, Faults: true})
+	last := len(sc.Nodes) - 1
+	sc.Nodes[last].Manager = ManagerHARSE
+	harsNode := sc.Nodes[last].Name
+	out = append(out, equivInput{
+		label: "seed 124 (restore onto hars-e)",
+		sc:    sc,
+		reaches: func(res *Result, trace string) error {
+			// With faults on, a restore promotes its checkpoint to the app's
+			// crash restore point, so every admission after an app's first
+			// migration restores: a migrated app that ended on the HARS-E
+			// node under a manager had that manager attached on restore.
+			restoredOnHARS := false
+			for _, a := range res.Apps {
+				if a.NodeMigrations > 0 && a.Node == harsNode && res.Managers[a.Name] != nil {
+					restoredOnHARS = true
+				}
+			}
+			switch {
+			case res.NodeMigrations == 0:
+				return errors.New("no migration")
+			case !strings.Contains(trace, ",recover,"):
+				return errors.New("no recovery from a snapshot")
+			case res.TransferFails == 0:
+				return errors.New("no transfer failure")
+			case !restoredOnHARS:
+				return fmt.Errorf("no app restored onto %s under a HARS-E manager", harsNode)
+			}
+			return nil
+		},
+	})
+	return out
 }
 
 // firstDiff locates the first byte two traces disagree on, with context.

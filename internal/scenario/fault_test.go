@@ -140,6 +140,49 @@ func TestFaultLostWorkBounded(t *testing.T) {
 	}
 }
 
+// TestFaultDepartedAppNotCharged pins that a crash charges and detaches only
+// the apps still running on the node. An app that departed earlier keeps its
+// last node and its killed process for the result, but it has no work left to
+// lose, and a departed HARS app keeps its manager in Result.Managers.
+func TestFaultDepartedAppNotCharged(t *testing.T) {
+	for _, mgr := range []string{ManagerMPHARSI, ManagerHARSE, ManagerNone} {
+		sc := &Scenario{
+			Name:       "fault-departed",
+			Manager:    mgr,
+			DurationMS: 4000,
+			Nodes:      []NodeSpec{{Name: "n0"}, {Name: "n1"}},
+			Apps: []AppSpec{
+				{Name: "a0", Bench: "SW", Threads: 4, Node: "n0", StopMS: 1000, TargetFrac: 0.4,
+					InitBig: IntPtr(1), InitLittle: IntPtr(1)},
+			},
+			Faults: &fault.Spec{
+				Seed:              1,
+				CheckpointEveryMS: 400,
+				Crashes:           []fault.Crash{{Node: "n0", AtMS: 2500, DownMS: 500}},
+			},
+		}
+		res, err := Run(sc, Options{Strict: true, CheckEveryTick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", mgr, err)
+		}
+		if res.NodeCrashes != 1 {
+			t.Fatalf("%s: %d crashes applied, want 1", mgr, res.NodeCrashes)
+		}
+		a := res.Apps[0]
+		if !a.Departed || a.Beats == 0 {
+			t.Fatalf("%s: a0 departed=%v beats=%d, want it to run and depart before the crash",
+				mgr, a.Departed, a.Beats)
+		}
+		if a.LostWorkUS != 0 || res.LostWorkUS != 0 || a.Recoveries != 0 {
+			t.Errorf("%s: departed a0 charged by the crash: lost=%dµs (run %dµs) recoveries=%d",
+				mgr, a.LostWorkUS, res.LostWorkUS, a.Recoveries)
+		}
+		if hasMgr := res.Managers["a0"] != nil; hasMgr != (mgr == ManagerHARSE) {
+			t.Errorf("%s: Result.Managers has a0: %v", mgr, hasMgr)
+		}
+	}
+}
+
 // TestFaultQueuedAppsSurviveCrash pins admission-queue behavior around a
 // permanent node crash: apps bound to the dead node stay queued or park with
 // their checkpoint — visibly counted, never silently dropped — while the

@@ -338,15 +338,13 @@ func (rn *resolvedNode) thermalOn() bool {
 }
 
 // resolveNodes expands the scenario's node list against defaults: a
-// scenario without nodes becomes one legacy node on plat (or the default
-// platform), a multi-node scenario resolves each entry's platform, manager,
-// and thermal block. Per-node validity (platform description, manager kind,
-// thermal spec against the node's grid) is checked here.
-func (sc *Scenario) resolveNodes(plat *hmp.Platform) ([]resolvedNode, error) {
+// scenario without nodes becomes one legacy node on the default platform, a
+// multi-node scenario resolves each entry's platform, manager, and thermal
+// block. Per-node validity (platform description, manager kind, thermal
+// spec against the node's grid) is checked here.
+func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 	if len(sc.Nodes) == 0 {
-		if plat == nil {
-			plat = hmp.Default()
-		}
+		plat := hmp.Default()
 		if err := validateThermal(sc.Thermal, plat, ""); err != nil {
 			return nil, err
 		}
@@ -452,24 +450,21 @@ func nodeByName(nodes []resolvedNode, name string) *resolvedNode {
 // OS scheduler model (no HARS/MP-HARS manager owning affinity masks).
 func unmanaged(mgr string) bool { return mgr == ManagerNone || mgr == ManagerGTS }
 
-// Validate checks the scenario against the default platform: well-formed
-// specs, known references, and a hotplug sequence that never takes the last
-// core offline.
-func (sc *Scenario) Validate() error { return sc.ValidateOn(hmp.Default()) }
-
-// ValidateOn validates against an explicit platform description (used for
-// the legacy single node only: a scenario declaring nodes owns its
-// platforms and ignores plat).
-func (sc *Scenario) ValidateOn(plat *hmp.Platform) error {
-	_, _, err := sc.resolveAndValidate(plat)
+// Validate checks the scenario exactly as Run does before it starts:
+// well-formed specs, known references, every node's platform, thermal block
+// and platform events against that node's grid (the default board for a
+// classic scenario, which declares no nodes), and a hotplug sequence that
+// never takes a node's last core offline.
+func (sc *Scenario) Validate() error {
+	_, _, err := sc.resolveAndValidate()
 	return err
 }
 
-// resolveAndValidate is the shared entry of ValidateOn and the engine: it
+// resolveAndValidate is the shared entry of Validate and the engine: it
 // resolves the node list and the full application list (declared apps plus
 // arrival-stream expansions) once and validates the whole scenario against
 // them, returning both so Run does not repeat the work.
-func (sc *Scenario) resolveAndValidate(plat *hmp.Platform) ([]resolvedNode, []AppSpec, error) {
+func (sc *Scenario) resolveAndValidate() ([]resolvedNode, []AppSpec, error) {
 	if sc.DurationMS <= 0 {
 		return nil, nil, fmt.Errorf("scenario: duration_ms must be positive, got %d", sc.DurationMS)
 	}
@@ -509,7 +504,7 @@ func (sc *Scenario) resolveAndValidate(plat *hmp.Platform) ([]resolvedNode, []Ap
 	if len(apps) == 0 {
 		return nil, nil, fmt.Errorf("scenario: no apps")
 	}
-	nodes, err := sc.resolveNodes(plat)
+	nodes, err := sc.resolveNodes()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -239,3 +239,45 @@ func TestHotplugCapBiteDuringRun(t *testing.T) {
 		t.Fatalf("offline window seen: %t, cap window seen: %t", sawOffline, sawCapped)
 	}
 }
+
+// TestAdmissionClampsToPlatform pins the admission-time state clamp: a HARS
+// app arriving after a big core went offline and the big cluster was capped
+// starts inside the live platform, so its manager's first reconcile has
+// nothing to move. Started from the unclamped maximum state instead, the
+// manager would claim the offline core and re-apply its schedule on the
+// next tick, migrating threads.
+func TestAdmissionClampsToPlatform(t *testing.T) {
+	off := false
+	const capLevel = 3
+	sc := &Scenario{
+		Name: "admit-clamp", Manager: ManagerHARSE, DurationMS: 1000,
+		Apps: []AppSpec{{Name: "sw", Bench: "SW", Threads: 8, StartMS: 500}},
+		Events: []Event{
+			{AtMS: 100, Kind: KindHotplug, CPU: 7, Online: &off},
+			{AtMS: 100, Kind: KindDVFSCap, Cluster: "big", MaxLevel: capLevel},
+		},
+	}
+	ticks := 0
+	_, err := Run(sc, Options{Strict: true, PerTick: func(m *sim.Machine) {
+		if len(m.Threads()) == 0 || ticks == 5 {
+			return
+		}
+		ticks++
+		mig := 0
+		for _, th := range m.Threads() {
+			mig += th.Migrations()
+		}
+		if mig != 0 {
+			t.Fatalf("tick %d after the arrival (t=%d): %d thread migrations, want 0", ticks, m.Now(), mig)
+		}
+		if lv := m.Level(hmp.Big); lv > capLevel {
+			t.Fatalf("tick %d after the arrival (t=%d): big level %d above cap %d", ticks, m.Now(), lv, capLevel)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ticks != 5 {
+		t.Fatalf("probe saw %d ticks after the arrival, want 5", ticks)
+	}
+}
