@@ -183,6 +183,15 @@ func BenchmarkSimSecondPipeline(b *testing.B) { bench.SimSecondPipeline(b) }
 // per-tick cost of the loop.
 func BenchmarkSimSecondThermal(b *testing.B) { bench.SimSecondThermal(b) }
 
+// BenchmarkSimSecondGTS is SimSecond under the GTS placer at max state, the
+// configuration of the paper's calibration and baseline runs, advancing in
+// certified windows.
+func BenchmarkSimSecondGTS(b *testing.B) { bench.SimSecondGTS(b) }
+
+// BenchmarkSimSecondGTSStepped is the same fixture advanced tick by tick;
+// its ratio to SimSecondGTS is the tracked GTS window speedup.
+func BenchmarkSimSecondGTSStepped(b *testing.B) { bench.SimSecondGTSStepped(b) }
+
 // BenchmarkFleetQuiescent advances ten simulated seconds of a mostly-idle
 // 128-node fleet through the event-driven core; the Lockstep variant is the
 // per-tick reference, and their ratio is the tracked quiescent speedup.

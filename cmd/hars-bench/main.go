@@ -6,8 +6,8 @@
 // Usage:
 //
 //	hars-bench [-out BENCH_1.json] [-filter regexp] [-prev BENCH_8.json]
-//	           [-count 5] [-quiescent-ratio-floor 10] [-scale-ratio-floor 30]
-//	           [-steady-ratio-floor 2] [-alloc-ceiling FleetQuiescent=64]
+//	           [-count 5] [-ratio-floor FleetScale1kLockstep/FleetScale1k=30]
+//	           [-alloc-ceiling FleetQuiescent=64]
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] ...
 //
 // -prev prints per-benchmark deltas (ns/op and allocs/op) against a previous
@@ -17,14 +17,15 @@
 // ns/op) in the trajectory file, printing the min/max spread alongside —
 // the defense against declaring a regression (or a win) off one noisy run.
 //
-// -quiescent-ratio-floor and -scale-ratio-floor guard the event-driven
-// core's reason to exist: after the run they compute the lockstep/event
-// speedup (FleetQuiescentLockstep / FleetQuiescent and FleetScale1kLockstep
-// / FleetScale1k respectively) and exit non-zero when it falls below the
-// floor. -steady-ratio-floor guards the steady-phase turbo path the same
-// way (FleetScale1kSteadyOff / FleetScale1kSteady). CI runs all three, so a
-// regression that quietly drags either fast path back toward reference cost
-// fails the build.
+// -ratio-floor (repeatable, Ref/Fast=N) guards a fast path's reason to
+// exist: after the run it computes the speedup of benchmark Fast over its
+// reference twin Ref (Ref's ns/op over Fast's) and exits non-zero when it
+// falls below N. CI guards four pairs — the event core over lockstep on the
+// quiescent and the 1024-node fleets (FleetQuiescentLockstep/FleetQuiescent,
+// FleetScale1kLockstep/FleetScale1k), the steady windows over the general
+// loop (FleetScale1kSteadyOff/FleetScale1kSteady), and GTS-placed windows
+// over stepping (SimSecondGTSStepped/SimSecondGTS) — so a regression that
+// quietly drags a fast path back toward reference cost fails the build.
 //
 // -alloc-ceiling (repeatable, name=N) pins a benchmark's steady-state
 // allocation count: the run fails when the measured allocs/op exceed the
@@ -68,6 +69,37 @@ type File struct {
 	Results   []Result `json:"results"`
 }
 
+// floor is one -ratio-floor guard: Ref's ns/op over Fast's must reach Min.
+type floor struct {
+	Ref, Fast string
+	Min       float64
+}
+
+// floors is the repeatable -ratio-floor flag, in command-line order.
+type floors []floor
+
+func (f *floors) String() string {
+	parts := make([]string, 0, len(*f))
+	for _, fl := range *f {
+		parts = append(parts, fmt.Sprintf("%s/%s=%g", fl.Ref, fl.Fast, fl.Min))
+	}
+	return strings.Join(parts, ",")
+}
+
+func (f *floors) Set(v string) error {
+	pair, limit, ok := strings.Cut(v, "=")
+	ref, fast, ok2 := strings.Cut(pair, "/")
+	if !ok || !ok2 || ref == "" || fast == "" {
+		return fmt.Errorf("want Ref/Fast=N, got %q", v)
+	}
+	n, err := strconv.ParseFloat(limit, 64)
+	if err != nil || !(n > 0) {
+		return fmt.Errorf("bad floor %q", limit)
+	}
+	*f = append(*f, floor{Ref: ref, Fast: fast, Min: n})
+	return nil
+}
+
 // ceilings is the repeatable -alloc-ceiling flag: benchmark name → maximum
 // allowed allocs/op.
 type ceilings map[string]int64
@@ -97,15 +129,12 @@ func main() {
 	out := flag.String("out", "BENCH_1.json", "output JSON path (empty = stdout only)")
 	filter := flag.String("filter", "", "regexp selecting benchmark names (empty = all)")
 	prev := flag.String("prev", "", "previous trajectory file to print ns/op and allocs/op deltas against")
-	quiescentFloor := flag.Float64("quiescent-ratio-floor", 0,
-		"fail unless FleetQuiescentLockstep/FleetQuiescent >= this speedup (0 = no check)")
-	scaleFloor := flag.Float64("scale-ratio-floor", 0,
-		"fail unless FleetScale1kLockstep/FleetScale1k >= this speedup (0 = no check)")
-	steadyFloor := flag.Float64("steady-ratio-floor", 0,
-		"fail unless FleetScale1kSteadyOff/FleetScale1kSteady >= this speedup (0 = no check)")
 	count := flag.Int("count", 1, "runs per benchmark; the median run (by ns/op) is reported and recorded, with the min/max spread printed")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the benchmark runs to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the runs")
+	var ratioFloors floors
+	flag.Var(&ratioFloors, "ratio-floor",
+		"fail unless benchmark Ref's ns/op over Fast's reaches N, as Ref/Fast=N (repeatable)")
 	allocCeilings := ceilings{}
 	flag.Var(allocCeilings, "alloc-ceiling",
 		"fail when a benchmark exceeds its allocs/op ceiling, as name=N (repeatable)")
@@ -217,20 +246,8 @@ func main() {
 	}
 
 	failed := false
-	if *quiescentFloor > 0 {
-		if err := checkRatio(f.Results, "FleetQuiescent", "FleetQuiescentLockstep", "quiescent", *quiescentFloor); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
-		}
-	}
-	if *scaleFloor > 0 {
-		if err := checkRatio(f.Results, "FleetScale1k", "FleetScale1kLockstep", "1k-scale", *scaleFloor); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			failed = true
-		}
-	}
-	if *steadyFloor > 0 {
-		if err := checkRatio(f.Results, "FleetScale1kSteady", "FleetScale1kSteadyOff", "steady", *steadyFloor); err != nil {
+	for _, fl := range ratioFloors {
+		if err := checkRatio(f.Results, fl); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			failed = true
 		}
@@ -274,28 +291,28 @@ func deltaSuffix(prev *File, res Result) string {
 }
 
 // checkRatio enforces a reference/fast-path speedup floor over the measured
-// results (lockstep vs event core, general loop vs steady turbo). Both
+// results (lockstep vs event core, general loop vs windows). Both
 // benchmarks must be present (narrow -filter expressions that drop one are
 // a configuration error, not a pass).
-func checkRatio(results []Result, fastName, refName, label string, floor float64) error {
+func checkRatio(results []Result, fl floor) error {
 	var fast, ref float64
 	for _, r := range results {
 		switch r.Name {
-		case fastName:
+		case fl.Fast:
 			fast = r.NsPerOp
-		case refName:
+		case fl.Ref:
 			ref = r.NsPerOp
 		}
 	}
 	if fast == 0 || ref == 0 {
-		return fmt.Errorf("%s-ratio check needs both %s and %s in the run (have %v and %v ns/op)",
-			label, fastName, refName, fast, ref)
+		return fmt.Errorf("ratio floor %s/%s needs both benchmarks in the run (have %v and %v ns/op)",
+			fl.Ref, fl.Fast, ref, fast)
 	}
 	ratio := ref / fast
 	fmt.Printf("%s speedup: %.1fx (%s %.0f ns/op / %s %.0f ns/op), floor %.1fx\n",
-		label, ratio, refName, ref, fastName, fast, floor)
-	if ratio < floor {
-		return fmt.Errorf("%s speedup %.1fx below the %.1fx floor: %s regressed toward %s cost", label, ratio, floor, fastName, refName)
+		fl.Fast, ratio, fl.Ref, ref, fl.Fast, fast, fl.Min)
+	if ratio < fl.Min {
+		return fmt.Errorf("%s speedup %.1fx below the %.1fx floor: %s regressed toward %s cost", fl.Fast, ratio, fl.Min, fl.Fast, fl.Ref)
 	}
 	return nil
 }

@@ -217,14 +217,19 @@
 //     sim.SteadyDaemon, declaring their per-tick charge, internal ticker,
 //     and wake bound (core.Manager, mphars.Manager, and thermal.Governor
 //     do; anything else pins its machine to per-tick stepping), placers
-//     via sim.SteadyPlacer. Unit completions, heartbeats, timer wakeups,
-//     and governor actuations always run through the general per-tick
-//     loop, which survives as the bit-exactness reference — the lockstep
-//     strategy steps every machine through it — pinned by the golden
-//     digests, the window boundary tests, and the scenario equivalence
-//     suite. The BenchmarkFleetScale1kSteady pair tracks the speedup over
-//     the general loop on a managed busy fleet, guarded by hars-bench
-//     -steady-ratio-floor in CI.
+//     via sim.SteadyPlacer: the mask balancer, which keeps no per-call
+//     state, and the GTS model, whose ticker advances its load averages
+//     and migration-pass counter and ends the window before a pass that
+//     would move a thread — so the paper's calibration, baseline, and
+//     static-optimal runs advance in windows too. Unit completions,
+//     heartbeats, timer wakeups, GTS threshold migrations, and governor
+//     actuations always run through the general per-tick loop, which
+//     survives as the bit-exactness reference — the lockstep strategy
+//     steps every machine through it — pinned by the golden digests, the
+//     window boundary tests, and the scenario equivalence suite. The
+//     BenchmarkFleetScale1kSteady pair tracks the speedup over the general
+//     loop on a managed busy fleet and the BenchmarkSimSecondGTS pair on a
+//     GTS-placed machine, both guarded by hars-bench -ratio-floor in CI.
 //
 // The tracked hot-path benchmarks live in internal/bench and run two ways:
 //
@@ -237,8 +242,8 @@
 // deltas against an earlier file, -count N records the median of N runs
 // with the min/max spread printed, -cpuprofile/-memprofile capture pprof
 // profiles of the run (hars-scenario takes the same two flags), and CI
-// enforces the -quiescent-ratio-floor, -scale-ratio-floor,
-// -steady-ratio-floor, and -alloc-ceiling guards so the event core's and
-// steady path's speedups and the alloc-free steady state cannot silently
-// regress. Treat a regression in SimSecond or SearchExhaustive as a bug.
+// enforces -ratio-floor guards (reference over fast path) and
+// -alloc-ceiling guards so the event core's and the windows' speedups and
+// the alloc-free steady state cannot silently regress. Treat a regression
+// in SimSecond or SearchExhaustive as a bug.
 package repro

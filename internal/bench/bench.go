@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fleet"
+	"repro/internal/gts"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
 	"repro/internal/power"
@@ -32,6 +33,8 @@ func Cases() []Case {
 		{"SimSecond", SimSecond},
 		{"SimSecondPipeline", SimSecondPipeline},
 		{"SimSecondThermal", SimSecondThermal},
+		{"SimSecondGTS", SimSecondGTS},
+		{"SimSecondGTSStepped", SimSecondGTSStepped},
 		{"SearchExhaustive", SearchExhaustive},
 		{"Assign", Assign},
 		{"FleetQuiescent", FleetQuiescent},
@@ -46,15 +49,17 @@ func Cases() []Case {
 }
 
 // simSecond measures simulating one second (1000 ticks) of an 8-thread
-// workload on the default machine with ground-truth power accounting.
-// Optional daemons (e.g. the thermal governor) attach to the same fixture so
-// variant benchmarks differ only in what they add.
-func simSecond(b *testing.B, short string, daemons ...sim.Daemon) {
+// workload on the default machine (both clusters at max level) with
+// ground-truth power accounting. Variants differ only in what setup attaches
+// before the workload spawns (a daemon, a placer) and in stepped, which
+// advances the machine by an explicit Step loop instead of Run, so it never
+// enters a window.
+func simSecond(b *testing.B, short string, stepped bool, setup func(m *sim.Machine)) {
 	plat := hmp.Default()
 	gt := power.DefaultGroundTruth(plat)
 	m := sim.New(plat, sim.Config{Power: gt})
-	for _, d := range daemons {
-		m.AddDaemon(d)
+	if setup != nil {
+		setup(m)
 	}
 	bench, ok := workload.ByShort(short)
 	if !ok {
@@ -64,16 +69,22 @@ func simSecond(b *testing.B, short string, daemons ...sim.Daemon) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Run(1 * sim.Second)
+		if !stepped {
+			m.Run(1 * sim.Second)
+			continue
+		}
+		for end := m.Now() + sim.Second; m.Now() < end; {
+			m.Step()
+		}
 	}
 }
 
 // SimSecond is the data-parallel (SW) simulator hot-path benchmark.
-func SimSecond(b *testing.B) { simSecond(b, "SW") }
+func SimSecond(b *testing.B) { simSecond(b, "SW", false, nil) }
 
 // SimSecondPipeline is the pipeline (FE) variant: heavy block/unblock churn
 // and migration traffic, the worst case for the incremental run queues.
-func SimSecondPipeline(b *testing.B) { simSecond(b, "FE") }
+func SimSecondPipeline(b *testing.B) { simSecond(b, "FE", false, nil) }
 
 // SimSecondThermal is SimSecond with the closed thermal loop attached: the
 // RC model integrates and the governor's zone logic runs every tick. The
@@ -85,8 +96,20 @@ func SimSecondThermal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	simSecond(b, "SW", gov)
+	simSecond(b, "SW", false, func(m *sim.Machine) { m.AddDaemon(gov) })
 }
+
+// setGTS installs the GTS placer over every core: the configuration of the
+// paper's calibration and baseline runs.
+func setGTS(m *sim.Machine) { m.SetPlacer(gts.New(m.Platform())) }
+
+// SimSecondGTS is SimSecond under the GTS placer: the machine advances in
+// the windows GTS certifies.
+func SimSecondGTS(b *testing.B) { simSecond(b, "SW", false, setGTS) }
+
+// SimSecondGTSStepped is SimSecondGTS advanced tick by tick, the
+// denominator of the tracked GTS window speedup.
+func SimSecondGTSStepped(b *testing.B) { simSecond(b, "SW", true, setGTS) }
 
 // SearchEstimators builds the estimator fixture SearchExhaustive uses (the
 // shared synthetic linear power model over the default platform).
@@ -202,7 +225,7 @@ func fleetScale(b *testing.B, nodes, busy int, faults, lockstep bool) {
 // adds a perTick daemon to every busy node, so the identical fleet runs its
 // busy nodes through the general per-tick loop while the idle nodes still
 // jump; the ratio is the tracked steady speedup (cmd/hars-bench
-// -steady-ratio-floor guards it).
+// -ratio-floor FleetScale1kSteadyOff/FleetScale1kSteady guards it).
 func fleetScaleSteady(b *testing.B, steady bool) {
 	const nodes, busy = 1024, 51
 	bench, ok := workload.ByShort("SW")

@@ -15,6 +15,13 @@
 // every thread onto the big cluster and leaves the little cores idle even
 // when the big cluster is over-committed ("the Linux HMP scheduler does not
 // schedule like that", §4.1.1).
+//
+// The scheduler implements sim.SteadyPlacer, so a GTS-placed machine
+// advances in the simulator's certified windows like a mask-balanced one.
+// Its Place keeps per-call state — the load averages and the count of
+// calls that times the migration pass — which its ticker advances once per
+// window tick; the window ends before any tick whose Place would move a
+// thread, so every decision is the one per-tick stepping makes.
 package gts
 
 import (
@@ -28,7 +35,7 @@ import (
 // thread converges to a load of 1024, as in the kernel).
 const LoadScale = 1024.0
 
-// Scheduler is the GTS placement policy. It implements sim.Placer.
+// Scheduler is the GTS placement policy. It implements sim.SteadyPlacer.
 type Scheduler struct {
 	// Up and Down are the up/down migration thresholds on the 0..1024 load
 	// scale. Kernel defaults for big.LITTLE MP were ~700 and ~256.
@@ -63,7 +70,20 @@ type Scheduler struct {
 	loads  []float64
 	ticks  int
 	counts []int
-	online hmp.CPUMask // machine hotplug state, refreshed every Place
+
+	// Window scratch (see Settled): next holds the loads SteadyTick computed
+	// for SteadyAdvance to commit, and watch lists the runnable threads
+	// whose threshold move the window's frozen queue counts permit.
+	next  []float64
+	watch []watched
+}
+
+// watched is a runnable thread whose load alone decides whether the
+// migration pass moves it: up for a little thread (Up threshold), !up for
+// a big one (Down threshold).
+type watched struct {
+	id int
+	up bool
 }
 
 // New returns a GTS scheduler with kernel-flavoured defaults, allowed to use
@@ -79,7 +99,6 @@ func New(plat *hmp.Platform) *Scheduler {
 		PullThresholdLittle: 3,
 		PullThresholdBig:    2,
 		plat:                plat,
-		online:              hmp.AllCPUs(plat),
 	}
 }
 
@@ -101,27 +120,58 @@ func (g *Scheduler) Load(t *sim.Thread) float64 {
 	return g.loads[t.Global]
 }
 
-// Place implements sim.Placer. It deliberately does NOT implement
-// sim.SteadyPlacer: the migration pass fires on a count of Place
-// invocations (g.ticks below), so even a Place call that moves nothing
-// advances internal phase — skipping it would shift every later migration
-// pass. Machines driven by the GTS model therefore always step in lockstep.
+// Place implements sim.Placer: it updates every thread's load average,
+// repairs runnable threads placed outside their permitted set, runs the
+// threshold migration pass (and the idle balance) every PeriodTicks calls,
+// and balances within each cluster. Inside a window certified by Settled
+// the call would be a no-op apart from the load averages and the call
+// counter, which SteadyTick and SteadyAdvance advance instead.
 func (g *Scheduler) Place(m *sim.Machine) {
-	g.online = m.OnlineMask()
 	threads := m.Threads()
 	for len(g.loads) < len(threads) {
 		g.loads = append(g.loads, LoadScale)
 	}
-	// Update load averages.
 	for _, t := range threads {
-		target := 0.0
-		if t.RanLastTick() {
-			target = LoadScale
-		}
-		g.loads[t.Global] = g.loads[t.Global]*g.Decay + target*(1-g.Decay)
+		g.loads[t.Global] = g.decay(g.loads[t.Global], t.RanLastTick())
 	}
 
-	nc := m.Platform().TotalCores()
+	plat := m.Platform()
+	usable := g.Allowed & m.OnlineMask()
+	counts := g.countQueues(plat.TotalCores(), threads, usable)
+
+	// Repair threads placed outside their permitted set.
+	for _, t := range threads {
+		if !t.Runnable() || (t.Core() >= 0 && permitted(t, t.Core(), usable)) {
+			continue
+		}
+		if cpu := leastLoaded(t, counts, usable); cpu >= 0 {
+			m.Migrate(t, cpu)
+			counts[cpu]++
+		}
+	}
+
+	g.ticks++
+	if g.ticks%g.PeriodTicks == 0 {
+		g.migrationPass(m, threads, counts, usable)
+	}
+	g.balanceClusters(m, threads, counts, usable)
+}
+
+// decay is one tick of a thread's load average: a geometric step toward
+// LoadScale if the thread ran in the previous tick, toward zero if not.
+// Place and SteadyTick both call it, so a window evaluates the very float
+// expression the per-tick path does.
+func (g *Scheduler) decay(load float64, ran bool) float64 {
+	target := 0.0
+	if ran {
+		target = LoadScale
+	}
+	return load*g.Decay + target*(1-g.Decay)
+}
+
+// countQueues fills the per-core scratch counts: the runnable threads on
+// each core that are permitted to run there.
+func (g *Scheduler) countQueues(nc int, threads []*sim.Thread, usable hmp.CPUMask) []int {
 	if cap(g.counts) < nc {
 		g.counts = make([]int, nc)
 	}
@@ -130,42 +180,26 @@ func (g *Scheduler) Place(m *sim.Machine) {
 		counts[i] = 0
 	}
 	for _, t := range threads {
-		if t.Runnable() && t.Core() >= 0 && g.permitted(t, t.Core()) {
+		if t.Runnable() && t.Core() >= 0 && permitted(t, t.Core(), usable) {
 			counts[t.Core()]++
 		}
 	}
-
-	// Repair threads placed outside their permitted set.
-	for _, t := range threads {
-		if !t.Runnable() {
-			continue
-		}
-		if t.Core() >= 0 && g.permitted(t, t.Core()) {
-			continue
-		}
-		if cpu := g.leastLoaded(m, t, counts, hmp.CPUMask(math.MaxUint64)); cpu >= 0 {
-			m.Migrate(t, cpu)
-			counts[cpu]++
-		}
-	}
-
-	g.ticks++
-	if g.ticks%g.PeriodTicks == 0 {
-		g.migrationPass(m, threads, counts)
-	}
-	g.balanceClusters(m, threads, counts)
+	return counts
 }
 
-func (g *Scheduler) permitted(t *sim.Thread, cpu int) bool {
-	return t.Affinity().Has(cpu) && g.Allowed.Has(cpu) && g.online.Has(cpu)
+// permitted reports whether t may run on cpu: inside its affinity and the
+// usable set (the allowed cpuset's online cores).
+func permitted(t *sim.Thread, cpu int, usable hmp.CPUMask) bool {
+	return (t.Affinity() & usable).Has(cpu)
 }
 
-// leastLoaded returns the permitted CPU (further restricted by `within`)
-// with the fewest runnable threads, or -1.
-func (g *Scheduler) leastLoaded(m *sim.Machine, t *sim.Thread, counts []int, within hmp.CPUMask) int {
+// leastLoaded returns the CPU of t's affinity inside within with the fewest
+// runnable threads, or -1.
+func leastLoaded(t *sim.Thread, counts []int, within hmp.CPUMask) int {
+	mask := t.Affinity() & within
 	best := -1
 	for cpu := 0; cpu < len(counts); cpu++ {
-		if !g.permitted(t, cpu) || !within.Has(cpu) {
+		if !mask.Has(cpu) {
 			continue
 		}
 		if best < 0 || counts[cpu] < counts[best] {
@@ -180,65 +214,55 @@ func (g *Scheduler) leastLoaded(m *sim.Machine, t *sim.Thread, counts []int, wit
 // big cores while the little cores idle — the paper's §4.1.1 observation),
 // but not past UpQueueLimit, which prevents ping-pong against the reluctant
 // little-ward idle balance under heavy overcommit.
-func (g *Scheduler) migrationPass(m *sim.Machine, threads []*sim.Thread, counts []int) {
+func (g *Scheduler) migrationPass(m *sim.Machine, threads []*sim.Thread, counts []int, usable hmp.CPUMask) {
 	plat := m.Platform()
-	bigMask := hmp.ClusterMask(plat, hmp.Big)
-	littleMask := hmp.ClusterMask(plat, hmp.Little)
+	big := usable & hmp.ClusterMask(plat, hmp.Big)
+	little := usable & hmp.ClusterMask(plat, hmp.Little)
 	for _, t := range threads {
 		if !t.Runnable() || t.Core() < 0 {
 			continue
 		}
-		load := g.loads[t.Global]
-		switch plat.ClusterOf(t.Core()) {
-		case hmp.Little:
-			if load > g.Up {
-				cpu := g.leastLoaded(m, t, counts, bigMask)
-				if cpu >= 0 && counts[cpu]+1 <= g.UpQueueLimit {
-					counts[t.Core()]--
-					m.Migrate(t, cpu)
-					counts[cpu]++
-				}
-			}
-		case hmp.Big:
-			if load < g.Down {
-				if cpu := g.leastLoaded(m, t, counts, littleMask); cpu >= 0 {
-					counts[t.Core()]--
-					m.Migrate(t, cpu)
-					counts[cpu]++
-				}
-			}
+		up := plat.ClusterOf(t.Core()) == hmp.Little
+		if !g.crosses(g.loads[t.Global], up) {
+			continue
 		}
+		within := little
+		if up {
+			within = big
+		}
+		cpu := leastLoaded(t, counts, within)
+		if cpu < 0 || up && counts[cpu]+1 > g.UpQueueLimit {
+			continue
+		}
+		counts[t.Core()]--
+		m.Migrate(t, cpu)
+		counts[cpu]++
 	}
-	g.idleBalance(m, threads, counts)
+	g.idleBalance(m, threads, counts, usable)
 }
 
-// idleBalance pulls one runnable thread onto each idle allowed core from the
+// crosses reports whether a load is past its thread's migration threshold:
+// above Up for a little thread (up), below Down for a big one.
+func (g *Scheduler) crosses(load float64, up bool) bool {
+	if up {
+		return load > g.Up
+	}
+	return load < g.Down
+}
+
+// idleBalance pulls one runnable thread onto each idle usable core from the
 // longest permitted run queue, provided that queue reaches the pulling
 // cluster's threshold. Little cores pull reluctantly (only under heavy
 // big-cluster overcommit), mirroring GTS's restricted down-balancing.
-func (g *Scheduler) idleBalance(m *sim.Machine, threads []*sim.Thread, counts []int) {
-	plat := g.plat
+func (g *Scheduler) idleBalance(m *sim.Machine, threads []*sim.Thread, counts []int, usable hmp.CPUMask) {
+	if !g.pulls(counts) {
+		return
+	}
 	for cpu := 0; cpu < len(counts); cpu++ {
-		if counts[cpu] != 0 || !g.Allowed.Has(cpu) || !g.online.Has(cpu) {
+		if counts[cpu] != 0 || !usable.Has(cpu) {
 			continue
 		}
-		threshold := g.PullThresholdBig
-		if plat.ClusterOf(cpu) == hmp.Little {
-			threshold = g.PullThresholdLittle
-		}
-		var victim *sim.Thread
-		for _, t := range threads {
-			if !t.Runnable() || t.Core() < 0 || t.Core() == cpu {
-				continue
-			}
-			if counts[t.Core()] < threshold || !g.permitted(t, cpu) {
-				continue
-			}
-			if victim == nil || counts[t.Core()] > counts[victim.Core()] {
-				victim = t
-			}
-		}
-		if victim != nil {
+		if victim := g.idleVictim(cpu, threads, counts, usable); victim != nil {
 			counts[victim.Core()]--
 			m.Migrate(victim, cpu)
 			counts[cpu]++
@@ -246,29 +270,197 @@ func (g *Scheduler) idleBalance(m *sim.Machine, threads []*sim.Thread, counts []
 	}
 }
 
-// balanceClusters does one intra-cluster load-balance sweep with hysteresis.
-func (g *Scheduler) balanceClusters(m *sim.Machine, threads []*sim.Thread, counts []int) {
+// pulls reports whether any queue reaches a pull threshold; without one the
+// idle balance has no victim anywhere.
+func (g *Scheduler) pulls(counts []int) bool {
+	threshold := min(g.PullThresholdLittle, g.PullThresholdBig)
+	for _, n := range counts {
+		if n >= threshold {
+			return true
+		}
+	}
+	return false
+}
+
+// idleVictim returns the thread the idle core cpu pulls: the runnable
+// thread, permitted on cpu, from the longest other queue that reaches cpu's
+// cluster threshold (the first such thread on ties), or nil.
+func (g *Scheduler) idleVictim(cpu int, threads []*sim.Thread, counts []int, usable hmp.CPUMask) *sim.Thread {
+	threshold := g.PullThresholdBig
+	if g.plat.ClusterOf(cpu) == hmp.Little {
+		threshold = g.PullThresholdLittle
+	}
+	var victim *sim.Thread
+	for _, t := range threads {
+		if !t.Runnable() || t.Core() < 0 || t.Core() == cpu {
+			continue
+		}
+		if counts[t.Core()] < threshold || !permitted(t, cpu, usable) {
+			continue
+		}
+		if victim == nil || counts[t.Core()] > counts[victim.Core()] {
+			victim = t
+		}
+	}
+	return victim
+}
+
+// balanceClusters does one intra-cluster load-balance sweep with
+// hysteresis. When every cluster is level (see level) no thread has a core
+// two lighter, so the sweep is skipped outright.
+func (g *Scheduler) balanceClusters(m *sim.Machine, threads []*sim.Thread, counts []int, usable hmp.CPUMask) {
 	plat := m.Platform()
+	if level(plat, counts, usable) {
+		return
+	}
 	for _, t := range threads {
 		if !t.Runnable() || t.Core() < 0 {
 			continue
 		}
-		cur := t.Core()
-		k := plat.ClusterOf(cur)
-		first := plat.FirstCPU(k)
-		best := cur
-		for cpu := first; cpu < first+plat.Clusters[k].Cores; cpu++ {
-			if cpu == cur || !g.permitted(t, cpu) {
-				continue
-			}
-			if counts[cpu] < counts[best]-1 {
-				best = cpu
-			}
-		}
-		if best != cur {
+		if cur, best := t.Core(), balanceTarget(plat, t, counts, usable); best != cur {
 			counts[cur]--
 			counts[best]++
 			m.Migrate(t, best)
 		}
 	}
+}
+
+// balanceTarget returns the core of t's cluster the sweep moves t to: the
+// last permitted core that is two threads lighter than the best so far, or
+// t's own core when none is.
+func balanceTarget(plat *hmp.Platform, t *sim.Thread, counts []int, usable hmp.CPUMask) int {
+	cur := t.Core()
+	k := plat.ClusterOf(cur)
+	first := plat.FirstCPU(k)
+	mask := t.Affinity() & usable
+	best := cur
+	for cpu := first; cpu < first+plat.Clusters[k].Cores; cpu++ {
+		if cpu == cur || !mask.Has(cpu) {
+			continue
+		}
+		if counts[cpu] < counts[best]-1 {
+			best = cpu
+		}
+	}
+	return best
+}
+
+// level reports whether the intra-cluster sweep is certain to move nothing:
+// in every cluster the heaviest queue is within one thread of the lightest
+// usable core. Every core the sweep may choose is usable, so no thread then
+// finds one two lighter than its own.
+func level(plat *hmp.Platform, counts []int, usable hmp.CPUMask) bool {
+	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
+		first := plat.FirstCPU(k)
+		lo, hi := -1, 0
+		for cpu := first; cpu < first+plat.Clusters[k].Cores; cpu++ {
+			n := counts[cpu]
+			if n > hi {
+				hi = n
+			}
+			if usable.Has(cpu) && (lo < 0 || n < lo) {
+				lo = n
+			}
+		}
+		if lo >= 0 && hi-lo > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Settled implements sim.SteadyPlacer. Within a window the runnable set,
+// placement, affinity, the online mask and the allowed cpuset are frozen,
+// so the queue counts Place computes are too, and every Place decision but
+// the threshold moves depends only on them: Settled declines when a
+// runnable thread needs repair or when the idle balance or the
+// intra-cluster sweep would move one, each replayed read-only on the counts
+// Place would compute (with the machine's online mask, since Place reads
+// it afresh). A threshold move depends on the evolving load as well;
+// Settled records the runnable threads whose move the counts permit, and
+// the returned ticker (g itself) ends the window before the first
+// migration-pass tick at which one of them crosses its threshold. Settled
+// writes only that watch list and the load scratch.
+func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
+	threads := m.Threads()
+	if len(g.loads) < len(threads) {
+		return nil, false
+	}
+	if cap(g.next) < len(threads) {
+		g.next = make([]float64, len(threads))
+		g.watch = make([]watched, 0, len(threads))
+	}
+	g.next = g.next[:len(threads)]
+	plat := m.Platform()
+	usable := g.Allowed & m.OnlineMask()
+	counts := g.countQueues(plat.TotalCores(), threads, usable)
+	// Under these counts a crossing little thread moves up exactly when a
+	// big core of its affinity has room under UpQueueLimit (the least
+	// loaded one then does), a crossing big thread exactly when a little
+	// core of its affinity is usable.
+	little := usable & hmp.ClusterMask(plat, hmp.Little)
+	var room hmp.CPUMask
+	for cpu, n := range counts {
+		if usable.Has(cpu) && plat.ClusterOf(cpu) == hmp.Big && n+1 <= g.UpQueueLimit {
+			room = room.Set(cpu)
+		}
+	}
+	even := level(plat, counts, usable)
+	g.watch = g.watch[:0]
+	for _, t := range threads {
+		if !t.Runnable() {
+			continue
+		}
+		cur := t.Core()
+		if cur < 0 || !permitted(t, cur, usable) {
+			return nil, false
+		}
+		if !even && balanceTarget(plat, t, counts, usable) != cur {
+			return nil, false
+		}
+		up := plat.ClusterOf(cur) == hmp.Little
+		dest := little
+		if up {
+			dest = room
+		}
+		if t.Affinity()&dest != 0 {
+			g.watch = append(g.watch, watched{id: t.Global, up: up})
+		}
+	}
+	if g.pulls(counts) {
+		for cpu, n := range counts {
+			if n == 0 && usable.Has(cpu) && g.idleVictim(cpu, threads, counts, usable) != nil {
+				return nil, false
+			}
+		}
+	}
+	return g, true
+}
+
+// SteadyTick implements sim.SteadyTicker: it computes this tick's load
+// averages into scratch, as Place's update would (RanLastTick still reports
+// the previous tick here, as it does in Place), and on a migration-pass
+// tick declines when a watched thread's new load crosses its threshold, so
+// that tick's pass runs through Step.
+func (g *Scheduler) SteadyTick(m *sim.Machine) bool {
+	for _, t := range m.Threads() {
+		g.next[t.Global] = g.decay(g.loads[t.Global], t.RanLastTick())
+	}
+	if (g.ticks+1)%g.PeriodTicks != 0 {
+		return true
+	}
+	for _, w := range g.watch {
+		if g.crosses(g.next[w.id], w.up) {
+			return false
+		}
+	}
+	return true
+}
+
+// SteadyAdvance implements sim.SteadyTicker: it commits the loads the same
+// tick's SteadyTick computed and counts the skipped Place call. It cannot
+// recompute them itself: by now the machine has stamped this tick's runs.
+func (g *Scheduler) SteadyAdvance(*sim.Machine) {
+	copy(g.loads, g.next)
+	g.ticks++
 }

@@ -32,10 +32,12 @@ import (
 type Options struct {
 	// MaxRate resolves a benchmark's maximum achievable heartbeat rate for
 	// fractional targets. Nil selects an engine-local calibration run per
-	// (bench, threads, node) tuple (deterministic, cached for the run).
-	// A non-nil override is consulted for every node — callers supplying
-	// one to a multi-node scenario with heterogeneous platforms are
-	// responsible for the rates making sense on every node.
+	// (bench, threads, platform instance) tuple (deterministic, cached for
+	// the run): nodes that share a platform instance, as every default-board
+	// node does, share one calibration. A non-nil override is consulted
+	// once per such tuple, for every node — callers supplying one to a
+	// multi-node scenario with heterogeneous platforms are responsible for
+	// the rates making sense on every node.
 	MaxRate func(short string, threads int) float64
 
 	// Trace, when non-nil, receives the per-sample metric trace (see the
@@ -373,7 +375,7 @@ type engine struct {
 	appSpecs  []AppSpec // declared apps + arrival-stream expansions
 	ckptCost  sim.CheckpointCost
 
-	rates map[string]float64 // max-rate cache: "short/threads/node"
+	rates map[rateKey]float64 // max-rate cache
 	trace *bufio.Writer
 	out   io.Writer // trace sink: the digest hash, plus Options.Trace if set
 	hash  interface {
@@ -416,7 +418,7 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		sc: sc, opts: opts, fleetMode: len(sc.Nodes) > 0,
 		appSpecs: appSpecs,
 		ckptCost: ckptCost,
-		rates:    make(map[string]float64),
+		rates:    make(map[rateKey]float64),
 		hash:     fnv.New64a(),
 	}
 	out := io.Writer(e.hash)
@@ -1261,13 +1263,21 @@ func (e *engine) target(explicit *TargetSpec, frac float64, bench string, thread
 	return heartbeat.TargetAround(e.maxRate(bench, threads, nr), frac, 0.05)
 }
 
+// rateKey is the max-rate cache key: a benchmark at a thread count on one
+// platform instance.
+type rateKey struct {
+	bench   string
+	threads int
+	plat    *hmp.Platform
+}
+
 // maxRate measures (and caches) a benchmark's maximum achievable heartbeat
 // rate on one node's platform: a short unmanaged run under the GTS
 // scheduler at the platform maximum, mirroring the experiments
 // environment's calibration. The cache keys on the platform instance, so
 // nodes sharing a platform (every default-board node) calibrate once.
 func (e *engine) maxRate(bench string, threads int, nr *nodeRun) float64 {
-	key := fmt.Sprintf("%s/%d/%p", bench, threads, nr.rn.plat)
+	key := rateKey{bench, threads, nr.rn.plat}
 	if r, ok := e.rates[key]; ok {
 		return r
 	}

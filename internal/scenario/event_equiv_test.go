@@ -116,7 +116,8 @@ type equivInput struct {
 }
 
 // equivInputs lists the fixture's generated fleets: both seed sets, 1–4 and
-// 101–104, then one fleet that reaches Admit's restore branches.
+// 101–104, then one fleet that reaches Admit's restore branches and one
+// with a GTS-placed node.
 func equivInputs() []equivInput {
 	policies := []string{"least-loaded", "big-first", "coolest", "slo-aware"}
 	var out []equivInput
@@ -171,6 +172,25 @@ func equivInputs() []equivInput {
 				return fmt.Errorf("no app restored onto %s under a HARS-E manager", harsNode)
 			}
 			return nil
+		},
+	})
+
+	// No fleet above places with GTS. This one switches its first node to
+	// the GTS placer, whose machines advance in windows that carry the
+	// placer's own ticker ahead of the thermal governor's.
+	sc = Generate(128, GenConfig{Nodes: 3, MaxApps: 4, Events: 5, DurationMS: 6000, Placement: "coolest", Thermal: true, Periodic: true, Faults: true})
+	sc.Nodes[0].Manager = ManagerGTS
+	gtsNode := sc.Nodes[0].Name
+	out = append(out, equivInput{
+		label: "seed 128 (gts node)",
+		sc:    sc,
+		reaches: func(res *Result, trace string) error {
+			for _, a := range res.Apps {
+				if a.Node == gtsNode && a.NodeMigrations == 0 && a.Recoveries == 0 && a.Work > 0 {
+					return nil
+				}
+			}
+			return fmt.Errorf("no app ran on %s alone", gtsNode)
 		},
 	})
 	return out

@@ -47,13 +47,13 @@ func (b *MaskBalancer) Prime(nc int) {
 // lighter than its own refutes settledness. Certification runs this once
 // per window, not per tick, so the O(runnable × cores) scan amortizes
 // across every tick the window jumps. The balancer keeps no per-call
-// state, so skipping the no-op calls is invisible.
-func (b *MaskBalancer) Settled(m *Machine) bool {
+// state, so it returns no ticker: skipping the no-op calls is invisible.
+func (b *MaskBalancer) Settled(m *Machine) (SteadyTicker, bool) {
 	if m.misplaced != 0 {
-		return false
+		return nil, false
 	}
 	if len(m.runnable) == 0 {
-		return true
+		return nil, true
 	}
 	online := m.online
 	all := online == m.allMask
@@ -85,11 +85,11 @@ func (b *MaskBalancer) Settled(m *Machine) bool {
 			seen = true
 		}
 		if !seen {
-			return false
+			return nil, false
 		}
 	}
 	if maxC-minC <= 1 {
-		return true
+		return nil, true
 	}
 	// Replay the sweep read-only, with counts == runLen (misplaced is zero).
 	// Place's first move happens at the first thread whose core is above
@@ -110,11 +110,11 @@ func (b *MaskBalancer) Settled(m *Machine) bool {
 				continue
 			}
 			if m.cores[cpu].runLen < cur-1 {
-				return false
+				return nil, false
 			}
 		}
 	}
-	return true
+	return nil, true
 }
 
 // Place implements Placer.

@@ -4,29 +4,38 @@ import "repro/internal/hmp"
 
 // Window advancement: a machine whose runnable threads are all mid-unit —
 // nothing completes, nothing migrates, nothing actuates — repeats the same
-// tick over and over, differing only in the float accumulators. An idle or
-// crashed machine is the same case with an empty plan: no thread runs, so
-// only the clock and the energy sums move. SteadyUntil certifies a window
-// in which that repetition is provable; RunSteady executes it as a tight
-// loop (per-tick progress accrual and the memoized energy additions in
+// tick over and over, differing only in the float accumulators and in the
+// private per-tick state of its placer and daemons (a load average, a call
+// counter, an integrator), which their tickers advance. An idle or crashed
+// machine is the same case with an empty plan: no thread runs, so only the
+// clock and the energy sums move. SteadyUntil certifies a window in which
+// that repetition is provable; RunSteady executes it as a tight loop
+// (per-tick progress accrual and the memoized energy additions in
 // registers, the same IEEE operations in the same order as the general
 // path, skipping the runnable scan, placer dispatch, daemon walk, and trace
-// checks that are provably no-ops), and FastForwardCached executes an empty
-// one. This is an execution strategy, not a semantic change — every
-// observable state is bit-for-bit what the equivalent sequence of Step
-// calls would produce, and the general per-tick loop survives as the
-// reference the golden digests and the equivalence suites pin it to.
+// checks that are provably no-ops, and calling only the tickers), and
+// FastForwardCached executes an empty one. This is an execution strategy,
+// not a semantic change — every observable state is bit-for-bit what the
+// equivalent sequence of Step calls would produce, and the general
+// per-tick loop survives as the reference the golden digests and the
+// equivalence suites pin it to.
 
-// SteadyTicker is the per-tick half of a SteadyDaemon whose Tick calls
-// inside a certified window are internal-only (they advance daemon state —
-// an integrator, a counter — without touching the machine). SteadyTick is
-// called once per window tick before the tick's effects are applied; it must
-// be pure apart from private scratch (state no later call observes) and
-// report whether the daemon's next Tick would stay internal-only: returning
-// false ends the window at that tick, which then runs through the general
-// Step. SteadyAdvance then replays exactly the internal effects one Tick
-// would have had; it runs only after every planned check of the tick passed,
-// in daemon registration order, at the point of the tick where daemons run.
+// SteadyTicker is the per-tick half of a SteadyDaemon or SteadyPlacer whose
+// calls inside a certified window are internal-only (they advance private
+// state — an integrator, a load average, a call counter — without touching
+// the machine). SteadyTick is called once per window tick before the tick's
+// effects are applied; it must be pure apart from private scratch and
+// report whether the next Tick (or Place) call would stay internal-only:
+// returning false ends the window at that tick, which then runs through the
+// general Step. SteadyAdvance then replays exactly the internal effects one
+// call would have had; it runs only after every planned check of the tick
+// passed, at the point of the tick where the daemons run, the placer's
+// ticker first and then the daemons' in registration order. A SteadyTick
+// may leave scratch that the same tick's SteadyAdvance commits — a value
+// that depends on the machine as it stood before the tick, such as
+// RanLastTick, which the tick's own accrual overwrites before SteadyAdvance
+// runs. When a later check declines the tick, SteadyAdvance is not called
+// and the scratch is simply stale.
 type SteadyTicker interface {
 	SteadyTick(m *Machine) bool
 	SteadyAdvance(m *Machine)
@@ -66,15 +75,19 @@ type SteadyDaemon interface {
 }
 
 // SteadyPlacer is the opt-in contract that lets a Placer's machine advance
-// in windows: Settled reports whether the next Place call is certain to be
-// a pure no-op — nothing runnable, or every thread in its mask and no
-// balancing move available — and will stay one while runnability,
-// placement, affinity, and the online mask are all frozen. Placers with
-// per-call state (e.g. gts.Scheduler, whose migration pass fires on a count
-// of Place invocations) must not implement it.
+// in windows: Settled reports whether every Place call in the window is
+// certain to move no thread — nothing runnable, or every thread permitted
+// where it is and no balancing move available — while runnability,
+// placement, affinity, and the online mask are all frozen. A placer whose
+// Place keeps per-call state (gts.Scheduler's load averages and its
+// migration-pass counter) returns a ticker that advances that state once
+// per window tick and ends the window before a tick whose Place would move
+// a thread; a stateless placer (MaskBalancer) returns a nil ticker.
+// Settled itself must be pure apart from scratch its ticker reads.
+// Placers that do not implement it pin their machine to per-tick stepping.
 type SteadyPlacer interface {
 	Placer
-	Settled(m *Machine) bool
+	Settled(m *Machine) (SteadyTicker, bool)
 }
 
 // steadyThread is one window-constant plan row: the thread, its resolved
@@ -149,8 +162,8 @@ func (m *Machine) primeSteady() {
 	if cap(p.cores) < len(m.cores) {
 		p.cores = make([]steadyCore, 0, len(m.cores))
 	}
-	if cap(p.tickers) < len(m.daemons) {
-		p.tickers = make([]SteadyTicker, 0, len(m.daemons))
+	if cap(p.tickers) < len(m.daemons)+1 { // the daemons' and the placer's
+		p.tickers = make([]SteadyTicker, 0, len(m.daemons)+1)
 	}
 	if cap(p.threads) < len(m.threads) {
 		p.threads = make([]steadyThread, 0, len(m.threads))
@@ -172,7 +185,9 @@ func (m *Machine) primeSteady() {
 //
 //   - fireTimers: no timer due (the first pending timer bounds the window);
 //   - Place: no misplaced thread, and the placer is a SteadyPlacer
-//     reporting itself settled (or nil);
+//     reporting itself settled (or nil). Settled runs last, after every
+//     cheaper rejection below, and its ticker goes first in the plan,
+//     because Place runs before the daemons;
 //   - execute: every queued thread stall-free (no pending migration
 //     penalty), and every core's pending stolen overhead exactly equal to
 //     the per-tick charge the window's daemons declare — so the
@@ -190,9 +205,10 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 	if limit <= m.now || m.misplaced != 0 || len(m.journal) != 0 {
 		return m.now
 	}
+	var sp SteadyPlacer
 	if m.placer != nil {
-		sp, ok := m.placer.(SteadyPlacer)
-		if !ok || !sp.Settled(m) {
+		var ok bool
+		if sp, ok = m.placer.(SteadyPlacer); !ok {
 			return m.now
 		}
 	}
@@ -283,7 +299,7 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 				}
 			}
 		}
-		return until
+		return m.settlePlacer(sp, until)
 	}
 
 	var speedByCluster [hmp.NumClusters]float64
@@ -339,6 +355,27 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 			p.cores = append(p.cores, sc)
 		}
 	}
+	return m.settlePlacer(sp, until)
+}
+
+// settlePlacer is SteadyUntil's last check: the placer's certification (a
+// nil placer places nothing). A placer ticker goes first in the plan,
+// ahead of the daemons', because Step runs Place before them; primeSteady
+// sized the plan for it.
+func (m *Machine) settlePlacer(sp SteadyPlacer, until Time) Time {
+	if sp == nil {
+		return until
+	}
+	tk, ok := sp.Settled(m)
+	if !ok {
+		return m.now
+	}
+	if tk != nil {
+		p := &m.steady
+		p.tickers = append(p.tickers, nil)
+		copy(p.tickers[1:], p.tickers)
+		p.tickers[0] = tk
+	}
 	return until
 }
 
@@ -352,15 +389,16 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 // caller must fall back to Step.
 //
 // Per tick, in Step's order: thread progress accrues with the exact
-// subtraction execute performs (remaining -= done, workDone += done, core
-// busy += share, after the overhead steal's busy add), the memoized
-// per-cluster energy adds replay in integratePower's order (cluster
-// accumulator then total, clusters ascending), daemon internal state
-// advances via SteadyAdvance, and the clock and tick counters increment.
-// The per-core tick utilisation and stolen balances are fixed points of the
-// certified pattern and are left untouched; lastRan stamps and the summed
-// overhead charge are applied once at the end (only their final values are
-// observable).
+// subtraction execute performs (remaining -= done, workDone += done, the
+// lastRan stamp, core busy += share, after the overhead steal's busy add),
+// the memoized per-cluster energy adds replay in integratePower's order
+// (cluster accumulator then total, clusters ascending), placer and daemon
+// internal state advances via SteadyAdvance, and the clock and tick
+// counters increment. lastRan is stamped every tick because a ticker's
+// SteadyTick reads RanLastTick mid-window. The per-core tick utilisation
+// and stolen balances are fixed points of the certified pattern and are
+// left untouched; the summed overhead charge is applied once at the end
+// (only its final value is observable).
 func (m *Machine) RunSteady(until Time) bool {
 	p := &m.steady
 	start := m.now
@@ -394,6 +432,7 @@ window:
 				st := &p.threads[i]
 				st.t.remaining -= st.done
 				st.t.workDone += st.done
+				st.t.lastRan = m.execTick
 				sc.c.busy += sc.share
 			}
 		}
@@ -416,8 +455,5 @@ window:
 	m.energyJ = tot
 	steps := (m.now - start) / tickLen
 	m.overhead += steps * p.totalCharge
-	for i := range p.threads {
-		p.threads[i].t.lastRan = m.execTick
-	}
 	return true
 }
