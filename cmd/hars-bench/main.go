@@ -10,11 +10,17 @@
 //	           [-alloc-ceiling FleetQuiescent=64]
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz] ...
 //
+// The trajectory file carries the host's fingerprint: Go version, OS and
+// architecture, CPU count, the CPU model (from /proc/cpuinfo, empty
+// elsewhere) and the commit (git rev-parse HEAD, empty when unavailable).
+//
 // -prev prints per-benchmark deltas (ns/op and allocs/op) against a previous
-// trajectory file, so a PR's before/after story is one flag away.
+// trajectory file, so a PR's before/after story is one flag away. It warns
+// when the previous file ran on a different CPU model or CPU count: such
+// deltas measure the machines as much as the code.
 //
 // -count N runs every benchmark N times and records the median run (by
-// ns/op) in the trajectory file, printing the min/max spread alongside —
+// ns/op) in the trajectory file, with the min and max ns/op beside it —
 // the defense against declaring a regression (or a win) off one noisy run.
 //
 // -ratio-floor (repeatable, Ref/Fast=N) guards a fast path's reason to
@@ -35,10 +41,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"regexp"
 	"runtime"
 	"runtime/pprof"
@@ -57,6 +65,10 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// MinNsPerOp and MaxNsPerOp are the spread of the -count runs around
+	// the recorded median (absent with one run).
+	MinNsPerOp float64 `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp float64 `json:"max_ns_per_op,omitempty"`
 }
 
 // File is the trajectory file schema.
@@ -65,8 +77,52 @@ type File struct {
 	GOOS      string   `json:"goos"`
 	GOARCH    string   `json:"goarch"`
 	NumCPU    int      `json:"num_cpu"`
+	CPUModel  string   `json:"cpu_model"`
+	Commit    string   `json:"commit"`
 	Benchtime string   `json:"benchtime"`
 	Results   []Result `json:"results"`
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
+// there is none.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// commit returns the checked-out commit, or "" outside a git work tree.
+func commit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// hostWarning describes how the previous trajectory file's host differs
+// from this run's (CPU model or count), or returns "" when they match.
+func hostWarning(prev, cur *File) string {
+	if prev.CPUModel == cur.CPUModel && prev.NumCPU == cur.NumCPU {
+		return ""
+	}
+	name := func(f *File) string {
+		if f.CPUModel == "" {
+			return fmt.Sprintf("an unrecorded CPU model (%d CPUs)", f.NumCPU)
+		}
+		return fmt.Sprintf("%q (%d CPUs)", f.CPUModel, f.NumCPU)
+	}
+	return fmt.Sprintf("warning: -prev ran on %s, this run on %s: the deltas compare machines as well as code",
+		name(prev), name(cur))
 }
 
 // floor is one -ratio-floor guard: Ref's ns/op over Fast's must reach Min.
@@ -185,7 +241,14 @@ func main() {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
+		CPUModel:  cpuModel(),
+		Commit:    commit(),
 		Benchtime: "1s", // testing.Benchmark's built-in target
+	}
+	if prevFile != nil {
+		if w := hostWarning(prevFile, &f); w != "" {
+			fmt.Fprintln(os.Stderr, w)
+		}
 	}
 	for _, c := range bench.Cases() {
 		if re != nil && !re.MatchString(c.Name) {
@@ -193,9 +256,8 @@ func main() {
 		}
 		// With -count > 1 the recorded measurement is a real run — the
 		// median by ns/op — not an average that no run actually produced;
-		// the min/max spread goes to the console so noisy environments are
-		// visible in the log, while the trajectory file stays one number
-		// per benchmark.
+		// the min/max spread is recorded beside it and printed, so noisy
+		// environments are visible in the file and the log.
 		runs := make([]Result, *count)
 		for i := range runs {
 			r := testing.Benchmark(c.F)
@@ -211,8 +273,9 @@ func main() {
 		res := runs[(len(runs)-1)/2]
 		spread := ""
 		if *count > 1 {
+			res.MinNsPerOp, res.MaxNsPerOp = runs[0].NsPerOp, runs[len(runs)-1].NsPerOp
 			spread = fmt.Sprintf("   [median of %d; min %.1f, max %.1f ns/op]",
-				*count, runs[0].NsPerOp, runs[len(runs)-1].NsPerOp)
+				*count, res.MinNsPerOp, res.MaxNsPerOp)
 		}
 		f.Results = append(f.Results, res)
 		fmt.Printf("%-22s %12d iters %14.1f ns/op %8d B/op %6d allocs/op%s%s\n",

@@ -32,10 +32,12 @@ type PerfEstimator struct {
 
 	// Dense memo table over the small 4-D state space (core counts ×
 	// frequency levels), shared by Search, the tabu search, and MP-HARS's
-	// per-application sweeps. Entries are validated against memoEpoch,
-	// which bumps whenever the effective ratio or thread count changes, so
-	// invalidation is O(1). Evaluate is a pure function of (state, ratio,
-	// T): memoized results are bit-for-bit identical to recomputed ones.
+	// per-application sweeps; on an MP-HARS node one table serves every
+	// application of one thread count. Entries are validated against
+	// memoEpoch, which bumps whenever the effective ratio or thread count
+	// changes, so invalidation is O(1). Evaluate is a pure function of
+	// (state, ratio, T): memoized results are bit-for-bit identical to
+	// recomputed ones.
 	memo          []PerfEval
 	memoStamp     []uint32
 	memoEpoch     uint32

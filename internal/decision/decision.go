@@ -18,6 +18,7 @@ package decision
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/sim"
@@ -128,23 +129,28 @@ type Record struct {
 	Candidates []Candidate
 }
 
-// FormatCandidates renders a candidate set compactly and byte-stably:
+// AppendCandidates appends a candidate set compactly and byte-stably to b:
 // "node:score" per scored candidate, "node:score:reason" per excluded one,
-// joined by "|". Scores render as hexadecimal floats (%x), so -Inf
-// exclusions and exact ties survive a round trip through text.
-func FormatCandidates(cands []Candidate) string {
-	var b strings.Builder
+// joined by "|". Scores render as hexadecimal floats (strconv's 'x' form,
+// byte-identical to fmt's %x), so -Inf exclusions and exact ties survive a
+// round trip through text.
+func AppendCandidates(b []byte, cands []Candidate) []byte {
 	for i, c := range cands {
 		if i > 0 {
-			b.WriteByte('|')
+			b = append(b, '|')
 		}
-		fmt.Fprintf(&b, "%s:%x", c.Node, c.Score)
+		b = append(append(b, c.Node...), ':')
+		b = strconv.AppendFloat(b, c.Score, 'x', -1, 64)
 		if c.Reason != "" {
-			b.WriteByte(':')
-			b.WriteString(c.Reason)
+			b = append(append(b, ':'), c.Reason...)
 		}
 	}
-	return b.String()
+	return b
+}
+
+// FormatCandidates renders a candidate set as AppendCandidates does.
+func FormatCandidates(cands []Candidate) string {
+	return string(AppendCandidates(nil, cands))
 }
 
 // Detail renders the record's payload (everything but ID, time, and app)
@@ -158,8 +164,8 @@ func (r Record) Detail() string {
 	if to == "" {
 		to = "-"
 	}
-	return fmt.Sprintf("%s %s>%s %s margin=%x %s",
-		r.Kind, from, to, r.Outcome, r.Margin, FormatCandidates(r.Candidates))
+	head := fmt.Sprintf("%s %s>%s %s margin=%x ", r.Kind, from, to, r.Outcome, r.Margin)
+	return string(AppendCandidates([]byte(head), r.Candidates))
 }
 
 // Event converts the record to a sim tracer event (EvDecision): the app in

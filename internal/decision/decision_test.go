@@ -1,6 +1,7 @@
 package decision
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -49,6 +50,73 @@ func TestFormatCandidatesByteStable(t *testing.T) {
 	}
 	if s1, s2 := FormatCandidates(a), FormatCandidates(b); s1 == s2 {
 		t.Fatalf("adjacent floats rendered identically: %q", s1)
+	}
+}
+
+// fmtCandidates and fmtDetail are FormatCandidates and Record.Detail as
+// they were written on fmt: the references the append encoders must match
+// byte for byte.
+func fmtCandidates(cands []Candidate) string {
+	var b strings.Builder
+	for i, c := range cands {
+		if i > 0 {
+			b.WriteByte('|')
+		}
+		fmt.Fprintf(&b, "%s:%x", c.Node, c.Score)
+		if c.Reason != "" {
+			b.WriteByte(':')
+			b.WriteString(c.Reason)
+		}
+	}
+	return b.String()
+}
+
+func fmtDetail(r Record) string {
+	from, to := r.From, r.Chosen
+	if from == "" {
+		from = "-"
+	}
+	if to == "" {
+		to = "-"
+	}
+	return fmt.Sprintf("%s %s>%s %s margin=%x %s",
+		r.Kind, from, to, r.Outcome, r.Margin, fmtCandidates(r.Candidates))
+}
+
+func TestAppendCandidatesMatchesFmt(t *testing.T) {
+	sets := [][]Candidate{
+		nil,
+		{{Node: "node0", Score: 1.5}},
+		{{Node: "node0", Score: math.Inf(-1), Reason: ReasonPinned}},
+		{
+			{Node: "a", Score: 0},
+			{Node: "b", Score: math.Copysign(0, -1)},
+			{Node: "c", Score: math.Inf(1)},
+			{Node: "d", Score: math.NaN(), Reason: ReasonFull},
+			{Node: "e", Score: 5e-324},
+			{Node: "f", Score: math.MaxFloat64, Reason: ReasonSource},
+			{Node: "g", Score: -0.1},
+			{Node: "h", Score: math.Inf(-1), Reason: ReasonDown},
+		},
+	}
+	margins := []float64{0, math.Copysign(0, -1), 0.5, math.Inf(1), math.NaN()}
+	for i, cands := range sets {
+		want := fmtCandidates(cands)
+		if got := FormatCandidates(cands); got != want {
+			t.Errorf("set %d: FormatCandidates = %q, want %q", i, got, want)
+		}
+		if got := string(AppendCandidates([]byte("d,"), cands)); got != "d,"+want {
+			t.Errorf("set %d: AppendCandidates = %q, want %q", i, got, "d,"+want)
+		}
+		for _, mg := range margins {
+			r := Record{Kind: Gated, App: "app", From: "n0", Outcome: OutcomeHeld, Margin: mg, Candidates: cands}
+			if i%2 == 0 {
+				r.From, r.Chosen = "", "n1"
+			}
+			if got, want := r.Detail(), fmtDetail(r); got != want {
+				t.Errorf("set %d margin %v: Detail = %q, want %q", i, mg, got, want)
+			}
+		}
 	}
 }
 

@@ -107,6 +107,15 @@ func (c *ClusterSpec) Level(khz int) (int, bool) {
 	return 0, false
 }
 
+// Validate's size bounds. A CPUMask is a uint64, so a board with more than
+// MaxCores cores would have CPUs that can never come online. MaxOPPs bounds
+// each cluster's DVFS grid; together the two cap one performance
+// estimator's memo table at 33·33·32·32 states (about 94 MB).
+const (
+	MaxCores = 64
+	MaxOPPs  = 32
+)
+
 // Platform is a two-cluster HMP machine description.
 type Platform struct {
 	// Clusters is indexed by ClusterKind.
@@ -223,8 +232,14 @@ func (p *Platform) Validate() error {
 		if c.Cores <= 0 {
 			return fmt.Errorf("hmp: cluster %s has %d cores", k, c.Cores)
 		}
+		if c.Cores > MaxCores {
+			return fmt.Errorf("hmp: cluster %s has %d cores, more than the %d a CPU mask holds", k, c.Cores, MaxCores)
+		}
 		if len(c.OPPs) == 0 {
 			return fmt.Errorf("hmp: cluster %s has no OPPs", k)
+		}
+		if len(c.OPPs) > MaxOPPs {
+			return fmt.Errorf("hmp: cluster %s has %d OPPs, more than the %d supported", k, len(c.OPPs), MaxOPPs)
 		}
 		if c.IPC <= 0 {
 			return fmt.Errorf("hmp: cluster %s has non-positive IPC", k)
@@ -234,6 +249,9 @@ func (p *Platform) Validate() error {
 				return fmt.Errorf("hmp: cluster %s OPPs not ascending at %d", k, i)
 			}
 		}
+	}
+	if n := p.TotalCores(); n > MaxCores {
+		return fmt.Errorf("hmp: %d cores in total, more than the %d a CPU mask holds", n, MaxCores)
 	}
 	if p.BaseKHz <= 0 {
 		return fmt.Errorf("hmp: non-positive base frequency %d", p.BaseKHz)

@@ -5,6 +5,35 @@ import (
 	"testing/quick"
 )
 
+// TestValidateBounds: the core and OPP bounds are inclusive — a board with
+// exactly MaxCores cores and MaxOPPs levels per cluster validates, one more
+// of either does not.
+func TestValidateBounds(t *testing.T) {
+	board := func(big, little, opps int) *Platform {
+		p := Default()
+		p.Clusters[Big].Cores, p.Clusters[Little].Cores = big, little
+		grid := make([]OPP, opps)
+		for i := range grid {
+			grid[i] = OPP{KHz: 800_000 + 10_000*i, MilliVolt: 900}
+		}
+		p.Clusters[Big].OPPs = grid
+		return p
+	}
+	if err := board(32, 32, MaxOPPs).Validate(); err != nil {
+		t.Fatalf("board at the bounds rejected: %v", err)
+	}
+	for name, p := range map[string]*Platform{
+		"33+32 cores": board(33, 32, 9),
+		"1+64 cores":  board(1, 64, 9),
+		"65+1 cores":  board(MaxCores+1, 1, 9),
+		"33 big OPPs": board(4, 4, MaxOPPs+1),
+	} {
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+	}
+}
+
 func TestDefaultPlatformValidates(t *testing.T) {
 	p := Default()
 	if err := p.Validate(); err != nil {

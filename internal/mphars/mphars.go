@@ -159,6 +159,13 @@ type Manager struct {
 	tail     *appNode
 	clusters [hmp.NumClusters]*clusterData
 
+	// est holds one estimator pair per application thread count, built at
+	// the first registration of that count and reused by every later
+	// arrival, migration restore and recovery. Sharing is exact: the
+	// performance estimator's memo is a pure function of the platform, the
+	// thread count and the ratio, and MP-HARS never overrides the ratio.
+	est map[int]core.Estimators
+
 	searches      int
 	exploredTotal int
 }
@@ -168,7 +175,7 @@ type Manager struct {
 func New(m *sim.Machine, model *power.LinearModel, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	plat := m.Platform()
-	mgr := &Manager{cfg: cfg, plat: plat, model: model}
+	mgr := &Manager{cfg: cfg, plat: plat, model: model, est: make(map[int]core.Estimators)}
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		free := make([]bool, plat.Clusters[k].Cores)
 		for i := range free {
@@ -194,10 +201,15 @@ func New(m *sim.Machine, model *power.LinearModel, cfg Config) *Manager {
 // through the freezing counters) and schedules the first adaptation a full
 // period after the move, so decisions rest on rates measured here.
 func (mgr *Manager) Register(m *sim.Machine, proc *sim.Process, target heartbeat.Target, initBig, initLittle int) *appNode {
+	est, ok := mgr.est[len(proc.Threads)]
+	if !ok {
+		est = core.NewEstimators(mgr.plat, len(proc.Threads), mgr.model)
+		mgr.est[len(proc.Threads)] = est
+	}
 	n := &appNode{
 		proc:     proc,
 		target:   target,
-		est:      core.NewEstimators(mgr.plat, len(proc.Threads), mgr.model),
+		est:      est,
 		useBCore: make([]bool, mgr.plat.Clusters[hmp.Big].Cores),
 		useLCore: make([]bool, mgr.plat.Clusters[hmp.Little].Cores),
 	}

@@ -1,6 +1,7 @@
 package mphars
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -215,6 +216,33 @@ func TestAllocationReusesCores(t *testing.T) {
 	}
 	if err := mgr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegisterReusesEstimators: an app whose thread count the manager has
+// already seen registers without building a fresh estimator memo table
+// (about 113 KB on the default board), so a warm Register + Unregister
+// cycle — an arrival and departure, or a migration's restore and move
+// away — allocates only its per-app bookkeeping.
+func TestRegisterReusesEstimators(t *testing.T) {
+	plat := hmp.Default()
+	m := sim.New(plat, sim.Config{})
+	mgr := New(m, testModel(plat), Config{})
+	p := m.Spawn("a", steady("a", 0.5), 10)
+	tgt := heartbeat.Target{Min: 1, Avg: 2, Max: 3}
+	mgr.Register(m, p, tgt, 2, 2)
+	mgr.Unregister(m, p)
+
+	const cycles = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		mgr.Register(m, p, tgt, 2, 2)
+		mgr.Unregister(m, p)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 4096 {
+		t.Fatalf("warm Register + Unregister allocates %d B per cycle, want < 4096", per)
 	}
 }
 

@@ -382,6 +382,7 @@ type engine struct {
 		io.Writer
 		Sum64() uint64
 	}
+	line    traceLine // reused buffer each trace line is appended into
 	samples int
 
 	// Fault-injection state (all nil/zero without a faults block, keeping
@@ -1135,20 +1136,67 @@ func (e *engine) traceFault(nr *nodeRun, what, detail string) {
 	if e.faultCfg == nil {
 		return
 	}
-	fmt.Fprintf(e.out, "x,%d,%s,%s,%s\n", e.fl.Now()/sim.Millisecond, nr.rn.name, what, detail)
+	e.writeLine(e.lineStart('x', e.fl.Now()/sim.Millisecond).str(nr.rn.name).str(what).str(detail))
 }
 
 // traceDecision emits one "d" decision trace line, written at decision time
 // from the scheduler's hook on the main goroutine — so the stream
 // interleaves with samples identically under the lockstep, event, and
 // sharded cores. Only installed when decision tracing is on, so untraced
-// runs stay byte-identical. Floats render with %x for exactness; empty
-// from/to render as "-" so the column count is fixed.
+// runs stay byte-identical. Floats render in strconv's 'x' hex form for
+// exactness (byte-identical to fmt's %x); empty from/to render as "-" so
+// the column count is fixed.
 func (e *engine) traceDecision(r decision.Record) {
-	fmt.Fprintf(e.out, "d,%d,%d,%s,%s,%s,%s,%s,%x,%s\n",
-		r.T/sim.Millisecond, r.ID, r.Kind, r.App,
-		orDash(r.From), orDash(r.Chosen), r.Outcome, r.Margin,
-		decision.FormatCandidates(r.Candidates))
+	l := e.lineStart('d', r.T/sim.Millisecond).udec(r.ID).str(r.Kind.String()).str(r.App).
+		str(orDash(r.From)).str(orDash(r.Chosen)).str(r.Outcome).hexf(r.Margin)
+	e.writeLine(decision.AppendCandidates(append(l, ','), r.Candidates))
+}
+
+// traceLine is a trace line under construction. Each field method appends
+// a comma and one field, giving exactly fmt's bytes: dec and udec are %d,
+// hex is %x on an unsigned mask, str is %s, and hexf is %x on a float64 —
+// strconv's 'x' form, which fmt itself produces, down to -0x0p+00, +Inf,
+// -Inf and NaN.
+type traceLine []byte
+
+func (l traceLine) dec(v int64) traceLine   { return strconv.AppendInt(append(l, ','), v, 10) }
+func (l traceLine) udec(v uint64) traceLine { return strconv.AppendUint(append(l, ','), v, 10) }
+func (l traceLine) hex(v uint64) traceLine  { return strconv.AppendUint(append(l, ','), v, 16) }
+func (l traceLine) str(s string) traceLine  { return append(append(l, ','), s...) }
+func (l traceLine) hexf(v float64) traceLine {
+	return strconv.AppendFloat(append(l, ','), v, 'x', -1, 64)
+}
+
+// machine appends a machine's "m"/"n" fields: online mask, levels,
+// ceilings, energy and manager overhead.
+func (l traceLine) machine(m *sim.Machine) traceLine {
+	return l.hex(uint64(m.OnlineMask())).
+		dec(int64(m.Level(hmp.Big))).dec(int64(m.Level(hmp.Little))).
+		dec(int64(m.LevelCap(hmp.Big))).dec(int64(m.LevelCap(hmp.Little))).
+		hexf(m.EnergyJ()).dec(m.Overhead())
+}
+
+// thermal appends a node's "h" fields: cluster temperatures, ceilings and
+// the governor's throttle and release counts.
+func (l traceLine) thermal(nr *nodeRun) traceLine {
+	return l.hexf(nr.gov.TempC(hmp.Big)).hexf(nr.gov.TempC(hmp.Little)).
+		dec(int64(nr.m.LevelCap(hmp.Big))).dec(int64(nr.m.LevelCap(hmp.Little))).
+		dec(int64(nr.gov.Throttles())).dec(int64(nr.gov.Releases()))
+}
+
+// lineStart begins a trace line in the reused buffer: its kind and time.
+func (e *engine) lineStart(kind byte, tms sim.Time) traceLine {
+	return append(e.line[:0], kind).dec(tms)
+}
+
+// writeLine ends a trace line, writes it to the sink in one call and keeps
+// the grown buffer for the next line.
+func (e *engine) writeLine(l []byte) {
+	l = append(l, '\n')
+	// The hash never fails, and a trace write error sticks in the
+	// bufio.Writer, so Run reports it at the final Flush.
+	_, _ = e.out.Write(l)
+	e.line = l
 }
 
 func orDash(s string) string {
@@ -1328,26 +1376,20 @@ func (e *engine) scoreSLO() {
 	}
 }
 
-// sample emits one trace sample. Floats are rendered with %x so the trace
-// is exact and byte-stable. The single-machine format is the historical
-// one; multi-node runs emit one "n" (and "h") line per node, node-tagged
-// "a" lines, and an "f" fleet rollup line.
+// sample emits one trace sample. Floats are rendered in strconv's 'x' hex
+// form, byte-identical to fmt's %x, so the trace is exact and byte-stable.
+// The single-machine format is the historical one; multi-node runs emit one
+// "n" (and "h") line per node, node-tagged "a" lines, and an "f" fleet
+// rollup line.
 func (e *engine) sample() {
 	e.samples++
 	e.scoreSLO()
 	tms := e.fl.Now() / sim.Millisecond
 	if !e.fleetMode {
 		nr := e.nodes[0]
-		fmt.Fprintf(e.out, "m,%d,%x,%d,%d,%d,%d,%x,%d\n",
-			tms, uint64(nr.m.OnlineMask()),
-			nr.m.Level(hmp.Big), nr.m.Level(hmp.Little),
-			nr.m.LevelCap(hmp.Big), nr.m.LevelCap(hmp.Little),
-			nr.m.EnergyJ(), nr.m.Overhead())
+		e.writeLine(e.lineStart('m', tms).machine(nr.m))
 		if nr.gov != nil {
-			fmt.Fprintf(e.out, "h,%d,%x,%x,%d,%d,%d,%d\n",
-				tms, nr.gov.TempC(hmp.Big), nr.gov.TempC(hmp.Little),
-				nr.m.LevelCap(hmp.Big), nr.m.LevelCap(hmp.Little),
-				nr.gov.Throttles(), nr.gov.Releases())
+			e.writeLine(e.lineStart('h', tms).thermal(nr))
 		}
 		for _, a := range e.apps {
 			if a.proc == nil {
@@ -1361,23 +1403,16 @@ func (e *engine) sample() {
 			for _, t := range a.proc.Threads {
 				mig += t.Migrations()
 			}
-			fmt.Fprintf(e.out, "a,%d,%s,%d,%x,%x,%d\n",
-				tms, a.spec.Name, a.proc.HB.Count(), rate, a.proc.WorkDone(), mig)
+			e.writeLine(e.lineStart('a', tms).str(a.spec.Name).dec(a.proc.HB.Count()).
+				hexf(rate).hexf(a.proc.WorkDone()).dec(int64(mig)))
 		}
 		return
 	}
 
 	for _, nr := range e.nodes {
-		fmt.Fprintf(e.out, "n,%d,%s,%x,%d,%d,%d,%d,%x,%d\n",
-			tms, nr.rn.name, uint64(nr.m.OnlineMask()),
-			nr.m.Level(hmp.Big), nr.m.Level(hmp.Little),
-			nr.m.LevelCap(hmp.Big), nr.m.LevelCap(hmp.Little),
-			nr.m.EnergyJ(), nr.m.Overhead())
+		e.writeLine(e.lineStart('n', tms).str(nr.rn.name).machine(nr.m))
 		if nr.gov != nil {
-			fmt.Fprintf(e.out, "h,%d,%s,%x,%x,%d,%d,%d,%d\n",
-				tms, nr.rn.name, nr.gov.TempC(hmp.Big), nr.gov.TempC(hmp.Little),
-				nr.m.LevelCap(hmp.Big), nr.m.LevelCap(hmp.Little),
-				nr.gov.Throttles(), nr.gov.Releases())
+			e.writeLine(e.lineStart('h', tms).str(nr.rn.name).thermal(nr))
 		}
 	}
 	running := 0
@@ -1392,13 +1427,12 @@ func (e *engine) sample() {
 		if rec, ok := a.proc.HB.Latest(); ok {
 			rate = rec.WindowRate
 		}
-		fmt.Fprintf(e.out, "a,%d,%s,%s,%d,%x,%x,%d,%d\n",
-			tms, a.node.rn.name, a.spec.Name, a.beats(),
-			rate, a.work(), a.threadMigrations(), a.fapp.Migrations())
+		e.writeLine(e.lineStart('a', tms).str(a.node.rn.name).str(a.spec.Name).dec(a.beats()).
+			hexf(rate).hexf(a.work()).dec(int64(a.threadMigrations())).dec(int64(a.fapp.Migrations())))
 	}
 	stats := e.sched.Stats()
-	fmt.Fprintf(e.out, "f,%d,%d,%d,%x,%x,%d,%d\n",
-		tms, running, stats.QueueLen, e.fl.HPS(), e.fl.EnergyJ(), e.fl.Overhead(), stats.Migrations)
+	e.writeLine(e.lineStart('f', tms).dec(int64(running)).dec(int64(stats.QueueLen)).
+		hexf(e.fl.HPS()).hexf(e.fl.EnergyJ()).dec(e.fl.Overhead()).dec(int64(stats.Migrations)))
 }
 
 // checkStrict verifies the run-time invariants Strict mode promises, on

@@ -26,6 +26,49 @@ func loadTestdata(t *testing.T) *Scenario {
 	return sc
 }
 
+// TestDecodeRejectsOversizedBoards: a node board the simulator cannot
+// represent fails to decode with an error naming the limit. 40 + 40 cores
+// used to validate and run with CPUs 64–79 never online (a CPU mask is 64
+// bits); 20000 cores per cluster used to die out of memory building the
+// estimator memo; more than 32 OPPs per cluster is likewise refused.
+func TestDecodeRejectsOversizedBoards(t *testing.T) {
+	cases := []struct {
+		name        string
+		big, little int
+		littleOPPs  int
+		want        string
+	}{
+		{"40+40 cores", 40, 40, 0, "more than the 64 a CPU mask holds"},
+		{"20000 cores per cluster", 20000, 20000, 0, "more than the 64 a CPU mask holds"},
+		{"33 OPPs", 4, 4, 33, "more than the 32 supported"},
+	}
+	for _, c := range cases {
+		plat := hmp.Default()
+		plat.Clusters[hmp.Big].Cores = c.big
+		plat.Clusters[hmp.Little].Cores = c.little
+		if c.littleOPPs > 0 {
+			opps := make([]hmp.OPP, c.littleOPPs)
+			for i := range opps {
+				opps[i] = hmp.OPP{KHz: 800_000 + 10_000*i, MilliVolt: 900}
+			}
+			plat.Clusters[hmp.Little].OPPs = opps
+		}
+		sc := &Scenario{
+			Name: "oversized", Manager: ManagerHARSE, DurationMS: 1000,
+			Nodes: []NodeSpec{{Name: "n0", Platform: plat}},
+			Apps:  []AppSpec{{Name: "app0", Bench: "SW", Threads: 4, TargetFrac: 0.5}},
+		}
+		var buf bytes.Buffer
+		if err := sc.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(&buf)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Decode err = %v, want it to name the limit (%q)", c.name, err, c.want)
+		}
+	}
+}
+
 func TestDecodeRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"garbage":        `{nope`,
