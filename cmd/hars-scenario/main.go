@@ -65,7 +65,6 @@ func main() {
 	lockstep := flag.Bool("lockstep", false, "force the reference strategy, every machine stepped tick by tick, instead of the event-driven core and its windows (bit-identical; for benchmarking)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	workers := flag.Int("workers", 1, "shard node advancement between fleet decision points across N goroutines (any width is byte-identical)")
 	traceDecisions := flag.Bool("trace-decisions", false, "emit every scheduler decision as a d trace line with its scored candidate set")
 	counterfactual := flag.Int64("counterfactual", -1, "fork the run at this decision ID: force each top-k alternative and report per-alternative regret")
 	counterfactualK := flag.Int("counterfactual-k", 3, "how many alternative candidates -counterfactual replays")
@@ -161,8 +160,7 @@ func main() {
 
 	opts := scenario.Options{
 		Trace: trace, Strict: *strict, CheckEveryTick: *check,
-		Lockstep: *lockstep, Workers: *workers,
-		TraceDecisions: *traceDecisions,
+		Lockstep: *lockstep, TraceDecisions: *traceDecisions,
 	}
 
 	if *counterfactual >= 0 {

@@ -55,16 +55,15 @@
 // running unmodified while a fleet scheduler decides which node an
 // application lands on. internal/sim contributes the Node identity — a
 // named machine bundling its platform, power model, thermal governor, and
-// manager daemons behind the shared-clock Ticker interface, with
-// node-tagged trace events — and fleet.Fleet advances any number of Nodes
-// on one deterministic clock. Advancement is event-driven: the fleet
-// advances to the earliest wake time its scheduler hooks report
-// (fleet.Sleeper), each node runs ahead to it through the windows its
-// machine certifies (sim.Machine.SteadyUntil; an idle or crashed node's
-// window has an empty plan and is jumped in one step), and node
-// advancement can shard across workers with a deterministic merge. The
-// fast path is an execution strategy, not a semantic change — traces and
-// digests are bit-for-bit identical to per-tick lockstep, which remains
+// manager daemons, with node-tagged trace events (one sim.Tracer per
+// node) — and fleet.Fleet advances any number of Nodes on one
+// deterministic clock. Advancement is event-driven: the fleet advances to
+// the earliest wake time its scheduler hooks report (fleet.Sleeper), and
+// each node in turn runs ahead to it through the windows its machine
+// certifies (sim.Machine.SteadyUntil; an idle or crashed node's window has
+// an empty plan and is jumped in one step). The fast path is an execution
+// strategy, not a semantic change — traces and digests are bit-for-bit
+// identical to per-tick lockstep, which remains
 // available as the reference (fleet.Fleet.SetLockstep, scenario
 // Options.Lockstep, hars-scenario -lockstep: the one strategy switch).
 // Placement is pluggable (least-loaded, big-first for heterogeneity,
@@ -143,11 +142,12 @@
 // is always on at plain-counter cost and surfaces in fleet.Stats,
 // scenario.Result, and both hars-scenario summary formats; the full
 // per-decision stream is opt-in ("decisions" scenario block,
-// -trace-decisions) and renders as "d," trace lines and gated
-// decision/detail columns in the sim.Tracer CSV and Chrome exports —
-// scores in hex floats so the stream is byte-stable, and byte-identical
-// whether the fleet runs lockstep, event-driven, or worker-sharded. With
-// tracing disabled every golden digest reproduces bit-for-bit.
+// -trace-decisions) and renders as "d," trace lines — scores in hex
+// floats so the stream is byte-stable, and byte-identical whether the
+// fleet runs lockstep or event-driven (a decision.TracerSink can also
+// feed the records to a sim.Tracer, whose CSV and Chrome exports then
+// gain decision/detail columns). With tracing disabled every golden
+// digest reproduces bit-for-bit.
 //
 // Because runs are deterministic, a recorded decision can be replayed
 // against its road not taken: hars-scenario -counterfactual <id>
@@ -196,10 +196,9 @@
 //     scheduler's NextWake keeps no index — without the failure detector
 //     it reads no node, and with it one scan of each node's failed flag
 //     and detector verdict adds a pass to a barrier whose Tick already
-//     visits every node; node advancement between barriers runs
-//     on a persistent worker pool fed by a chunked cursor instead of
-//     spawning goroutines per barrier; and bit-identical idle nodes share one
-//     energy-replay computation per jump through a bit-exact-keyed cache
+//     visits every node; one loop brings the nodes to each barrier in
+//     index order; and bit-identical idle nodes share one energy-replay
+//     computation per jump through a bit-exact-keyed cache
 //     (sim.JumpCache), collapsing the cost of N idle machines to ~1. The
 //     steady-state barrier loop performs no allocations, pinned by the
 //     hars-bench -alloc-ceiling guard in CI.

@@ -8,10 +8,10 @@
 // Recording is pure observation: the scheduler assigns monotonic decision
 // IDs and updates the rollup whether or not a Sink is attached, and a
 // Sink's presence never changes a decision. Decisions only happen inside
-// fleet hook ticks, which run on the main goroutine at the same barrier
-// ticks under the lockstep, event-driven, and worker-sharded cores — so a
-// decision stream is deterministic and byte-identical across all three,
-// and forcing a decision by ID (the counterfactual replay seam in
+// fleet hook ticks, which run at the same barrier ticks under the lockstep
+// and event-driven cores — so a decision stream is deterministic and
+// byte-identical across both, and forcing a decision by ID (the
+// counterfactual replay seam in
 // fleet.Config.Force) addresses the same decision in every replay.
 package decision
 
@@ -303,8 +303,7 @@ func (q *QueueWait) String() string {
 // Rollup is the always-on decision-metrics aggregate the scheduler keeps
 // regardless of whether a Sink is attached, exposed as fleet.Stats.
 // Decisions. Everything here is a pure function of the decision stream, so
-// the rollup too is identical across the lockstep, event, and sharded
-// cores.
+// the rollup too is identical across the lockstep and event cores.
 type Rollup struct {
 	// Decisions counts decision points, i.e. the next decision ID.
 	Decisions uint64

@@ -19,10 +19,9 @@
 // tick in index order, then runs the fleet-wide hooks. RunUntil, however,
 // is discrete-event: it asks every hook implementing Sleeper for its next
 // wake time, takes the minimum as a barrier, advances each node to the
-// barrier independently (each machine runs its own certified windows —
+// barrier in turn (each machine runs its own certified windows —
 // sim.Machine.SteadyUntil, with idle and crashed machines jumping empty
-// windows — and node advancement can be sharded across workers, see
-// SetWorkers), and runs the hooks once at the barrier. The skipped hook
+// windows), and runs the hooks once at the barrier. The skipped hook
 // invocations are certified no-ops by the Sleeper contract, so the walk
 // visits exactly the states lockstep would: every digest, counter, and
 // trace byte is bit-for-bit identical. A hook that does not implement
@@ -39,10 +38,8 @@
 // migration cadence. With it, every barrier's Tick already loops over all
 // nodes (reconcile and detection), so NextWake's scan of each node's
 // failed flag and detector verdict is one more pass of two flag reads per
-// node. Node advancement between barriers reuses a persistent worker pool
-// (no per-barrier goroutine spawn) fed by a chunked atomic counter, and
-// machines route their empty-window jumps through per-worker
-// sim.JumpCaches, so a barrier over a mostly-idle fleet replays the energy
+// node. Machines route their empty-window jumps through one shared
+// sim.JumpCache, so a barrier over a mostly-idle fleet replays the energy
 // accumulation of each distinct machine state once instead of once per
 // node.
 //
@@ -52,20 +49,15 @@
 // tick, scheduler decisions happen at tick boundaries with fixed
 // tie-breaking (policy score, then node index), and the queue drains FIFO.
 // Replaying the same node set and arrival sequence produces bit-identical
-// machines — whatever the advancement strategy or worker count, because
-// nodes evolve independently between hook barriers and results merge in
-// index order (the width-independence discipline the experiments engine
-// pins with TestEngineDeterminism). A fleet of one node is bit-for-bit the
-// bare machine run — the Node wrapper adds no behaviour — which is what
-// lets the scenario engine route every run, single- or multi-node, through
-// this layer.
+// machines whatever the advancement strategy, because nodes evolve
+// independently between hook barriers. A fleet of one node is bit-for-bit
+// the bare machine run — the Node wrapper adds no behaviour — which is
+// what lets the scenario engine route every run, single- or multi-node,
+// through this layer.
 package fleet
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/hmp"
 	"repro/internal/mphars"
@@ -220,24 +212,10 @@ type Fleet struct {
 	allSleepers bool
 
 	lockstep bool
-	workers  int
 
-	// shared memoizes the sharedTracer verdict; tracer-attach listeners on
-	// every node invalidate it (sharedValid=false), so the per-barrier check
-	// is one bool read instead of an O(nodes) walk.
-	shared      bool
-	sharedValid bool
-
-	// jump is the empty-window replay memo for sequential and interleaved
-	// advancement; pool workers carry their own.
+	// jump is the empty-window replay memo every node's advancement to a
+	// barrier shares.
 	jump *sim.JumpCache
-
-	// pool is the sharded-advancement crew, nil while advancing
-	// sequentially. finalizer records that the fleet's finalizer — which
-	// stops whatever pool is current when the fleet is collected — is
-	// registered; the runtime allows one per object.
-	pool      *advancePool
-	finalizer bool
 }
 
 // New builds a fleet over the given nodes. All nodes must share one tick
@@ -262,12 +240,7 @@ func New(nodes ...*Node) (*Fleet, error) {
 				n.Name, n.Now(), nodes[0].Name, now)
 		}
 	}
-	f := &Fleet{nodes: nodes, tick: tick, allSleepers: true}
-	invalidate := func() { f.sharedValid = false }
-	for _, n := range nodes {
-		n.Machine.OnTracerChange(invalidate)
-	}
-	return f, nil
+	return &Fleet{nodes: nodes, tick: tick, allSleepers: true, jump: sim.NewJumpCache()}, nil
 }
 
 // Nodes returns the fleet's nodes in index order.
@@ -299,15 +272,6 @@ func (f *Fleet) AddHook(h Hook) {
 // the equivalence suite that proves exactly that.
 func (f *Fleet) SetLockstep(on bool) { f.lockstep = on }
 
-// SetWorkers shards node advancement between hook barriers across a
-// persistent pool of w goroutines fed through a chunked work cursor. Nodes
-// evolve independently between barriers, so any width — including 1, the
-// default — produces identical results; the merge back to fleet order is
-// by node index. Ignored while a tracer is shared between nodes (byte
-// order across nodes must then follow the global tick order) and in
-// lockstep mode.
-func (f *Fleet) SetWorkers(w int) { f.workers = w }
-
 // Step advances every node by one tick (index order), then runs the hooks.
 func (f *Fleet) Step() {
 	for _, n := range f.nodes {
@@ -320,9 +284,10 @@ func (f *Fleet) Step() {
 
 // RunUntil advances the shared clock until it reaches t: the event-driven
 // core. Each iteration computes the barrier — the earliest time ≤ t any
-// hook wants to run — advances every node there, and runs the hooks once.
-// Hook invocations skipped in between are no-ops by the Sleeper contract;
-// a non-Sleeper hook (or one due now) falls back to one lockstep Step.
+// hook wants to run — advances every node there in index order, each
+// running its own certified windows, and runs the hooks once. Hook
+// invocations skipped in between are no-ops by the Sleeper contract; a
+// non-Sleeper hook (or one due now) falls back to one lockstep Step.
 func (f *Fleet) RunUntil(t sim.Time) {
 	for f.Now() < t {
 		if f.lockstep || !f.allSleepers {
@@ -344,198 +309,13 @@ func (f *Fleet) RunUntil(t sim.Time) {
 			f.Step()
 			continue
 		}
-		f.advanceTo(barrier)
+		for _, n := range f.nodes {
+			n.RunUntilCached(barrier, f.jump)
+		}
 		for _, h := range f.hooks {
 			h.Tick(f)
 		}
 	}
-}
-
-// advanceTo brings every node to the barrier. Nodes are independent between
-// hook barriers, so each machine can run ahead on its own (running its
-// certified windows), sequentially or sharded across the persistent worker
-// pool — except when a tracer is shared between nodes: trace bytes must
-// then interleave in global tick order, so the fleet steps (and
-// collectively fast-forwards) all nodes together.
-func (f *Fleet) advanceTo(to sim.Time) {
-	if f.sharedTracer() {
-		f.advanceInterleaved(to)
-		return
-	}
-	w := f.workers
-	if w > len(f.nodes) {
-		w = len(f.nodes)
-	}
-	if w <= 1 {
-		if f.pool != nil {
-			f.pool.stop()
-			f.pool = nil
-		}
-		if f.jump == nil {
-			f.jump = sim.NewJumpCache()
-		}
-		for _, n := range f.nodes {
-			n.RunUntilCached(to, f.jump)
-		}
-		return
-	}
-	if f.pool == nil || f.pool.width != w {
-		if f.pool != nil {
-			f.pool.stop()
-		}
-		f.pool = newAdvancePool(f.nodes, w)
-		if !f.finalizer {
-			// The workers reference only the pool, never the Fleet, so an
-			// abandoned fleet stays collectable; its finalizer releases them.
-			runtime.SetFinalizer(f, func(f *Fleet) {
-				if f.pool != nil {
-					f.pool.stop()
-				}
-			})
-			f.finalizer = true
-		}
-	}
-	f.pool.advance(to)
-}
-
-// advancePool is the fleet's persistent node-advancement crew: width
-// long-lived goroutines fed per barrier through a chunked atomic cursor
-// (dynamic feeding — a worker stuck on the one busy node does not strand
-// the idle tail behind a static stride) instead of spawning goroutines
-// every barrier. Nodes mutate only themselves and the cursor hand-off
-// happens-before each chunk, so any width and any chunk interleaving
-// produce identical machines; each worker keeps a private sim.JumpCache,
-// which affects wall-clock only.
-type advancePool struct {
-	width int
-	chunk int
-	nodes []*Node
-	next  atomic.Int64
-	wg    sync.WaitGroup
-	work  chan sim.Time
-}
-
-func newAdvancePool(nodes []*Node, width int) *advancePool {
-	p := &advancePool{width: width, nodes: nodes, work: make(chan sim.Time)}
-	// ~4 chunks per worker: coarse enough that the cursor is not contended,
-	// fine enough that one busy node cannot serialize a whole stride.
-	p.chunk = len(nodes) / (width * 4)
-	if p.chunk < 1 {
-		p.chunk = 1
-	}
-	for g := 0; g < width; g++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *advancePool) worker() {
-	jc := sim.NewJumpCache()
-	for to := range p.work {
-		for {
-			lo := int(p.next.Add(int64(p.chunk))) - p.chunk
-			if lo >= len(p.nodes) {
-				break
-			}
-			hi := lo + p.chunk
-			if hi > len(p.nodes) {
-				hi = len(p.nodes)
-			}
-			for _, n := range p.nodes[lo:hi] {
-				n.RunUntilCached(to, jc)
-			}
-		}
-		p.wg.Done()
-	}
-}
-
-// advance brings every node to the barrier using the pool and returns when
-// all have arrived. Allocation-free: the barrier hand-off is one channel
-// send per worker.
-func (p *advancePool) advance(to sim.Time) {
-	p.next.Store(0)
-	p.wg.Add(p.width)
-	for g := 0; g < p.width; g++ {
-		p.work <- to
-	}
-	p.wg.Wait()
-}
-
-// stop releases the pool's goroutines. Idempotence is not needed: the fleet
-// replaces or clears the pool pointer whenever it stops one.
-func (p *advancePool) stop() { close(p.work) }
-
-// advanceInterleaved advances all nodes to the barrier in global tick
-// order: one tick each in index order, with a collective jump whenever
-// every node has an empty window ahead (the jump preserves byte order
-// because a machine in an empty window emits nothing).
-func (f *Fleet) advanceInterleaved(to sim.Time) {
-	if f.jump == nil {
-		f.jump = sim.NewJumpCache()
-	}
-	for f.Now() < to {
-		min := to
-		for _, n := range f.nodes {
-			if u := n.InertUntil(to); u < min {
-				min = u
-			}
-		}
-		if min > f.Now() {
-			for _, n := range f.nodes {
-				n.FastForwardCached(min, f.jump)
-			}
-			continue
-		}
-		for _, n := range f.nodes {
-			n.Step()
-		}
-	}
-}
-
-// sharedTracer reports whether any sim.Tracer is attached to two or more
-// nodes. The verdict is memoized — every node's machine invalidates it
-// through its tracer-attach listener — so the per-barrier cost is one bool
-// read, not an O(nodes) walk.
-func (f *Fleet) sharedTracer() bool {
-	if !f.sharedValid {
-		f.shared = f.computeSharedTracer()
-		f.sharedValid = true
-	}
-	return f.shared
-}
-
-func (f *Fleet) computeSharedTracer() bool {
-	var seen *sim.Tracer
-	for _, n := range f.nodes {
-		tr := n.Tracer()
-		if tr == nil {
-			continue
-		}
-		if seen == tr {
-			return true
-		}
-		if seen != nil {
-			// Two distinct tracers so far; compare every pair the slow way.
-			return f.sharedTracerSlow()
-		}
-		seen = tr
-	}
-	return false
-}
-
-func (f *Fleet) sharedTracerSlow() bool {
-	seen := make(map[*sim.Tracer]bool, len(f.nodes))
-	for _, n := range f.nodes {
-		tr := n.Tracer()
-		if tr == nil {
-			continue
-		}
-		if seen[tr] {
-			return true
-		}
-		seen[tr] = true
-	}
-	return false
 }
 
 // EnergyJ returns the fleet-wide energy rollup: the sum over nodes.

@@ -76,6 +76,9 @@ func (st *ArrivalStream) validate(i int, durationMS int64) error {
 	if st.MaxApps > maxStreamAppsHard {
 		return fmt.Errorf("scenario: arrival stream %q: max_apps %d above the %d cap", st.Name, st.MaxApps, maxStreamAppsHard)
 	}
+	if st.Threads > maxAppThreads {
+		return fmt.Errorf("scenario: arrival stream %q: threads %d above the %d cap", st.Name, st.Threads, maxAppThreads)
+	}
 	if len(st.Rate) == 0 {
 		return fmt.Errorf("scenario: arrival stream %q: no rate profile", st.Name)
 	}

@@ -30,11 +30,9 @@ var fixedMaxRate = func(string, int) float64 { return 50 }
 // TestDecisionStreamMatchesAcrossCores is the decision-observability
 // equivalence suite (the satellite companion to TestEventCoreMatchesLockstep):
 // generated thermal+SLO+fault fleet scenarios with decision tracing enabled
-// replay through the lockstep core, the event-driven core, and the
-// worker-sharded event core, and the full trace — decision "d" lines
-// included — must be byte-identical across all three. Runs under -race in
-// CI, which also hunts the sharded path for data races in the decision
-// recording.
+// replay through the lockstep core and the event-driven core, and the full
+// trace — decision "d" lines included — must be byte-identical across both.
+// Runs under -race in CI.
 func TestDecisionStreamMatchesAcrossCores(t *testing.T) {
 	policies := []string{"least-loaded", "big-first", "coolest", "slo-aware"}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -55,43 +53,36 @@ func TestDecisionStreamMatchesAcrossCores(t *testing.T) {
 			sc.Apps[i].SLO = &SLOSpec{TargetHPS: 20, SlackMS: 150}
 		}
 
-		run := func(lockstep bool, workers int) (string, uint64, uint64) {
+		run := func(lockstep bool) (string, uint64, uint64) {
 			var buf bytes.Buffer
 			res, err := Run(sc, Options{
 				Trace:    &buf,
 				MaxRate:  fixedMaxRate,
 				Strict:   true,
 				Lockstep: lockstep,
-				Workers:  workers,
 			})
 			if err != nil {
-				t.Fatalf("seed %d (%s, lockstep=%v workers=%d): %v",
-					seed, placement, lockstep, workers, err)
+				t.Fatalf("seed %d (%s, lockstep=%v): %v", seed, placement, lockstep, err)
 			}
 			return buf.String(), res.TraceDigest, res.Decisions.Decisions
 		}
 
-		refTrace, refDigest, refDecisions := run(true, 1)
+		refTrace, refDigest, refDecisions := run(true)
 		if refDecisions == 0 || !strings.Contains(refTrace, "\nd,") {
 			t.Fatalf("seed %d: no decisions on the trace surface", seed)
 		}
-		for _, v := range []struct {
-			name    string
-			workers int
-		}{{"event", 1}, {"event-sharded", 4}} {
-			trace, digest, decisions := run(false, v.workers)
-			if digest != refDigest {
-				t.Errorf("seed %d (%s): %s digest %016x != lockstep %016x",
-					seed, placement, v.name, digest, refDigest)
-			}
-			if trace != refTrace {
-				t.Errorf("seed %d (%s): %s trace diverged from lockstep (%s)",
-					seed, placement, v.name, firstDiff(trace, refTrace))
-			}
-			if decisions != refDecisions {
-				t.Errorf("seed %d (%s): %s made %d decisions, lockstep %d",
-					seed, placement, v.name, decisions, refDecisions)
-			}
+		trace, digest, decisions := run(false)
+		if digest != refDigest {
+			t.Errorf("seed %d (%s): event digest %016x != lockstep %016x",
+				seed, placement, digest, refDigest)
+		}
+		if trace != refTrace {
+			t.Errorf("seed %d (%s): event trace diverged from lockstep (%s)",
+				seed, placement, firstDiff(trace, refTrace))
+		}
+		if decisions != refDecisions {
+			t.Errorf("seed %d (%s): event made %d decisions, lockstep %d",
+				seed, placement, decisions, refDecisions)
 		}
 	}
 }

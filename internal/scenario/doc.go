@@ -51,7 +51,9 @@
 //     runs to the end). The performance target is either an explicit
 //     {min, avg, max} band or target_frac, a fraction of the benchmark's
 //     measured maximum rate (±5% band). init_big/init_little are the
-//     MP-HARS initial core allocation (default 1+1).
+//     MP-HARS initial core allocation (default 1+1). threads defaults to
+//     8; validation rejects more than 1,024, here and in an arrival
+//     stream's template.
 //   - events: "hotplug" toggles one CPU (online is required); "dvfs_cap"
 //     installs a cluster frequency ceiling (max_level indexes the OPP grid;
 //     restore with the grid's top level); "target" re-targets one app
@@ -245,9 +247,9 @@
 // and the winner's score margin over the runner-up. Scores and margins
 // render as hexadecimal floats, so the lines are byte-stable and exact.
 // The same records land in Result.DecisionRecords (bounded by "keep",
-// default 100,000; overflow counted in Result.DecisionsDropped), and
-// sim.Tracer CSV/Chrome output grows decision/detail columns only when
-// decision events are present. Options.TraceDecisions arms the stream from
+// default 100,000; overflow counted in Result.DecisionsDropped). The
+// scenario attaches no sim.Tracer; the "d" lines are its only per-decision
+// output. Options.TraceDecisions arms the stream from
 // the command line (hars-scenario -trace-decisions) without touching the
 // document. With the block absent or disabled (and the flag off) the trace
 // is bit-for-bit the undecorated run — every golden digest reproduces
@@ -255,9 +257,9 @@
 // by kind, gated migrations, mean score margin, admission queue-wait
 // histogram) is maintained regardless.
 //
-// Decisions happen inside fleet hook ticks on the main goroutine, so the
-// decision stream is byte-identical across the lockstep, event-driven, and
-// worker-sharded cores, and decision IDs are assigned whether or not the
+// Decisions happen inside fleet hook ticks, at the same barrier ticks under
+// the lockstep and event-driven cores, so the decision stream is
+// byte-identical across both, and decision IDs are assigned whether or not the
 // stream is recorded. That is what makes counterfactual replay exact:
 // Options.ForceDecisions (hars-scenario -counterfactual <id>
 // [-counterfactual-k N]) re-runs the scenario forcing one recorded

@@ -74,13 +74,6 @@ type Options struct {
 	// exists for benchmarking and for that proof.
 	Lockstep bool
 
-	// Workers shards node advancement between fleet decision points across
-	// this many goroutines (fleet.SetWorkers). Any width produces
-	// byte-identical results; values above 1 are ignored when PerTick is
-	// set, because property checkers are shared closures the engine must
-	// not invoke concurrently.
-	Workers int
-
 	// TraceDecisions forces decision tracing on, exactly as if the
 	// scenario declared an enabled "decisions" block (the hars-scenario
 	// -trace-decisions flag). The scenario document itself is untouched.
@@ -445,9 +438,6 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		return nil, err
 	}
 	e.fl.SetLockstep(opts.Lockstep)
-	if opts.Workers > 1 && opts.PerTick == nil {
-		e.fl.SetWorkers(opts.Workers)
-	}
 	var fcfg *fault.Config
 	if sc.Faults != nil {
 		c := sc.Faults.Runtime()
@@ -1140,12 +1130,11 @@ func (e *engine) traceFault(nr *nodeRun, what, detail string) {
 }
 
 // traceDecision emits one "d" decision trace line, written at decision time
-// from the scheduler's hook on the main goroutine — so the stream
-// interleaves with samples identically under the lockstep, event, and
-// sharded cores. Only installed when decision tracing is on, so untraced
-// runs stay byte-identical. Floats render in strconv's 'x' hex form for
-// exactness (byte-identical to fmt's %x); empty from/to render as "-" so
-// the column count is fixed.
+// from the scheduler's hook — so the stream interleaves with samples
+// identically under the lockstep and event cores. Only installed when
+// decision tracing is on, so untraced runs stay byte-identical. Floats
+// render in strconv's 'x' hex form for exactness (byte-identical to fmt's
+// %x); empty from/to render as "-" so the column count is fixed.
 func (e *engine) traceDecision(r decision.Record) {
 	l := e.lineStart('d', r.T/sim.Millisecond).udec(r.ID).str(r.Kind.String()).str(r.App).
 		str(orDash(r.From)).str(orDash(r.Chosen)).str(r.Outcome).hexf(r.Margin)

@@ -17,8 +17,7 @@ import (
 // variants of the event-driven core with its certified machine windows.
 // Every variant must produce byte-identical traces and digests. Strict mode
 // keeps the runtime invariant checkers on the equivalence surface. The
-// suites run under -race in CI, which also exercises the worker-sharded path
-// for data races.
+// suites run under -race in CI.
 
 // equivVariant is one fast-strategy configuration replayed against the
 // lockstep reference.
@@ -27,13 +26,10 @@ type equivVariant struct {
 	opts Options
 }
 
-// TestEventCoreMatchesLockstep replays the event-driven core, sequential and
-// with sharded node advancement, against the lockstep reference.
+// TestEventCoreMatchesLockstep replays the event-driven core against the
+// lockstep reference.
 func TestEventCoreMatchesLockstep(t *testing.T) {
-	checkMatchesLockstep(t,
-		equivVariant{"event", Options{}},
-		equivVariant{"event-sharded", Options{Workers: 4}},
-	)
+	checkMatchesLockstep(t, equivVariant{"event", Options{}})
 }
 
 // TestSteadyMatchesGeneral pins the machines' certified windows to the
@@ -47,13 +43,12 @@ func TestSteadyMatchesGeneral(t *testing.T) {
 	)
 }
 
-// TestWakeIndexMatchesScan replays the event core with node advancement
-// sharded two ways, a width no other entry runs. The name is historical
-// (the scheduler no longer keeps a wake index beside its NextWake scan).
+// TestWakeIndexMatchesScan replays the event core, whose barriers come
+// from the scheduler's NextWake scan, against the lockstep reference. The
+// name is historical (the scheduler no longer keeps a wake index beside
+// that scan).
 func TestWakeIndexMatchesScan(t *testing.T) {
-	checkMatchesLockstep(t,
-		equivVariant{"event-sharded-2", Options{Workers: 2}},
-	)
+	checkMatchesLockstep(t, equivVariant{"event", Options{}})
 }
 
 // checkMatchesLockstep replays every input of equivInputs through the

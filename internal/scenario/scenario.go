@@ -140,6 +140,11 @@ type NodeSpec struct {
 // blow up validation or the engine's action timeline.
 const maxOccurrences = 100_000
 
+// maxAppThreads bounds one application's thread count, declared or from an
+// arrival stream's template, so an oversized document fails validation
+// instead of exhausting memory when the engine spawns the app.
+const maxAppThreads = 1024
+
 // Event is one timed dynamic event.
 type Event struct {
 	AtMS int64  `json:"at_ms"`
@@ -525,6 +530,9 @@ func (sc *Scenario) resolveAndValidate() ([]resolvedNode, []AppSpec, error) {
 		}
 		if a.Threads < 0 {
 			return nil, nil, fmt.Errorf("scenario: app %q: negative threads", a.Name)
+		}
+		if a.Threads > maxAppThreads {
+			return nil, nil, fmt.Errorf("scenario: app %q: threads %d above the %d cap", a.Name, a.Threads, maxAppThreads)
 		}
 		if a.StartMS < 0 || a.StartMS >= sc.DurationMS {
 			return nil, nil, fmt.Errorf("scenario: app %q: start_ms %d outside [0, %d)", a.Name, a.StartMS, sc.DurationMS)

@@ -69,6 +69,39 @@ func TestDecodeRejectsOversizedBoards(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOversizedApps pins the thread bound: more than 1024
+// threads in a declared app or in an arrival stream's template fails
+// Decode with the limit named, instead of exhausting memory at spawn,
+// and exactly 1024 still validates.
+func TestDecodeRejectsOversizedApps(t *testing.T) {
+	decode := func(threads int, stream bool) error {
+		sc := &Scenario{
+			Name: "oversized", Manager: ManagerHARSE, DurationMS: 1000,
+			Apps: []AppSpec{{Name: "app0", Bench: "SW", Threads: 4, TargetFrac: 0.5}},
+		}
+		if stream {
+			sc.Arrivals = []ArrivalStream{{Name: "s", Bench: "SW", Threads: threads,
+				Rate: []RateStep{{PerS: 2}}}}
+		} else {
+			sc.Apps[0].Threads = threads
+		}
+		var buf bytes.Buffer
+		if err := sc.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(&buf)
+		return err
+	}
+	for _, stream := range []bool{false, true} {
+		if err := decode(1025, stream); err == nil || !strings.Contains(err.Error(), "above the 1024 cap") {
+			t.Errorf("stream=%v: 1025 threads: Decode err = %v, want it to name the 1024 cap", stream, err)
+		}
+		if err := decode(1024, stream); err != nil {
+			t.Errorf("stream=%v: 1024 threads: %v", stream, err)
+		}
+	}
+}
+
 func TestDecodeRejectsInvalid(t *testing.T) {
 	cases := map[string]string{
 		"garbage":        `{nope`,

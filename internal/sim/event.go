@@ -12,26 +12,16 @@ import (
 // machines spend most of their time in such windows, and FastForwardCached
 // executes one without walking the per-core plan, with the energy replay
 // shared across bit-identical machines through a JumpCache. fleet.Fleet
-// and the scenario engine build on this to jump whole quiescent fleets.
-
-// InertUntil returns the end of the window SteadyUntil certifies up to
-// limit when that window's plan is empty, and m.Now() otherwise. A fleet
-// whose nodes share a tracer steps them in global tick order and uses it
-// to find the stretches every node can jump together.
-func (m *Machine) InertUntil(limit Time) Time {
-	if until := m.SteadyUntil(limit); until > m.now && m.steady.empty() {
-		return until
-	}
-	return m.now
-}
+// passes one cache to every node it brings to a barrier, so a quiescent
+// fleet replays each distinct machine state once.
 
 // FastForwardCached executes an empty window up to (exactly) until: the
 // memoized per-cluster energy is accumulated in the same order and with the
 // same float additions Step would have performed (no closed-form shortcut —
 // repeated IEEE addition is not multiplication), through jc when it is not
 // nil, and the clock, tick and execute counters advance tick by tick. The
-// caller must have certified the window (InertUntil, or SteadyUntil with an
-// empty plan); FastForwardCached itself does not re-check.
+// caller must have certified the window (SteadyUntil with an empty plan);
+// FastForwardCached itself does not re-check.
 func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 	d := until - m.now
 	if d <= 0 {
@@ -69,7 +59,7 @@ func (m *Machine) replayEnergy(steps int64) {
 }
 
 // jumpCacheWays is the JumpCache associativity: enough that the handful of
-// distinct machine shapes a worker sweeps per barrier (busy-adjacent, a few
+// distinct machine shapes a fleet sweeps per barrier (busy-adjacent, a few
 // platform variants) coexist without evicting each other.
 const jumpCacheWays = 4
 
@@ -97,9 +87,8 @@ type jumpEntry struct {
 // bit-identical power states — the common case in a large mostly-idle
 // fleet, where every quiescent node evolves identically — need the
 // O(steps) addition loop run only once; every other machine replays the
-// memoized result, bit-for-bit. A cache is single-goroutine state: sharded
-// fleet advancement gives each worker its own (hits only affect wall-clock,
-// never results, so per-worker caching costs nothing in determinism).
+// memoized result, bit-for-bit. A cache is single-goroutine state; hits
+// only affect wall-clock, never results.
 type JumpCache struct {
 	ents [jumpCacheWays]jumpEntry
 	next int // round-robin eviction cursor

@@ -83,36 +83,29 @@ func TestFastForwardMatchesStepping(t *testing.T) {
 	}
 }
 
-// TestInertUntilBounds pins the fast-path gate: a warm idle machine is inert
-// to the limit, the first pending timer bounds the jump, and any runnable
-// thread pins the machine to per-tick stepping.
+// TestInertUntilBounds pins the empty-window gate: a warm idle machine's
+// window runs to the limit and the first pending timer bounds it. (The
+// name predates SteadyUntil; TestSteadyUntilGates covers busy machines.)
 func TestInertUntilBounds(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 
-	// A cold machine has no warm energy memo: not inert.
-	if u := m.InertUntil(m.Now() + sim.Second); u != m.Now() {
-		t.Fatalf("cold machine reported inert until %d", u)
+	// A cold machine has no warm energy memo: no window.
+	if u := m.SteadyUntil(m.Now() + sim.Second); u != m.Now() {
+		t.Fatalf("cold machine certified a window until %d", u)
 	}
 	m.Step() // warms the memo
 	limit := m.Now() + sim.Second
-	if u := m.InertUntil(limit); u != limit {
-		t.Fatalf("warm idle machine inert until %d, want %d", u, limit)
+	if u := m.SteadyUntil(limit); u != limit {
+		t.Fatalf("warm idle machine's window ends at %d, want %d", u, limit)
 	}
 
-	// A pending timer bounds the jump (WakeAt deadlines are absolute).
-	p := m.Spawn("s", &spinner{threads: 1, unit: 0.1, delay: 300 * sim.Millisecond}, 4)
+	// A pending timer bounds the window (WakeAt deadlines are absolute).
+	m.Spawn("s", &spinner{threads: 1, unit: 0.1, delay: 300 * sim.Millisecond}, 4)
 	wake := sim.Time(300 * sim.Millisecond)
-	if u := m.InertUntil(limit); u != wake {
-		t.Fatalf("timer-bounded jump to %d, want %d", u, wake)
+	if u := m.SteadyUntil(limit); u != wake {
+		t.Fatalf("timer-bounded window ends at %d, want %d", u, wake)
 	}
-
-	// Past the wakeup the thread is runnable: not inert at all.
-	m.RunUntil(wake + sim.Millisecond)
-	if u := m.InertUntil(limit); u != m.Now() {
-		t.Fatalf("busy machine reported inert until %d (now %d)", u, m.Now())
-	}
-	_ = p
 }
 
 // TestNonSleeperDaemonForcesLockstep pins the conservative default: a daemon

@@ -2,20 +2,6 @@ package sim
 
 import "repro/internal/hmp"
 
-// Ticker is the single-clock advance interface of a multi-machine
-// simulation: one call advances one tick. Machine and Node both implement
-// it; a fleet layer advances many Tickers in lockstep so every machine of a
-// multi-node run shares one deterministic clock.
-type Ticker interface {
-	// Step advances the simulation by one tick.
-	Step()
-	// Now returns the current simulated time.
-	Now() Time
-	// TickLen returns the tick length. Tickers sharing a clock must agree
-	// on it.
-	TickLen() Time
-}
-
 // Node is one machine of a multi-machine simulation: a Machine plus a fleet
 // identity. The machine's power model, thermal governor, and runtime
 // manager all hang off the embedded Machine (Config.Power and AddDaemon),
@@ -36,29 +22,21 @@ type Node struct {
 }
 
 // NewNode creates a named machine over its own platform description. Every
-// event the machine emits is stamped with the node name, so the
-// interleaved streams of a fleet — even through one shared Tracer — stay
-// attributable.
+// event the machine emits is stamped with the node name, so the per-node
+// streams of a fleet stay attributable when combined.
 func NewNode(id int, name string, plat *hmp.Platform, cfg Config) *Node {
 	n := &Node{ID: id, Name: name, Machine: New(plat, cfg)}
 	n.Machine.nodeName = name
 	return n
 }
 
-// SetTracer attaches a tracer to the node's machine. Machine-originated
-// events carry the node name regardless; the tracer-level tag is set only
-// when the tracer is not shared with another node, as a fallback for
-// daemon-recorded events that do not stamp a node themselves.
+// SetTracer attaches a tracer to the node's machine and tags it with the
+// node name, the fallback for daemon-recorded events that do not stamp a
+// node themselves (machine-originated events carry the name regardless).
+// One tracer records one node: give each node of a fleet its own.
 func (n *Node) SetTracer(tr *Tracer) {
 	if tr != nil {
-		switch tr.Node {
-		case "", n.Name:
-			tr.Node = n.Name
-		default:
-			// Shared across nodes: a single tracer-level tag would
-			// mislabel; rely on per-event stamps instead.
-			tr.Node = ""
-		}
+		tr.Node = n.Name
 	}
 	n.Machine.SetTracer(tr)
 }

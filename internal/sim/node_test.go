@@ -38,10 +38,14 @@ func TestNodeStepEqualsMachineStep(t *testing.T) {
 	}
 }
 
-// TestNodeImplementsTicker pins the single-clock interface.
+// TestNodeImplementsTicker pins the node's clock: one step advances it by
+// one tick, in agreement with its machine's.
 func TestNodeImplementsTicker(t *testing.T) {
-	var _ sim.Ticker = sim.New(hmp.Default(), sim.Config{})
-	var _ sim.Ticker = sim.NewNode(0, "n", hmp.Default(), sim.Config{})
+	n := sim.NewNode(0, "n", hmp.Default(), sim.Config{})
+	n.Step()
+	if n.Now() != n.Machine.Now() || n.Now() != n.TickLen() {
+		t.Fatalf("after one step node at %d, machine at %d, tick %d", n.Now(), n.Machine.Now(), n.TickLen())
+	}
 }
 
 // TestNodeTaggedTrace checks that events recorded through a node-attached
@@ -79,18 +83,16 @@ func TestNodeTaggedTrace(t *testing.T) {
 		t.Fatalf("tagged CSV row missing node: %q", lines[1])
 	}
 
-	// A tracer shared across two nodes attributes each event to the node
-	// that emitted it (per-event stamping, not the tracer-level tag).
+	// A tracer attached through Machine.SetTracer carries no node tag, yet
+	// the node's events still name it (per-event stamping, which the
+	// tracer-level tag would otherwise mask).
 	a := sim.NewNode(0, "a", hmp.Default(), sim.Config{})
-	b := sim.NewNode(1, "b", hmp.Default(), sim.Config{})
-	shared := &sim.Tracer{}
-	a.SetTracer(shared)
-	b.SetTracer(shared)
+	untagged := &sim.Tracer{}
+	a.Machine.SetTracer(untagged)
 	a.SetLevel(hmp.Big, 1)
-	b.SetLevel(hmp.Big, 2)
-	evs := shared.Events()
-	if len(evs) != 2 || evs[0].Node != "a" || evs[1].Node != "b" {
-		t.Fatalf("shared tracer misattributed events: %+v", evs)
+	evs := untagged.Events()
+	if untagged.Node != "" || len(evs) != 1 || evs[0].Node != "a" {
+		t.Fatalf("untagged tracer on node a recorded %+v (tag %q)", evs, untagged.Node)
 	}
 
 	// Untagged tracers keep the historical nine-column format.

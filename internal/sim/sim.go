@@ -180,10 +180,6 @@ type Machine struct {
 	daemons []Daemon
 	timers  timerHeap
 
-	// tracerListeners fire on SetTracer; the fleet invalidates its
-	// shared-tracer memo through them.
-	tracerListeners []func()
-
 	energyJ        float64
 	clusterEnergyJ [hmp.NumClusters]float64
 	overhead       Time
@@ -204,8 +200,9 @@ type Machine struct {
 
 	tracer *Tracer
 	// nodeName is the machine's fleet identity (set by NewNode, "" for a
-	// standalone machine), stamped onto every event the machine emits so
-	// a tracer shared across nodes still attributes correctly.
+	// standalone machine), stamped onto every event the machine emits, so
+	// its events carry the node even through a tracer attached with
+	// Machine.SetTracer, which sets no tracer-level tag.
 	nodeName string
 }
 

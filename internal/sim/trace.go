@@ -111,8 +111,9 @@ type Event struct {
 	// delay has elapsed. Equal to T when the move was free.
 	Until Time
 	// Node is the name of the node the event occurred on ("" on a
-	// standalone machine). Stamped by the tracer from its Node tag, so
-	// multi-node traces merged into one stream stay attributable.
+	// standalone machine). Stamped by the emitting machine, or else by the
+	// tracer from its Node tag, so per-node traces stay attributable when
+	// combined.
 	Node string
 	// Decision and Detail describe fleet scheduler decision events
 	// (EvDecision): Decision is the monotonic decision ID and Detail the
@@ -123,7 +124,7 @@ type Event struct {
 
 // Tracer records machine events up to a bounded capacity; beyond it, events
 // are counted but dropped (long experiments generate millions of beats).
-// Attach with Machine.SetTracer.
+// Attach with Machine.SetTracer; one tracer records one machine.
 type Tracer struct {
 	// Max bounds retained events; 0 selects 1,000,000.
 	Max int
@@ -335,29 +336,19 @@ func (tr *Tracer) WriteChromeTrace(w io.Writer) error {
 	return enc.Encode(map[string]any{"traceEvents": out})
 }
 
-// SetTracer attaches an event tracer to the machine (nil detaches).
-func (m *Machine) SetTracer(tr *Tracer) {
-	m.tracer = tr
-	for _, fn := range m.tracerListeners {
-		fn()
-	}
-}
-
-// OnTracerChange registers fn to run on every SetTracer call. The fleet
-// layer subscribes so its memoized shared-tracer verdict — which decides
-// whether node advancement may shard across workers — is invalidated the
-// moment a tracer is attached or detached, instead of being recomputed by
-// walking every node each barrier.
-func (m *Machine) OnTracerChange(fn func()) {
-	m.tracerListeners = append(m.tracerListeners, fn)
-}
+// SetTracer attaches an event tracer to the machine (nil detaches). One
+// tracer records one machine: a fleet advances its nodes to each barrier
+// one after another, so a tracer attached to two machines would receive
+// their events in that order, not in tick order.
+func (m *Machine) SetTracer(tr *Tracer) { m.tracer = tr }
 
 // Tracer returns the attached tracer, if any.
 func (m *Machine) Tracer() *Tracer { return m.tracer }
 
 // NodeName returns the machine's fleet identity ("" standalone). Daemons
-// recording their own trace events stamp it into Event.Node so a tracer
-// shared across nodes attributes them correctly.
+// recording their own trace events stamp it into Event.Node, as the
+// machine does for its own, so they stay attributed whatever the tracer's
+// Node tag.
 func (m *Machine) NodeName() string { return m.nodeName }
 
 // emit records a machine-originated event, stamped with the machine's own
