@@ -174,13 +174,17 @@ func BenchmarkAssign(b *testing.B) { bench.Assign(b) }
 // 8-thread data-parallel workload on the default machine.
 func BenchmarkSimSecond(b *testing.B) { bench.SimSecond(b) }
 
+// BenchmarkSimSecondStepped is the same fixture advanced tick by tick; its
+// ratio to SimSecond is the tracked window speedup.
+func BenchmarkSimSecondStepped(b *testing.B) { bench.SimSecondStepped(b) }
+
 // BenchmarkSimSecondPipeline is the pipeline-workload variant: heavy
 // block/unblock churn, the incremental run queues' worst case.
 func BenchmarkSimSecondPipeline(b *testing.B) { bench.SimSecondPipeline(b) }
 
 // BenchmarkSimSecondThermal is SimSecond with the closed thermal loop (RC
 // model + governor daemon) attached; the delta against SimSecond is the
-// per-tick cost of the loop.
+// cost of the loop.
 func BenchmarkSimSecondThermal(b *testing.B) { bench.SimSecondThermal(b) }
 
 // BenchmarkSimSecondGTS is SimSecond under the GTS placer at max state, the

@@ -26,12 +26,14 @@
 // -ratio-floor (repeatable, Ref/Fast=N) guards a fast path's reason to
 // exist: after the run it computes the speedup of benchmark Fast over its
 // reference twin Ref (Ref's ns/op over Fast's) and exits non-zero when it
-// falls below N. CI guards four pairs — the event core over lockstep on the
+// falls below N. CI guards five pairs — the event core over lockstep on the
 // quiescent and the 1024-node fleets (FleetQuiescentLockstep/FleetQuiescent,
 // FleetScale1kLockstep/FleetScale1k), the steady windows over the general
-// loop (FleetScale1kSteadyOff/FleetScale1kSteady), and GTS-placed windows
-// over stepping (SimSecondGTSStepped/SimSecondGTS) — so a regression that
-// quietly drags a fast path back toward reference cost fails the build.
+// loop (FleetScale1kSteadyOff/FleetScale1kSteady), and one machine's
+// windows over stepping under the mask balancer and under GTS
+// (SimSecondStepped/SimSecond, SimSecondGTSStepped/SimSecondGTS) — so a
+// regression that quietly drags a fast path back toward reference cost
+// fails the build.
 //
 // -alloc-ceiling (repeatable, name=N) pins a benchmark's steady-state
 // allocation count: the run fails when the measured allocs/op exceed the

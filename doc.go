@@ -207,28 +207,36 @@
 //     platform state provably cannot change — threads mid-unit or nothing
 //     runnable, managers in-band, the governor between actuations —
 //     sim.Machine.SteadyUntil certifies the window. RunSteady executes it
-//     as a tight loop, accruing per-tick progress and the memoized energy
-//     additions in registers with the same IEEE operations in the same
-//     order as the general path, skipping the runnable scan, placer
-//     dispatch, daemon walk, and trace checks; a window with an empty plan
-//     (nothing runs, nothing is charged, no daemon ticks) only replays the
-//     energy sums (FastForwardCached). Daemons opt in via
-//     sim.SteadyDaemon, declaring their per-tick charge, internal ticker,
-//     and wake bound (core.Manager, mphars.Manager, and thermal.Governor
-//     do; anything else pins its machine to per-tick stepping), placers
-//     via sim.SteadyPlacer: the mask balancer, which keeps no per-call
-//     state, and the GTS model, whose ticker advances its load averages
-//     and migration-pass counter and ends the window before a pass that
-//     would move a thread — so the paper's calibration, baseline, and
-//     static-optimal runs advance in windows too. Unit completions,
+//     in one jump, skipping the runnable scan, placer dispatch, daemon
+//     walk, and trace checks: it finds the first tick on which a unit
+//     would complete without stepping, and gives each float accumulator
+//     (remaining and retired work, core busy time, the energy sums) its
+//     value after n ticks from its bit pattern — within one binade every
+//     tick after the first adds the same number of ulps — at a cost of a
+//     few real additions per binade crossed, bit for bit what n rounded
+//     additions leave; a window of a few ticks runs as a plain loop. A
+//     window with an empty plan (nothing runs, nothing is charged, no
+//     daemon ticks) only moves the energy sums (FastForwardCached).
+//     Daemons opt in via sim.SteadyDaemon, declaring their per-tick
+//     charge, internal ticker, and wake bound (core.Manager,
+//     mphars.Manager, and thermal.Governor do; anything else pins its
+//     machine to per-tick stepping), placers via sim.SteadyPlacer: the
+//     mask balancer, which keeps no per-call state, and the GTS model.
+//     A ticker bounds and then advances a whole window at once — the GTS
+//     load averages in a tight loop that stops at the recurrence's fixed
+//     point, ending the window before a pass that would move a thread;
+//     the governor's RC step in a loop that stops before an actuation —
+//     so the paper's calibration, baseline, and static-optimal runs
+//     advance in windows too. Unit completions,
 //     heartbeats, timer wakeups, GTS threshold migrations, and governor
 //     actuations always run through the general per-tick loop, which
 //     survives as the bit-exactness reference — the lockstep strategy
 //     steps every machine through it — pinned by the golden digests, the
 //     window boundary tests, and the scenario equivalence suite. The
 //     BenchmarkFleetScale1kSteady pair tracks the speedup over the general
-//     loop on a managed busy fleet and the BenchmarkSimSecondGTS pair on a
-//     GTS-placed machine, both guarded by hars-bench -ratio-floor in CI.
+//     loop on a managed busy fleet, and the BenchmarkSimSecond and
+//     BenchmarkSimSecondGTS pairs on one machine under the mask balancer
+//     and under GTS, all guarded by hars-bench -ratio-floor in CI.
 //
 // The tracked hot-path benchmarks live in internal/bench and run two ways:
 //

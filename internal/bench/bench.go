@@ -31,6 +31,7 @@ type Case struct {
 func Cases() []Case {
 	return []Case{
 		{"SimSecond", SimSecond},
+		{"SimSecondStepped", SimSecondStepped},
 		{"SimSecondPipeline", SimSecondPipeline},
 		{"SimSecondThermal", SimSecondThermal},
 		{"SimSecondGTS", SimSecondGTS},
@@ -81,6 +82,10 @@ func simSecond(b *testing.B, short string, stepped bool, setup func(m *sim.Machi
 
 // SimSecond is the data-parallel (SW) simulator hot-path benchmark.
 func SimSecond(b *testing.B) { simSecond(b, "SW", false, nil) }
+
+// SimSecondStepped is SimSecond advanced tick by tick, the denominator of
+// the tracked window speedup under the mask balancer.
+func SimSecondStepped(b *testing.B) { simSecond(b, "SW", true, nil) }
 
 // SimSecondPipeline is the pipeline (FE) variant: heavy block/unblock churn
 // and migration traffic, the worst case for the incremental run queues.

@@ -14,6 +14,8 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // Defaults applied by Runtime when the spec leaves a knob zero.
@@ -108,10 +110,19 @@ type RandomCrashes struct {
 
 // Validate checks the spec's internal consistency (reference checks — node
 // names, CPU ranges — are the embedding scenario's job, which knows the
-// fleet topology). durationMS is the run length fault times must fall in.
+// fleet topology). durationMS is the run length fault times must fall in;
+// no time field may exceed sim.MaxMS.
 func (s *Spec) Validate(durationMS int64) error {
 	if s.HeartbeatTimeoutMS < 0 {
 		return fmt.Errorf("faults: negative heartbeat_timeout_ms %d", s.HeartbeatTimeoutMS)
+	}
+	for _, err := range []error{
+		capMS("heartbeat_timeout_ms", s.HeartbeatTimeoutMS), capMS("checkpoint_every_ms", s.CheckpointEveryMS),
+		capMS("retry_base_ms", s.RetryBaseMS), capMS("retry_max_ms", s.RetryMaxMS), capMS("retry_jitter_ms", s.RetryJitterMS),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	if s.TransferFailProb < 0 || s.TransferFailProb >= 1 {
 		return fmt.Errorf("faults: transfer_fail_prob %v outside [0, 1)", s.TransferFailProb)
@@ -139,6 +150,9 @@ func (s *Spec) Validate(durationMS int64) error {
 		if c.DownMS < 0 {
 			return fmt.Errorf("faults: crash %d has negative down_ms", i)
 		}
+		if err := capMS(fmt.Sprintf("crash %d down_ms", i), c.DownMS); err != nil {
+			return err
+		}
 		if c.DownMS > 0 && c.DownMS <= timeoutMS {
 			return fmt.Errorf("faults: crash %d down_ms %d not above the heartbeat timeout %d ms (the crash would be undetectable)",
 				i, c.DownMS, timeoutMS)
@@ -162,6 +176,9 @@ func (s *Spec) Validate(durationMS int64) error {
 		if r.DownMS < 0 {
 			return fmt.Errorf("faults: negative random down_ms %d", r.DownMS)
 		}
+		if err := capMS("random down_ms", r.DownMS); err != nil {
+			return err
+		}
 		downMS := r.DownMS
 		if downMS == 0 {
 			downMS = DefaultRandomDownMS
@@ -176,6 +193,15 @@ func (s *Spec) Validate(durationMS int64) error {
 	}
 	if n := len(s.Crashes) + len(s.CoreFailures); n > MaxCrashes {
 		return fmt.Errorf("faults: %d scripted faults exceed the cap of %d", n, MaxCrashes)
+	}
+	return nil
+}
+
+// capMS rejects a time field above sim.MaxMS, past which converting it to
+// simulated time would overflow.
+func capMS(name string, ms int64) error {
+	if ms > sim.MaxMS {
+		return fmt.Errorf("faults: %s %d above the %d ms cap", name, ms, int64(sim.MaxMS))
 	}
 	return nil
 }

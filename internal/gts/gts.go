@@ -19,9 +19,11 @@
 // The scheduler implements sim.SteadyPlacer, so a GTS-placed machine
 // advances in the simulator's certified windows like a mask-balanced one.
 // Its Place keeps per-call state — the load averages and the count of
-// calls that times the migration pass — which its ticker advances once per
-// window tick; the window ends before any tick whose Place would move a
-// thread, so every decision is the one per-tick stepping makes.
+// calls that times the migration pass — which its ticker advances over a
+// whole window at once, each load in a tight loop that stops at the
+// recurrence's fixed point; the window ends before any tick whose Place
+// would move a thread, so every decision is the one per-tick stepping
+// makes.
 package gts
 
 import (
@@ -71,10 +73,8 @@ type Scheduler struct {
 	ticks  int
 	counts []int
 
-	// Window scratch (see Settled): next holds the loads SteadyTick computed
-	// for SteadyAdvance to commit, and watch lists the runnable threads
-	// whose threshold move the window's frozen queue counts permit.
-	next  []float64
+	// watch is window scratch (see Settled): the runnable threads whose
+	// threshold move the window's frozen queue counts permit.
 	watch []watched
 }
 
@@ -125,7 +125,7 @@ func (g *Scheduler) Load(t *sim.Thread) float64 {
 // threshold migration pass (and the idle balance) every PeriodTicks calls,
 // and balances within each cluster. Inside a window certified by Settled
 // the call would be a no-op apart from the load averages and the call
-// counter, which SteadyTick and SteadyAdvance advance instead.
+// counter, which SteadyAdvance advances over the whole window instead.
 func (g *Scheduler) Place(m *sim.Machine) {
 	threads := m.Threads()
 	for len(g.loads) < len(threads) {
@@ -159,8 +159,8 @@ func (g *Scheduler) Place(m *sim.Machine) {
 
 // decay is one tick of a thread's load average: a geometric step toward
 // LoadScale if the thread ran in the previous tick, toward zero if not.
-// Place and SteadyTick both call it, so a window evaluates the very float
-// expression the per-tick path does.
+// Place and the ticker's recurrences all call it, so a window evaluates
+// the very float expression the per-tick path does.
 func (g *Scheduler) decay(load float64, ran bool) float64 {
 	target := 0.0
 	if ran {
@@ -380,17 +380,15 @@ func level(plat *hmp.Platform, counts []int, usable hmp.CPUMask) bool {
 // Settled records the runnable threads whose move the counts permit, and
 // the returned ticker (g itself) ends the window before the first
 // migration-pass tick at which one of them crosses its threshold. Settled
-// writes only that watch list and the load scratch.
+// writes only that watch list.
 func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 	threads := m.Threads()
 	if len(g.loads) < len(threads) {
 		return nil, false
 	}
-	if cap(g.next) < len(threads) {
-		g.next = make([]float64, len(threads))
+	if cap(g.watch) < len(threads) {
 		g.watch = make([]watched, 0, len(threads))
 	}
-	g.next = g.next[:len(threads)]
 	plat := m.Platform()
 	usable := g.Allowed & m.OnlineMask()
 	counts := g.countQueues(plat.TotalCores(), threads, usable)
@@ -437,30 +435,65 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 	return g, true
 }
 
-// SteadyTick implements sim.SteadyTicker: it computes this tick's load
-// averages into scratch, as Place's update would (RanLastTick still reports
-// the previous tick here, as it does in Place), and on a migration-pass
-// tick declines when a watched thread's new load crosses its threshold, so
-// that tick's pass runs through Step.
-func (g *Scheduler) SteadyTick(m *sim.Machine) bool {
-	for _, t := range m.Threads() {
-		g.next[t.Global] = g.decay(g.loads[t.Global], t.RanLastTick())
-	}
-	if (g.ticks+1)%g.PeriodTicks != 0 {
-		return true
-	}
+// SteadyBound implements sim.SteadyTicker: it runs each watched thread's
+// load recurrence over the next n ticks, as Place's update would (the
+// first tick feeds RanLastTick, the later ones RunsInWindow), and returns
+// the ticks before the first migration-pass tick at which one of them
+// crosses its threshold, so that tick's pass runs through Step.
+func (g *Scheduler) SteadyBound(m *sim.Machine, n int64) int64 {
+	threads := m.Threads()
 	for _, w := range g.watch {
-		if g.crosses(g.next[w.id], w.up) {
-			return false
-		}
+		t := threads[w.id]
+		n = g.crossBound(g.loads[w.id], t.RanLastTick(), t.RunsInWindow(), w.up, n)
 	}
-	return true
+	return n
 }
 
-// SteadyAdvance implements sim.SteadyTicker: it commits the loads the same
-// tick's SteadyTick computed and counts the skipped Place call. It cannot
-// recompute them itself: by now the machine has stamped this tick's runs.
-func (g *Scheduler) SteadyAdvance(*sim.Machine) {
-	copy(g.loads, g.next)
-	g.ticks++
+// crossBound returns how many of the next n ticks pass before the first
+// migration pass that finds load — updated with ran0 on the first tick and
+// ran on every later one — past its threshold, or n when none does. The
+// loop ends early at the recurrence's fixed point, after which every pass
+// finds the same load.
+func (g *Scheduler) crossBound(load float64, ran0, ran, up bool, n int64) int64 {
+	period := int64(g.PeriodTicks)
+	pass := period - int64(g.ticks)%period // the window's next migration-pass tick
+	load = g.decay(load, ran0)
+	for j := int64(1); j <= n; j++ {
+		if j > 1 {
+			next := g.decay(load, ran)
+			if next == load {
+				if !g.crosses(load, up) {
+					return n
+				}
+				return min(pass-1, n)
+			}
+			load = next
+		}
+		if j == pass {
+			if g.crosses(load, up) {
+				return j - 1
+			}
+			pass += period
+		}
+	}
+	return n
+}
+
+// SteadyAdvance implements sim.SteadyTicker: it runs every thread's load
+// recurrence over n ticks, exiting at its fixed point (a thread that runs
+// reaches one within about 1.5k ticks), and counts the skipped Place calls.
+func (g *Scheduler) SteadyAdvance(m *sim.Machine, n int64) {
+	for _, t := range m.Threads() {
+		load := g.decay(g.loads[t.Global], t.RanLastTick())
+		ran := t.RunsInWindow()
+		for j := int64(1); j < n; j++ {
+			next := g.decay(load, ran)
+			if next == load {
+				break
+			}
+			load = next
+		}
+		g.loads[t.Global] = load
+	}
+	g.ticks += int(n)
 }

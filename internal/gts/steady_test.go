@@ -8,6 +8,7 @@ import (
 	"repro/internal/hmp"
 	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -84,6 +85,16 @@ func gtsFixtures() []gtsFixture {
 				4 * sim.Second: func(m *sim.Machine) { m.SetCoreOnline(6, true) },
 			},
 		},
+		{name: "thermal governor", build: func(t *testing.T, short string) (*sim.Machine, *countingPlacer) {
+			m, g := machine(hmp.Default())
+			gov, err := thermal.NewGovernor(thermal.Spec{Enabled: true, TripC: 45, ThrottleC: 33, ReleaseC: 30})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.AddDaemon(gov)
+			spawn(t, m, short, 8)
+			return m, g
+		}},
 		{
 			name: "crash and heal",
 			build: func(t *testing.T, short string) (*sim.Machine, *countingPlacer) {
@@ -102,16 +113,18 @@ func gtsFixtures() []gtsFixture {
 // TestGTSSteadyMatchesStepping is the window-equivalence property for the
 // GTS placer: RunUntil, which advances GTS-placed machines in certified
 // windows, must leave each fixture bit-for-bit where an explicit Step loop
-// leaves it, compared after every 137 ms chunk — clock, energy bits,
-// per-core busy time, overhead, heartbeats, and for every thread its core,
-// RanLastTick, exact work and remaining bits, migrations, and GTS load
-// average. The fixtures (every paper benchmark on each) are the default
-// board at max state (the calibration and baseline runs), a 2 big + 6
-// little board, a static-optimal style cpuset of two little cores and one
-// big core at lowered levels (the SO oracle probes), two 4-thread
-// applications with a big core hotplugged off at 2 s and back at 4 s, and
-// a machine that crashes at 2 s (killing its application, whose threads'
-// loads then decay on a machine with no online core) and heals at 4 s. So
+// leaves it, compared after every 137 ms chunk — clock, energy bits, exact
+// per-core busy time bits, the DVFS ceilings, overhead, heartbeats, and for
+// every thread its core, RanLastTick, exact work and remaining bits,
+// migrations, and GTS load average. The fixtures (every paper benchmark on
+// each) are the default board at max state (the calibration and baseline
+// runs), a 2 big + 6 little board, a static-optimal style cpuset of two
+// little cores and one big core at lowered levels (the SO oracle probes),
+// two 4-thread applications with a big core hotplugged off at 2 s and back
+// at 4 s, the default board with a thermal governor that heats into its
+// throttle zone (two tickers bound every window), and a machine that
+// crashes at 2 s (killing its application, whose threads' loads then decay
+// on a machine with no online core) and heals at 4 s. So
 // that the property cannot hold vacuously, the windowed machine must have
 // called Place on fewer than half of its ticks, except for the pipeline
 // benchmark (FE), whose threads block too often for long windows.
@@ -170,8 +183,13 @@ func compareGTSMachines(t *testing.T, f, s *sim.Machine, fg, sg *gts.Scheduler) 
 		t.Fatalf("t=%d: overhead diverged: %d != %d", at, f.Overhead(), s.Overhead())
 	}
 	for cpu := 0; cpu < s.Platform().TotalCores(); cpu++ {
-		if f.BusyTime(cpu) != s.BusyTime(cpu) {
-			t.Fatalf("t=%d: cpu %d busy diverged: %d != %d", at, cpu, f.BusyTime(cpu), s.BusyTime(cpu))
+		if math.Float64bits(f.BusyUS(cpu)) != math.Float64bits(s.BusyUS(cpu)) {
+			t.Fatalf("t=%d: cpu %d busy diverged: %v != %v", at, cpu, f.BusyUS(cpu), s.BusyUS(cpu))
+		}
+	}
+	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
+		if f.LevelCap(k) != s.LevelCap(k) {
+			t.Fatalf("t=%d: cluster %v cap diverged: %d != %d", at, k, f.LevelCap(k), s.LevelCap(k))
 		}
 	}
 	for i, sp := range s.Procs() {

@@ -54,6 +54,10 @@
 //     MP-HARS initial core allocation (default 1+1). threads defaults to
 //     8; validation rejects more than 1,024, here and in an arrival
 //     stream's template.
+//   - duration_ms, sample_every_ms, migrate_every_ms and the faults
+//     block's *_ms fields: validation rejects any above sim.MaxMS (2^40 ms,
+//     about 35 years), where converting them to simulated microseconds
+//     would overflow.
 //   - events: "hotplug" toggles one CPU (online is required); "dvfs_cap"
 //     installs a cluster frequency ceiling (max_level indexes the OPP grid;
 //     restore with the grid's top level); "target" re-targets one app

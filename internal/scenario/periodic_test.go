@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/thermal"
 )
 
@@ -68,14 +69,16 @@ func TestPeriodicValidation(t *testing.T) {
 
 	// An extreme duration/period pair must saturate the occurrence count
 	// instead of overflowing it — for a hotplug event the stranding replay
-	// would otherwise materialize a negative-capacity slice and panic.
+	// would otherwise materialize a negative-capacity slice and panic. The
+	// pair uses the longest duration that validates, sim.MaxMS; longer
+	// ones fail on the cap (TestDecodeRejectsOverflowingTimes).
 	off := false
 	for _, ev := range []Event{
 		{Kind: KindPhase, App: "a", Scale: 1, AtMS: 0, EveryMS: 1},
 		{Kind: KindHotplug, CPU: 7, Online: &off, AtMS: 0, EveryMS: 1},
 	} {
 		sc = base()
-		sc.DurationMS = 1<<63 - 1
+		sc.DurationMS = sim.MaxMS
 		sc.Events = []Event{ev}
 		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "occurrences") {
 			t.Fatalf("overflow-range %s event: err = %v", ev.Kind, err)

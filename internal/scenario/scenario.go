@@ -473,6 +473,14 @@ func (sc *Scenario) resolveAndValidate() ([]resolvedNode, []AppSpec, error) {
 	if sc.DurationMS <= 0 {
 		return nil, nil, fmt.Errorf("scenario: duration_ms must be positive, got %d", sc.DurationMS)
 	}
+	for _, f := range []struct {
+		name string
+		ms   int64
+	}{{"duration_ms", sc.DurationMS}, {"sample_every_ms", sc.SampleEveryMS}, {"migrate_every_ms", sc.MigrateEveryMS}} {
+		if f.ms > sim.MaxMS {
+			return nil, nil, fmt.Errorf("scenario: %s %d above the %d ms cap", f.name, f.ms, int64(sim.MaxMS))
+		}
+	}
 	if !validManagers[sc.Manager] {
 		return nil, nil, fmt.Errorf("scenario: unknown manager %q", sc.Manager)
 	}

@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/hmp"
 	"repro/internal/sim"
 )
@@ -355,5 +357,57 @@ func TestAdmissionClampsToPlatform(t *testing.T) {
 	}
 	if ticks != 5 {
 		t.Fatalf("probe saw %d ticks after the arrival, want 5", ticks)
+	}
+}
+
+// TestDecodeRejectsOverflowingTimes checks that every millisecond field the
+// engine converts to simulated time fails Decode above sim.MaxMS, naming
+// the cap, instead of overflowing: a duration_ms of 9.3e15 used to decode
+// and run for one sample and 0 J. The cap itself still validates.
+func TestDecodeRejectsOverflowingTimes(t *testing.T) {
+	const huge = 9_300_000_000_000_000
+	base := func() *Scenario {
+		return &Scenario{
+			Name: "times", Manager: ManagerNone, DurationMS: 1000,
+			Nodes: []NodeSpec{{Name: "n0"}, {Name: "n1"}},
+			Apps:  []AppSpec{{Name: "app0", Bench: "SW", Threads: 4, TargetFrac: 0.5}},
+		}
+	}
+	cases := map[string]func(sc *Scenario){
+		"duration_ms":          func(sc *Scenario) { sc.DurationMS = huge },
+		"sample_every_ms":      func(sc *Scenario) { sc.SampleEveryMS = huge },
+		"migrate_every_ms":     func(sc *Scenario) { sc.MigrateEveryMS = huge },
+		"heartbeat_timeout_ms": func(sc *Scenario) { sc.Faults = &fault.Spec{HeartbeatTimeoutMS: huge} },
+		"checkpoint_every_ms":  func(sc *Scenario) { sc.Faults = &fault.Spec{CheckpointEveryMS: huge} },
+		"retry_base_ms":        func(sc *Scenario) { sc.Faults = &fault.Spec{RetryBaseMS: huge} },
+		"retry_max_ms":         func(sc *Scenario) { sc.Faults = &fault.Spec{RetryMaxMS: huge} },
+		"retry_jitter_ms":      func(sc *Scenario) { sc.Faults = &fault.Spec{RetryJitterMS: huge} },
+		"crash 0 down_ms": func(sc *Scenario) {
+			sc.Faults = &fault.Spec{Crashes: []fault.Crash{{Node: "n1", AtMS: 500, DownMS: huge}}}
+		},
+		"random down_ms": func(sc *Scenario) {
+			sc.Faults = &fault.Spec{Random: &fault.RandomCrashes{RatePerMin: 1, DownMS: huge}}
+		},
+	}
+	decode := func(sc *Scenario) error {
+		var buf bytes.Buffer
+		if err := sc.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(&buf)
+		return err
+	}
+	want := fmt.Sprintf("above the %d ms cap", int64(sim.MaxMS))
+	for field, set := range cases {
+		sc := base()
+		set(sc)
+		if err := decode(sc); err == nil || !strings.Contains(err.Error(), field) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = %d: Decode err = %v, want it to name the field and %q", field, int64(huge), err, want)
+		}
+	}
+	sc := base()
+	sc.DurationMS = sim.MaxMS
+	if err := decode(sc); err != nil {
+		t.Errorf("duration_ms at the cap: %v", err)
 	}
 }

@@ -16,11 +16,10 @@ import (
 // fleet replays each distinct machine state once.
 
 // FastForwardCached executes an empty window up to (exactly) until: the
-// memoized per-cluster energy is accumulated in the same order and with the
-// same float additions Step would have performed (no closed-form shortcut —
-// repeated IEEE addition is not multiplication), through jc when it is not
-// nil, and the clock, tick and execute counters advance tick by tick. The
-// caller must have certified the window (SteadyUntil with an empty plan);
+// memoized per-cluster energy is accumulated as Step's float additions
+// would accumulate it, through jc when it is not nil, and the clock, tick
+// and execute counters advance by the window's tick count. The caller must
+// have certified the window (SteadyUntil with an empty plan);
 // FastForwardCached itself does not re-check.
 func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 	d := until - m.now
@@ -32,7 +31,7 @@ func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 		if jc != nil {
 			jc.apply(m, steps)
 		} else {
-			m.replayEnergy(steps)
+			m.advanceEnergy(steps)
 		}
 	}
 	m.execTick += steps
@@ -40,22 +39,17 @@ func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 	m.now += Time(steps) * m.cfg.TickLen
 }
 
-// replayEnergy performs the jump's energy accumulation: the float additions
-// replay in registers, in exactly Step's order (per tick, clusters
-// ascending, cluster accumulator then total); only the loop bookkeeping is
-// hoisted.
-func (m *Machine) replayEnergy(steps int64) {
+// advanceEnergy adds steps ticks of the memoized per-cluster energy, bit
+// for bit as Step does it — per tick, clusters ascending, the cluster
+// accumulator and then the total — with each accumulator jumped by its bit
+// pattern (tickAdds.advance): the cluster sums take e[k] once per tick, the
+// total e[Little] then e[Big].
+func (m *Machine) advanceEnergy(steps int64) {
 	e := m.lastE
-	c := m.clusterEnergyJ
-	tot := m.energyJ
-	for i := int64(0); i < steps; i++ {
-		for k := 0; k < int(hmp.NumClusters); k++ {
-			c[k] += e[k]
-			tot += e[k]
-		}
+	for k := range m.clusterEnergyJ {
+		m.clusterEnergyJ[k] = m.jump(tickAdds{x: e[k], reps: 1}, m.clusterEnergyJ[k], steps)
 	}
-	m.clusterEnergyJ = c
-	m.energyJ = tot
+	m.energyJ = m.jump(tickAdds{pre: e[hmp.Little], hasPre: true, x: e[hmp.Big], reps: 1}, m.energyJ, steps)
 }
 
 // jumpCacheWays is the JumpCache associativity: enough that the handful of
@@ -85,9 +79,9 @@ type jumpEntry struct {
 // jumps. The replay is a pure function of the starting accumulator values,
 // the per-tick increments, and the step count, so two machines in
 // bit-identical power states — the common case in a large mostly-idle
-// fleet, where every quiescent node evolves identically — need the
-// O(steps) addition loop run only once; every other machine replays the
-// memoized result, bit-for-bit. A cache is single-goroutine state; hits
+// fleet, where every quiescent node evolves identically — need the jump
+// computed only once; every other machine copies the memoized result,
+// bit-for-bit. A cache is single-goroutine state; hits
 // only affect wall-clock, never results.
 type JumpCache struct {
 	ents [jumpCacheWays]jumpEntry
@@ -98,7 +92,7 @@ type JumpCache struct {
 func NewJumpCache() *JumpCache { return &JumpCache{} }
 
 // apply advances m's energy accumulators by steps ticks of lastE, through
-// the cache: a hit copies the memoized result, a miss runs the replay loop
+// the cache: a hit copies the memoized result, a miss runs advanceEnergy
 // and memoizes it.
 func (jc *JumpCache) apply(m *Machine, steps int64) {
 	var key jumpKey
@@ -115,7 +109,7 @@ func (jc *JumpCache) apply(m *Machine, steps int64) {
 			return
 		}
 	}
-	m.replayEnergy(steps)
+	m.advanceEnergy(steps)
 	jc.ents[jc.next] = jumpEntry{ok: true, key: key, tot: m.energyJ, c: m.clusterEnergyJ}
 	jc.next = (jc.next + 1) % jumpCacheWays
 }

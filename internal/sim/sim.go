@@ -34,6 +34,12 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
+// MaxMS caps every millisecond count a scenario or fault spec may give a
+// time field (about 35 simulated years). Time(ms) * Millisecond overflows
+// int64 near 9.2e15 ms; below the cap it stays exact, and so do the sums
+// and periods the engines add to such times.
+const MaxMS = 1 << 40
+
 // Seconds converts a simulated duration to floating-point seconds.
 func Seconds(d Time) float64 { return float64(d) / float64(Second) }
 
@@ -197,6 +203,12 @@ type Machine struct {
 	// RunSteady executes.
 	steadySkip int
 	steady     steadyPlan
+	// windowID numbers the certifications; a thread stamped with the
+	// current one is in the window plan (Thread.RunsInWindow). jumpTicks
+	// and jumpCost count the accumulator ticks windows advanced and the
+	// real float ticks they spent doing so (see Machine.jump).
+	windowID            int64
+	jumpTicks, jumpCost int64
 
 	tracer *Tracer
 	// nodeName is the machine's fleet identity (set by NewNode, "" for a
@@ -658,8 +670,8 @@ func (m *Machine) Run(d Time) { m.RunUntil(m.now + d) }
 // RunUntil advances the simulation until the clock reaches t. Stretches
 // that provably repeat the same tick (see SteadyUntil) run as windows: an
 // empty window — an idle or crashed machine — is jumped in one
-// FastForwardCached, any other runs through RunSteady's tight loop. The
-// resulting state is bit-for-bit identical to stepping tick by tick.
+// FastForwardCached, any other in one RunSteady jump. The resulting state
+// is bit-for-bit identical to stepping tick by tick.
 func (m *Machine) RunUntil(t Time) { m.RunUntilCached(t, nil) }
 
 // RunUntilCached is RunUntil with empty windows routed through a JumpCache
@@ -1000,6 +1012,10 @@ func (m *Machine) AvgPowerW() float64 {
 
 // BusyTime returns the cumulative busy time of the given CPU.
 func (m *Machine) BusyTime(cpu int) Time { return Time(m.cores[cpu].busy) }
+
+// BusyUS returns the cumulative busy time of the given CPU in µs, exactly as
+// accumulated (BusyTime truncates it to whole µs).
+func (m *Machine) BusyUS(cpu int) float64 { return m.cores[cpu].busy }
 
 // Util returns the lifetime utilization of the given CPU in [0, 1].
 func (m *Machine) Util(cpu int) float64 {

@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/hmp"
+import (
+	"slices"
+
+	"repro/internal/hmp"
+)
 
 // Window advancement: a machine whose runnable threads are all mid-unit —
 // nothing completes, nothing migrates, nothing actuates — repeats the same
@@ -9,36 +13,39 @@ import "repro/internal/hmp"
 // counter, an integrator), which their tickers advance. An idle or crashed
 // machine is the same case with an empty plan: no thread runs, so only the
 // clock and the energy sums move. SteadyUntil certifies a window in which
-// that repetition is provable; RunSteady executes it as a tight loop
-// (per-tick progress accrual and the memoized energy additions in
-// registers, the same IEEE operations in the same order as the general
-// path, skipping the runnable scan, placer dispatch, daemon walk, and trace
-// checks that are provably no-ops, and calling only the tickers), and
-// FastForwardCached executes an empty one. This is an execution strategy,
-// not a semantic change — every observable state is bit-for-bit what the
-// equivalent sequence of Step calls would produce, and the general
-// per-tick loop survives as the reference the golden digests and the
-// equivalence suites pin it to.
+// that repetition is provable; RunSteady executes it in one jump, and
+// FastForwardCached executes an empty one. The jump skips the runnable
+// scan, placer dispatch, daemon walk, and trace checks that are provably
+// no-ops, bounds the window at the first tick on which a unit would
+// complete or a ticker would act, and gives each float accumulator its
+// value after n ticks from its bit pattern (see accum.go), at a cost of a
+// few real additions per binade the accumulator crosses instead of one per
+// tick. This is an execution strategy, not a semantic change — every
+// observable state is bit-for-bit what the equivalent sequence of Step
+// calls would produce, and the general per-tick loop survives as the
+// reference the golden digests and the equivalence suites pin it to.
 
-// SteadyTicker is the per-tick half of a SteadyDaemon or SteadyPlacer whose
+// SteadyTicker is the bulk half of a SteadyDaemon or SteadyPlacer whose
 // calls inside a certified window are internal-only (they advance private
 // state — an integrator, a load average, a call counter — without touching
-// the machine). SteadyTick is called once per window tick before the tick's
-// effects are applied; it must be pure apart from private scratch and
-// report whether the next Tick (or Place) call would stay internal-only:
-// returning false ends the window at that tick, which then runs through the
-// general Step. SteadyAdvance then replays exactly the internal effects one
-// call would have had; it runs only after every planned check of the tick
-// passed, at the point of the tick where the daemons run, the placer's
-// ticker first and then the daemons' in registration order. A SteadyTick
-// may leave scratch that the same tick's SteadyAdvance commits — a value
-// that depends on the machine as it stood before the tick, such as
-// RanLastTick, which the tick's own accrual overwrites before SteadyAdvance
-// runs. When a later check declines the tick, SteadyAdvance is not called
-// and the scratch is simply stale.
+// the machine). RunSteady calls each method once per window: SteadyBound
+// before any of the window's ticks applies, SteadyAdvance before the clock
+// and the run stamps move, so both see the clock and RanLastTick as they
+// stood at the window's start (RanLastTick then reports the tick before the
+// window; from the window's second tick on, a thread has run in the
+// previous tick exactly when Thread.RunsInWindow reports it). Neither may
+// read the float accumulators the window moves. SteadyBound(m, n) returns
+// how many of the next n ticks, 0 through n, the ticker absorbs: the tick
+// after them is the first whose Tick (or Place) would not stay
+// internal-only, and it runs through the general Step. SteadyBound must be
+// pure apart from private scratch. Once every ticker of the window has
+// bounded it, SteadyAdvance(m, k) replays exactly the internal effects of k
+// calls, with k no larger than the ticker's own bound (smaller when another
+// ticker bound the window tighter); a ticker may commit scratch its
+// SteadyBound left for that k.
 type SteadyTicker interface {
-	SteadyTick(m *Machine) bool
-	SteadyAdvance(m *Machine)
+	SteadyBound(m *Machine, n int64) int64
+	SteadyAdvance(m *Machine, n int64)
 }
 
 // SteadyEntry is a daemon's declaration of what its per-tick work amounts to
@@ -47,7 +54,8 @@ type SteadyTicker interface {
 // Ticker for internal state that must advance, and an optional wake bound
 // Until: the daemon's Tick may do anything on the first tick starting at or
 // after Until, so the window ends before that tick. A zero Until means no
-// bound, and a zero entry declares every in-window Tick a pure no-op.
+// bound, and a zero entry declares every in-window Tick a pure no-op. The
+// Ticker advances in bulk, once per window (see SteadyTicker).
 type SteadyEntry struct {
 	ChargeCPU int
 	Charge    Time
@@ -80,9 +88,9 @@ type SteadyDaemon interface {
 // where it is and no balancing move available — while runnability,
 // placement, affinity, and the online mask are all frozen. A placer whose
 // Place keeps per-call state (gts.Scheduler's load averages and its
-// migration-pass counter) returns a ticker that advances that state once
-// per window tick and ends the window before a tick whose Place would move
-// a thread; a stateless placer (MaskBalancer) returns a nil ticker.
+// migration-pass counter) returns a ticker that advances that state over
+// the window's ticks and ends the window before a tick whose Place would
+// move a thread; a stateless placer (MaskBalancer) returns a nil ticker.
 // Settled itself must be pure apart from scratch its ticker reads.
 // Placers that do not implement it pin their machine to per-tick stepping.
 type SteadyPlacer interface {
@@ -119,6 +127,9 @@ type steadyPlan struct {
 	cores   []steadyCore
 	threads []steadyThread
 	tickers []SteadyTicker
+	// walks[i] is RunSteady's completion search over threads[i].remaining,
+	// grown with the largest plan a long window has had.
+	walks []unitWalk
 
 	// charges[cpu] is the summed per-tick overhead the window's daemons
 	// charge against cpu (chargedCPUs lists the non-zero entries for cheap
@@ -232,6 +243,7 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 	p.cores = p.cores[:0]
 	p.threads = p.threads[:0]
 	p.totalCharge = 0
+	m.windowID++
 	for _, d := range m.daemons {
 		sd, ok := d.(SteadyDaemon)
 		if !ok {
@@ -341,6 +353,7 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 				p.threads = append(p.threads, steadyThread{
 					t: t, speed: speed, share: share, done: speed * share / 1e6,
 				})
+				t.window = m.windowID
 				tu += share
 			}
 		}
@@ -380,49 +393,100 @@ func (m *Machine) settlePlacer(sp SteadyPlacer, until Time) Time {
 }
 
 // RunSteady executes the window certified by the immediately preceding
-// SteadyUntil call as a tight per-tick loop, stopping early — before the
-// offending tick — when a thread's current unit would complete within its
-// share (the heartbeat-window edge: the completion runs through the general
-// Step so its callback, beats, and reconcile happen on the reference path)
-// or when a planned daemon's SteadyTick declines the tick. Reports whether
-// at least one tick was advanced; on false the machine is untouched and the
-// caller must fall back to Step.
+// SteadyUntil call. The window ends early — before the offending tick — at
+// the first tick on which a thread's current unit would complete within
+// its share (the heartbeat-window edge: the completion runs through the
+// general Step so its callback, beats, and reconcile happen on the
+// reference path) or which a planned ticker's SteadyBound declines.
+// Reports whether at least one tick was advanced; on false the machine is
+// untouched and the caller must fall back to Step.
 //
-// Per tick, in Step's order: thread progress accrues with the exact
-// subtraction execute performs (remaining -= done, workDone += done, the
-// lastRan stamp, core busy += share, after the overhead steal's busy add),
-// the memoized per-cluster energy adds replay in integratePower's order
-// (cluster accumulator then total, clusters ascending), placer and daemon
-// internal state advances via SteadyAdvance, and the clock and tick
-// counters increment. lastRan is stamped every tick because a ticker's
-// SteadyTick reads RanLastTick mid-window. The per-core tick utilisation
-// and stolen balances are fixed points of the certified pattern and are
-// left untouched; the summed overhead charge is applied once at the end
-// (only its final value is observable).
+// Every accumulator takes Step's float operations in Step's order: thread
+// remaining -= done and workDone += done, core busy += steal and then
+// += share once per thread, and the memoized per-cluster energy added to
+// its cluster and then to the total, clusters ascending. A window in which
+// some unit completes within plainTicks runs them tick by tick (runTicks);
+// a longer one finds its end without stepping (completionBound) and jumps
+// every accumulator by its bit pattern (accrueJump). Then each ticker's
+// SteadyAdvance replays its internal state (placer first, then the daemons
+// in registration order) while the clock and the run stamps still show the
+// window's start, lastRan takes the window's last tick, and the clock and
+// counters move. The per-core tick utilisation and stolen balances are
+// fixed points of the certified pattern and are left untouched; the
+// summed overhead charge is applied once (only its final value is
+// observable).
 func (m *Machine) RunSteady(until Time) bool {
 	p := &m.steady
-	start := m.now
 	tickLen := m.cfg.TickLen
+	n := int64((until - m.now + tickLen - 1) / tickLen) // RunUntil overshoots to the tick grid
+	if p.short(n) {
+		n = m.runTicks(m.tickerBound(min(n, plainTicks)))
+	} else if n = m.tickerBound(p.completionBound(n)); n > 0 {
+		m.accrueJump(n)
+	}
+	if n <= 0 {
+		return false
+	}
+	for _, tk := range p.tickers {
+		tk.SteadyAdvance(m, n)
+	}
+	m.execTick += n
+	for i := range p.threads {
+		p.threads[i].t.lastRan = m.execTick
+	}
+	m.ticks += n
+	m.now += Time(n) * tickLen
+	m.overhead += Time(n) * p.totalCharge
+	return true
+}
+
+// tickerBound returns how many of the next n ticks every planned ticker
+// absorbs.
+func (m *Machine) tickerBound(n int64) int64 {
+	for _, tk := range m.steady.tickers {
+		if n == 0 {
+			break
+		}
+		n = tk.SteadyBound(m, n)
+	}
+	return n
+}
+
+// short reports whether the window is at most plainTicks long or some unit
+// is due to complete within about that many ticks (remaining/done, without
+// the division): a window that short costs least run tick by tick. It only
+// steers which path runs.
+func (p *steadyPlan) short(n int64) bool {
+	if n <= plainTicks {
+		return true
+	}
+	for i := range p.threads {
+		st := &p.threads[i]
+		if st.t.remaining < st.done*plainTicks {
+			return true
+		}
+	}
+	return false
+}
+
+// runTicks runs up to n window ticks one at a time, each accumulator in a
+// register, stopping before the first tick on which a unit completes, and
+// returns the ticks run. It counts every accumulator tick as a real one.
+func (m *Machine) runTicks(n int64) int64 {
+	p := &m.steady
 	powerOn := m.cfg.Power != nil && !m.failed
-	// Hoist the energy accumulators into registers for the window; nothing
-	// observes them mid-window.
 	e := m.lastE
 	ce := m.clusterEnergyJ
 	tot := m.energyJ
+	var j int64
 window:
-	for m.now < until {
+	for ; j < n; j++ {
 		for i := range p.threads {
 			st := &p.threads[i]
-			if st.t.remaining/st.speed*1e6 <= st.share {
-				break window // unit completes this tick: general path's turn
-			}
-		}
-		for _, tk := range p.tickers {
-			if !tk.SteadyTick(m) {
+			if unitCompletes(st.t.remaining, st.speed, st.share) {
 				break window
 			}
 		}
-		m.execTick++
 		for ci := range p.cores {
 			sc := &p.cores[ci]
 			if sc.hasSteal {
@@ -432,7 +496,6 @@ window:
 				st := &p.threads[i]
 				st.t.remaining -= st.done
 				st.t.workDone += st.done
-				st.t.lastRan = m.execTick
 				sc.c.busy += sc.share
 			}
 		}
@@ -442,18 +505,62 @@ window:
 				tot += e[k]
 			}
 		}
-		for _, tk := range p.tickers {
-			tk.SteadyAdvance(m)
+	}
+	acc := int64(2*len(p.threads) + len(p.cores))
+	if powerOn {
+		m.clusterEnergyJ = ce
+		m.energyJ = tot
+		acc += int64(hmp.NumClusters) + 1
+	}
+	m.jumpTicks += acc * j
+	m.jumpCost += acc * j
+	return j
+}
+
+// completionBound returns how many of the next n ticks pass before the
+// first whose pre-tick check finds a plan thread's unit completing. A unit
+// lasts about remaining/done more ticks, so the window is first capped
+// just past the
+// earliest such estimate, which keeps every exact search short (a cap that
+// falls short only ends the window early). Each thread's remaining is then
+// searched by its binades, and the walk is kept for accrueJump.
+func (p *steadyPlan) completionBound(n int64) int64 {
+	for i := range p.threads {
+		st := &p.threads[i]
+		if est := st.t.remaining / st.done; est < float64(n-2) {
+			n = int64(est) + 2
 		}
-		m.now += tickLen
-		m.ticks++
 	}
-	if m.now == start {
-		return false
+	p.walks = slices.Grow(p.walks[:0], len(p.threads))[:len(p.threads)]
+	for i := range p.threads {
+		st := &p.threads[i]
+		n = p.walks[i].search(st.t.remaining, st.done, st.speed, st.share, n)
 	}
-	m.clusterEnergyJ = ce
-	m.energyJ = tot
-	steps := (m.now - start) / tickLen
-	m.overhead += steps * p.totalCharge
-	return true
+	return n
+}
+
+// accrueJump applies n window ticks to every accumulator of the plan by
+// its bit pattern (Machine.jump), remaining from the completion search's
+// walk when it passed tick n.
+func (m *Machine) accrueJump(n int64) {
+	p := &m.steady
+	for ci := range p.cores {
+		sc := &p.cores[ci]
+		busy := tickAdds{pre: sc.steal, hasPre: sc.hasSteal, x: sc.share, reps: sc.hi - sc.lo}
+		sc.c.busy = m.jump(busy, sc.c.busy, n)
+		for i := sc.lo; i < sc.hi; i++ {
+			st := &p.threads[i]
+			if r, ok := p.walks[i].at(n); ok {
+				st.t.remaining = r
+				m.jumpTicks += n
+				m.jumpCost += p.walks[i].cost
+			} else {
+				st.t.remaining = m.jump(tickAdds{x: -st.done, reps: 1}, st.t.remaining, n)
+			}
+			st.t.workDone = m.jump(tickAdds{x: st.done, reps: 1}, st.t.workDone, n)
+		}
+	}
+	if m.cfg.Power != nil && !m.failed {
+		m.advanceEnergy(n)
+	}
 }

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gts"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
 	"repro/internal/mphars"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/thermal"
+	"repro/internal/workload"
 )
 
 // busySteady builds a warm busy machine whose next stretch is certifiable:
@@ -248,17 +250,24 @@ func TestSteadyGovernorEdgeExact(t *testing.T) {
 
 // TestSteadyMatchesStepping is the machine-level equivalence property for
 // windows: RunUntil must leave each fixture bit-for-bit where the per-tick
-// Step loop leaves it — clock, exact energy bits, retired work, heartbeats,
-// overhead, temperatures, and governor counters — across a mid-run action
-// (registering an app, spawning one, healing). The fixtures are a busy,
-// thermally instrumented, heartbeat-emitting machine with a sleeping
-// daemon, a machine whose threads nap between short units (so it turns
-// idle right after ticks that ran work), and the machines with nothing
-// runnable: an idle machine under an
-// MP-HARS manager (a per-tick polling charge), an idle machine under a
-// thermal governor (a per-tick Ticker), and crashed machines, bare and
-// with an exited HARS manager and a cooling governor. Each fixture must be
-// certifiable after its set-up.
+// Step loop leaves it — clock, exact energy bits, every core's exact busy
+// time, every thread's exact remaining and retired work and RanLastTick,
+// heartbeats, overhead, temperatures, and governor counters — across a
+// mid-run action (registering an app, spawning one, healing). The fixtures
+// are a busy, thermally instrumented, heartbeat-emitting machine with a
+// sleeping daemon, a machine whose threads nap between short units (so it
+// turns idle right after ticks that ran work), the machines with nothing
+// runnable: an idle machine under an MP-HARS manager (a per-tick polling
+// charge), an idle machine under a thermal governor (a per-tick Ticker),
+// and crashed machines, bare and with an exited HARS manager and a cooling
+// governor; and three long ones run for 20 s: eight threads on
+// 1e9-unit work (no unit completes, so the windows run to the fixture's
+// limits and busy time, retired work and energy cross binades inside
+// single windows), the SW benchmark under the mask balancer, and SW under
+// GTS with a thermal governor that must throttle, so that two tickers
+// bound each window. Each fixture must be certifiable after its set-up. On the SW fixtures at least 90% of the accumulator ticks the
+// windows advanced must have been jumped rather than added one by one, so
+// that a jump an over-strict guard has silently disabled fails here too.
 func TestSteadyMatchesStepping(t *testing.T) {
 	plat := hmp.Default()
 	spec := thermal.Spec{Enabled: true, TripC: 45, ThrottleC: 33, ReleaseC: 30}
@@ -270,16 +279,26 @@ func TestSteadyMatchesStepping(t *testing.T) {
 		m.AddDaemon(gov)
 		return gov
 	}
+	spawnSW := func(t *testing.T, m *sim.Machine) {
+		b, ok := workload.ByShort("SW")
+		if !ok {
+			t.Fatal("no SW benchmark")
+		}
+		m.Spawn(b.Name, b.New(8), 10)
+	}
 	type fixture struct {
 		m   *sim.Machine
 		gov *thermal.Governor
 		act func() // applied at the mid-run instant on both machines, if set
 	}
 	cases := []struct {
-		name  string
-		build func(t *testing.T) fixture
+		name      string
+		span      sim.Time // run length, 2 s when zero
+		jumped    bool     // assert the jumped share
+		throttles bool     // assert the governor throttled
+		build     func(t *testing.T) fixture
 	}{
-		{"busy", func(t *testing.T) fixture {
+		{name: "busy", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			gov := newGov(t, m)
 			m.AddDaemon(&napper{period: 70 * sim.Millisecond})
@@ -287,13 +306,13 @@ func TestSteadyMatchesStepping(t *testing.T) {
 			m.Step()
 			return fixture{m: m, gov: gov}
 		}},
-		{"napping", func(t *testing.T) fixture {
+		{name: "napping", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			m.Spawn("s", &spinner{threads: 2, unit: 0.02, nap: 150 * sim.Millisecond, beats: true}, 0)
 			m.Step()
 			return fixture{m: m}
 		}},
-		{"idle mphars", func(t *testing.T) fixture {
+		{name: "idle mphars", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			mgr := mphars.New(m, power.SyntheticLinearModel(plat), mphars.Config{})
 			m.AddDaemon(mgr)
@@ -306,7 +325,7 @@ func TestSteadyMatchesStepping(t *testing.T) {
 				mgr.Register(m, p, heartbeat.Target{Min: 1, Avg: 2, Max: 3}, 1, 1)
 			}}
 		}},
-		{"idle thermal", func(t *testing.T) fixture {
+		{name: "idle thermal", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			gov := newGov(t, m)
 			m.Step()
@@ -314,7 +333,7 @@ func TestSteadyMatchesStepping(t *testing.T) {
 				m.Spawn("s", &spinner{threads: 8, unit: 1e9}, 0)
 			}}
 		}},
-		{"crashed", func(t *testing.T) fixture {
+		{name: "crashed", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			m.Spawn("s", &spinner{threads: 4, unit: 0.05}, 0)
 			for i := 0; i < 50; i++ {
@@ -323,7 +342,7 @@ func TestSteadyMatchesStepping(t *testing.T) {
 			m.Fail()
 			return fixture{m: m, act: m.Heal}
 		}},
-		{"crashed managed", func(t *testing.T) fixture {
+		{name: "crashed managed", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			gov := newGov(t, m)
 			p := m.Spawn("s", &spinner{threads: 8, unit: 1e9}, 0)
@@ -337,6 +356,26 @@ func TestSteadyMatchesStepping(t *testing.T) {
 			m.Step() // consumes the manager's last poll charge
 			return fixture{m: m, gov: gov, act: m.Heal}
 		}},
+		{name: "long window", span: 20 * sim.Second, build: func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			m.Spawn("s", &spinner{threads: 8, unit: 1e9}, 0)
+			m.Step()
+			return fixture{m: m}
+		}},
+		{name: "SW", span: 20 * sim.Second, jumped: true, build: func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			spawnSW(t, m)
+			m.Step()
+			return fixture{m: m}
+		}},
+		{name: "SW gts thermal", span: 20 * sim.Second, jumped: true, throttles: true, build: func(t *testing.T) fixture {
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			m.SetPlacer(gts.New(plat))
+			gov := newGov(t, m)
+			spawnSW(t, m)
+			m.Step()
+			return fixture{m: m, gov: gov}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,8 +384,12 @@ func TestSteadyMatchesStepping(t *testing.T) {
 				t.Fatal("no window certified")
 			}
 
+			span := tc.span
+			if span == 0 {
+				span = 2 * sim.Second
+			}
 			fast, slow := tc.build(t), tc.build(t)
-			mid, end := fast.m.Now()+sim.Second, fast.m.Now()+2*sim.Second
+			mid, end := fast.m.Now()+span/2, fast.m.Now()+span
 			fast.m.RunUntil(mid)
 			if fast.act != nil {
 				fast.act()
@@ -358,50 +401,86 @@ func TestSteadyMatchesStepping(t *testing.T) {
 				}
 				slow.m.Step()
 			}
-
-			f, s := fast.m, slow.m
-			if f.Now() != s.Now() {
-				t.Fatalf("clocks diverged: %d != %d", f.Now(), s.Now())
-			}
-			if math.Float64bits(f.EnergyJ()) != math.Float64bits(s.EnergyJ()) {
-				t.Fatalf("energy diverged: %v != %v", f.EnergyJ(), s.EnergyJ())
-			}
-			if f.Overhead() != s.Overhead() {
-				t.Fatalf("overhead diverged: %d != %d", f.Overhead(), s.Overhead())
-			}
-			for i, fp := range f.Procs() {
-				sp := s.Procs()[i]
-				if math.Float64bits(fp.WorkDone()) != math.Float64bits(sp.WorkDone()) {
-					t.Fatalf("process %d work diverged: %v != %v", i, fp.WorkDone(), sp.WorkDone())
-				}
-				if fp.HB.Count() != sp.HB.Count() {
-					t.Fatalf("process %d heartbeats diverged: %d != %d", i, fp.HB.Count(), sp.HB.Count())
-				}
-			}
-			for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-				if math.Float64bits(f.ClusterEnergyJ(k)) != math.Float64bits(s.ClusterEnergyJ(k)) {
-					t.Fatalf("cluster %v energy diverged: %v != %v", k, f.ClusterEnergyJ(k), s.ClusterEnergyJ(k))
-				}
-				if f.LevelCap(k) != s.LevelCap(k) {
-					t.Fatalf("cluster %v cap diverged: %d != %d", k, f.LevelCap(k), s.LevelCap(k))
-				}
-				if fast.gov == nil {
-					continue
-				}
-				if math.Float64bits(fast.gov.TempC(k)) != math.Float64bits(slow.gov.TempC(k)) {
-					t.Fatalf("cluster %v temperature diverged: %v != %v", k, fast.gov.TempC(k), slow.gov.TempC(k))
-				}
-				if math.Float64bits(fast.gov.PeakC(k)) != math.Float64bits(slow.gov.PeakC(k)) {
-					t.Fatalf("cluster %v peak diverged: %v != %v", k, fast.gov.PeakC(k), slow.gov.PeakC(k))
-				}
-			}
+			compareMachines(t, fast.m, slow.m)
 			if fast.gov != nil {
-				fg, sg := fast.gov, slow.gov
-				if fg.Throttles() != sg.Throttles() || fg.Trips() != sg.Trips() || fg.Releases() != sg.Releases() {
-					t.Fatalf("governor counters diverged: %d/%d/%d != %d/%d/%d",
-						fg.Throttles(), fg.Trips(), fg.Releases(), sg.Throttles(), sg.Trips(), sg.Releases())
+				compareGovernors(t, fast.gov, slow.gov)
+			}
+			if tc.throttles && fast.gov.Throttles() == 0 {
+				t.Fatal("the governor never throttled; the fixture must heat into the throttle zone")
+			}
+			ticks, cost := fast.m.JumpStats()
+			t.Logf("windows jumped %d of %d accumulator ticks", ticks-cost, ticks)
+			if tc.jumped {
+				if ticks == 0 || float64(ticks-cost) < 0.9*float64(ticks) {
+					t.Fatalf("windows jumped %d of %d accumulator ticks, want at least 90%%", ticks-cost, ticks)
 				}
 			}
 		})
+	}
+}
+
+// compareMachines fails the test at the first field on which the windowed
+// machine f differs from the stepped machine s.
+func compareMachines(t *testing.T, f, s *sim.Machine) {
+	t.Helper()
+	if f.Now() != s.Now() {
+		t.Fatalf("clocks diverged: %d != %d", f.Now(), s.Now())
+	}
+	if math.Float64bits(f.EnergyJ()) != math.Float64bits(s.EnergyJ()) {
+		t.Fatalf("energy diverged: %v != %v", f.EnergyJ(), s.EnergyJ())
+	}
+	if f.Overhead() != s.Overhead() {
+		t.Fatalf("overhead diverged: %d != %d", f.Overhead(), s.Overhead())
+	}
+	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
+		if math.Float64bits(f.ClusterEnergyJ(k)) != math.Float64bits(s.ClusterEnergyJ(k)) {
+			t.Fatalf("cluster %v energy diverged: %v != %v", k, f.ClusterEnergyJ(k), s.ClusterEnergyJ(k))
+		}
+		if f.LevelCap(k) != s.LevelCap(k) {
+			t.Fatalf("cluster %v cap diverged: %d != %d", k, f.LevelCap(k), s.LevelCap(k))
+		}
+	}
+	for cpu := 0; cpu < s.Platform().TotalCores(); cpu++ {
+		if math.Float64bits(f.BusyUS(cpu)) != math.Float64bits(s.BusyUS(cpu)) {
+			t.Fatalf("cpu %d busy diverged: %v != %v", cpu, f.BusyUS(cpu), s.BusyUS(cpu))
+		}
+	}
+	for i, sp := range s.Procs() {
+		fp := f.Procs()[i]
+		if math.Float64bits(fp.WorkDone()) != math.Float64bits(sp.WorkDone()) {
+			t.Fatalf("process %d work diverged: %v != %v", i, fp.WorkDone(), sp.WorkDone())
+		}
+		if fp.HB.Count() != sp.HB.Count() {
+			t.Fatalf("process %d heartbeats diverged: %d != %d", i, fp.HB.Count(), sp.HB.Count())
+		}
+	}
+	for i, st := range s.Threads() {
+		ft := f.Threads()[i]
+		switch {
+		case ft.RanLastTick() != st.RanLastTick():
+			t.Fatalf("thread %d RanLastTick diverged: %v != %v", i, ft.RanLastTick(), st.RanLastTick())
+		case math.Float64bits(ft.WorkDone()) != math.Float64bits(st.WorkDone()):
+			t.Fatalf("thread %d work diverged: %v != %v", i, ft.WorkDone(), st.WorkDone())
+		case math.Float64bits(ft.Remaining()) != math.Float64bits(st.Remaining()):
+			t.Fatalf("thread %d remaining diverged: %v != %v", i, ft.Remaining(), st.Remaining())
+		}
+	}
+}
+
+// compareGovernors fails the test at the first field on which the windowed
+// machine's governor f differs from the stepped machine's s.
+func compareGovernors(t *testing.T, f, s *thermal.Governor) {
+	t.Helper()
+	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
+		if math.Float64bits(f.TempC(k)) != math.Float64bits(s.TempC(k)) {
+			t.Fatalf("cluster %v temperature diverged: %v != %v", k, f.TempC(k), s.TempC(k))
+		}
+		if math.Float64bits(f.PeakC(k)) != math.Float64bits(s.PeakC(k)) {
+			t.Fatalf("cluster %v peak diverged: %v != %v", k, f.PeakC(k), s.PeakC(k))
+		}
+	}
+	if f.Throttles() != s.Throttles() || f.Trips() != s.Trips() || f.Releases() != s.Releases() {
+		t.Fatalf("governor counters diverged: %d/%d/%d != %d/%d/%d",
+			f.Throttles(), f.Trips(), f.Releases(), s.Throttles(), s.Trips(), s.Releases())
 	}
 }

@@ -36,6 +36,7 @@ type Thread struct {
 	sibPrev, sibNext *Thread
 
 	lastRan    int64 // execute-tick stamp of the last tick this thread ran
+	window     int64 // the machine's windowID when the thread joined a window plan
 	migrations int
 	workDone   float64
 }
@@ -53,6 +54,13 @@ func (t *Thread) Affinity() hmp.CPUMask { return t.affinity }
 // tick; the GTS load tracker feeds on this. (Implemented as a tick-stamp
 // comparison so execute does not reset a flag on every thread every tick.)
 func (t *Thread) RanLastTick() bool { return t.lastRan == t.Proc.m.execTick }
+
+// RunsInWindow reports whether the thread runs on every tick of the
+// machine's certified window — whether it is in the window plan. A
+// SteadyTicker reads it for the window's second tick on, where RanLastTick
+// would report the window's previous tick; outside a window it means
+// nothing.
+func (t *Thread) RunsInWindow() bool { return t.window == t.Proc.m.windowID }
 
 // Migrations returns how many times the thread has changed cores.
 func (t *Thread) Migrations() int { return t.migrations }

@@ -290,24 +290,24 @@ func (md *Model) MaxStepC(k hmp.ClusterKind, watts, dtSec float64) float64 {
 // watts. One forward-Euler step, fixed evaluation order: byte-identical
 // replays depend on it.
 func (md *Model) Step(dtSec float64, watts [hmp.NumClusters]float64) {
-	dLittle, dBig := md.stepDelta(dtSec, watts)
-	md.temp[hmp.Little] += dLittle
-	md.temp[hmp.Big] += dBig
+	md.temp = md.stepped(md.temp, dtSec, watts)
 }
 
-// stepDelta computes one forward-Euler step's temperature increments without
-// applying them — the pure half of Step, shared with the governor's steady-
-// window probe so the probed and the applied step are the same IEEE
-// operations.
-func (md *Model) stepDelta(dtSec float64, watts [hmp.NumClusters]float64) (dLittle, dBig float64) {
+// stepped returns the temperatures one forward-Euler step takes temp to,
+// without touching the model — the pure form of Step, shared with the
+// governor's window loop so the windowed and the applied step are the same
+// IEEE operations.
+func (md *Model) stepped(temp [hmp.NumClusters]float64, dtSec float64, watts [hmp.NumClusters]float64) [hmp.NumClusters]float64 {
 	// Heat flowing from the big node into the little node through the
 	// coupling conductance (negative when little is hotter).
-	flow := md.coupling * (md.temp[hmp.Big] - md.temp[hmp.Little])
-	dLittle = (watts[hmp.Little] + flow - (md.temp[hmp.Little]-md.ambient)/md.rc[hmp.Little].ResistanceKPerW) *
+	flow := md.coupling * (temp[hmp.Big] - temp[hmp.Little])
+	dLittle := (watts[hmp.Little] + flow - (temp[hmp.Little]-md.ambient)/md.rc[hmp.Little].ResistanceKPerW) *
 		dtSec / md.rc[hmp.Little].CapacitanceJPerK
-	dBig = (watts[hmp.Big] - flow - (md.temp[hmp.Big]-md.ambient)/md.rc[hmp.Big].ResistanceKPerW) *
+	dBig := (watts[hmp.Big] - flow - (temp[hmp.Big]-md.ambient)/md.rc[hmp.Big].ResistanceKPerW) *
 		dtSec / md.rc[hmp.Big].CapacitanceJPerK
-	return dLittle, dBig
+	temp[hmp.Little] += dLittle
+	temp[hmp.Big] += dBig
+	return temp
 }
 
 // Governor is the closed-loop thermal daemon: each tick it feeds the
@@ -326,10 +326,20 @@ type Governor struct {
 	releases  int
 	peak      [hmp.NumClusters]float64
 
-	// stepDL and stepDB carry the model deltas SteadyTick computed over to
-	// SteadyAdvance — private scratch no later observer reads, so a tick
-	// declined after the probe leaves them harmlessly stale.
-	stepDL, stepDB float64
+	// window is the state SteadyBound reached after windowTicks ticks,
+	// kept for SteadyAdvance to commit — private scratch no later observer
+	// reads, so a window bound tighter elsewhere leaves it harmlessly stale.
+	window      windowState
+	windowTicks int64
+}
+
+// windowState is the governor state a certified window advances: the RC
+// temperatures, the peaks, the tick counter and the sample clock.
+type windowState struct {
+	temp       [hmp.NumClusters]float64
+	peak       [hmp.NumClusters]float64
+	ticks      int64
+	nextSample sim.Time
 }
 
 // NewGovernor validates the spec and builds a governor with a fresh model.
@@ -437,77 +447,98 @@ func (g *Governor) Tick(m *sim.Machine) {
 // counter, the peak tracker, the sample clock), so inside a steady window —
 // where the machine certifies its per-cluster power constant — every Tick
 // that takes no action and emits nothing is internal-only. Whether a given
-// tick qualifies depends on the evolving temperatures, so the per-tick
-// decision lives in the declared Ticker; SteadyBegin itself always accepts.
+// tick qualifies depends on the evolving temperatures, so the decision
+// lives in the declared Ticker; SteadyBegin itself always accepts.
 func (g *Governor) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 	return sim.SteadyEntry{Ticker: g}, true
 }
 
-// SteadyTick implements sim.SteadyTicker: it computes the tick's model step
-// (the exact IEEE operations Tick's model.Step would perform, stashed for
-// SteadyAdvance) and reports whether Tick would stay internal-only at the
-// resulting temperatures — no EvTemp sample due while a tracer listens, no
-// trip clamp, and no graduated step or release on a period edge. Declining
-// ends the steady window before this tick, so the actuation (or emission)
-// happens on the general path.
-func (g *Governor) SteadyTick(m *sim.Machine) bool {
+// SteadyBound implements sim.SteadyTicker: it loops the RC step over the
+// next n ticks (the exact IEEE operations Tick's model.Step performs) and
+// stops before the first tick whose Tick would not stay internal-only at
+// the resulting temperatures — an EvTemp sample due while a tracer
+// listens, a trip clamp, or a graduated step or release on a period edge —
+// so the actuation (or emission) happens on the general path. The state
+// reached is kept for SteadyAdvance.
+func (g *Governor) SteadyBound(m *sim.Machine, n int64) int64 {
+	g.window = g.state()
+	g.windowTicks = g.advance(m, &g.window, n)
+	return g.windowTicks
+}
+
+// SteadyAdvance implements sim.SteadyTicker: it commits the state of n
+// internal-only Ticks, the one SteadyBound reached when the window kept its
+// bound and a recomputation when another ticker cut it shorter.
+func (g *Governor) SteadyAdvance(m *sim.Machine, n int64) {
+	st := g.window
+	if n != g.windowTicks {
+		st = g.state()
+		g.advance(m, &st, n)
+	}
+	g.model.temp, g.peak, g.ticks, g.nextSample = st.temp, st.peak, st.ticks, st.nextSample
+}
+
+// state returns the governor's current window state.
+func (g *Governor) state() windowState {
+	return windowState{temp: g.model.temp, peak: g.peak, ticks: g.ticks, nextSample: g.nextSample}
+}
+
+// advance runs up to n window ticks of Tick's internal effects on st, in
+// Tick's order — the model step, the tick count, the (tracerless) sample
+// clock and the peaks — and returns how many it ran: it stops before the
+// first tick that would act or emit. The machine is as it stands at the
+// window's start; the clock of tick j is that start plus j-1 ticks.
+func (g *Governor) advance(m *sim.Machine, st *windowState, n int64) int64 {
 	var watts [hmp.NumClusters]float64
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		watts[k] = m.LastTickPowerW(k)
 	}
-	g.stepDL, g.stepDB = g.model.stepDelta(sim.Seconds(m.TickLen()), watts)
-	var temps [hmp.NumClusters]float64
-	temps[hmp.Little] = g.model.temp[hmp.Little] + g.stepDL
-	temps[hmp.Big] = g.model.temp[hmp.Big] + g.stepDB
-	now := m.Now()
-	if now >= g.nextSample && m.Tracer() != nil {
-		return false
-	}
-	stepEdge := (g.ticks+1)%int64(g.spec.PeriodTicks) == 0
+	dt := sim.Seconds(m.TickLen())
+	traced := m.Tracer() != nil
 	plat := m.Platform()
+	var minLv, maxLv, caps [hmp.NumClusters]int
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-		t := temps[k]
-		maxLv := plat.Clusters[k].MaxLevel()
-		minLv := g.spec.MinLevel
-		if minLv > maxLv {
-			minLv = maxLv
-		}
-		cap := m.LevelCap(k)
-		switch {
-		case t >= g.spec.TripC:
-			if cap > minLv {
-				return false
-			}
-		case t >= g.spec.ThrottleC:
-			if stepEdge && cap > minLv {
-				return false
-			}
-		case t <= g.spec.ReleaseC:
-			if stepEdge && cap < maxLv {
-				return false
-			}
-		}
+		maxLv[k] = plat.Clusters[k].MaxLevel()
+		minLv[k] = min(g.spec.MinLevel, maxLv[k])
+		caps[k] = m.LevelCap(k)
 	}
-	return true
-}
-
-// SteadyAdvance implements sim.SteadyTicker: the internal effects of one
-// Tick, in Tick's order — apply the probed model step, count the tick,
-// advance the sample clock when a (tracerless) sample came due, and track
-// the peaks.
-func (g *Governor) SteadyAdvance(m *sim.Machine) {
-	g.model.temp[hmp.Little] += g.stepDL
-	g.model.temp[hmp.Big] += g.stepDB
-	g.ticks++
 	now := m.Now()
-	if now >= g.nextSample {
-		g.nextSample = now + g.sampleEvery
-	}
-	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-		if t := g.model.TempC(k); t > g.peak[k] {
-			g.peak[k] = t
+	for j := int64(0); j < n; j++ {
+		temp := g.model.stepped(st.temp, dt, watts)
+		if traced && now >= st.nextSample {
+			return j
 		}
+		stepEdge := (st.ticks+1)%int64(g.spec.PeriodTicks) == 0
+		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
+			t, cap := temp[k], caps[k]
+			switch {
+			case t >= g.spec.TripC:
+				if cap > minLv[k] {
+					return j
+				}
+			case t >= g.spec.ThrottleC:
+				if stepEdge && cap > minLv[k] {
+					return j
+				}
+			case t <= g.spec.ReleaseC:
+				if stepEdge && cap < maxLv[k] {
+					return j
+				}
+			}
+		}
+		st.temp = temp
+		st.ticks++
+		if now >= st.nextSample {
+			st.nextSample = now + g.sampleEvery
+		}
+		for k := range st.peak {
+			if temp[k] > st.peak[k] {
+				st.peak[k] = temp[k]
+			}
+		}
+		now += m.TickLen()
 	}
+	return n
 }
 
 func (g *Governor) setCap(m *sim.Machine, tr *sim.Tracer, k hmp.ClusterKind, level int, tempC float64) {
