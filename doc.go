@@ -223,16 +223,21 @@
 //     machine to per-tick stepping), placers via sim.SteadyPlacer: the
 //     mask balancer, which keeps no per-call state, and the GTS model.
 //     A ticker bounds and then advances a whole window at once — the GTS
-//     load averages in a tight loop that stops at the recurrence's fixed
-//     point, ending the window before a pass that would move a thread;
-//     the governor's RC step in a loop that stops before an actuation —
-//     so the paper's calibration, baseline, and static-optimal runs
-//     advance in windows too. Unit completions,
-//     heartbeats, timer wakeups, GTS threshold migrations, and governor
-//     actuations always run through the general per-tick loop, which
-//     survives as the bit-exactness reference — the lockstep strategy
-//     steps every machine through it — pinned by the golden digests, the
-//     window boundary tests, and the scenario equivalence suite. The
+//     load averages four threads at a time, checking for the recurrences'
+//     fixed points once per migration period or 32-tick chunk, ending the
+//     window before a pass that would move a thread; the governor's RC
+//     step in a loop that stops before an actuation — so the paper's
+//     calibration, baseline, and static-optimal runs advance in windows
+//     too. Unit completions, heartbeats, timer wakeups, GTS threshold
+//     migrations, and governor actuations always run through the general
+//     per-tick loop; a window that stops before a completion or an
+//     actuation has that tick stepped next without certifying again, and a
+//     certification vetoed only by the power memo (which that tick leaves
+//     keyed on its own utilisation) is retried one tick later instead of
+//     backing off four. The general per-tick loop survives as the
+//     bit-exactness reference — the lockstep strategy steps every machine
+//     through it — pinned by the golden digests, the window boundary
+//     tests, the re-entry counts, and the scenario equivalence suite. The
 //     BenchmarkFleetScale1kSteady pair tracks the speedup over the general
 //     loop on a managed busy fleet, and the BenchmarkSimSecond and
 //     BenchmarkSimSecondGTS pairs on one machine under the mask balancer

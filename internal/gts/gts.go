@@ -20,10 +20,11 @@
 // advances in the simulator's certified windows like a mask-balanced one.
 // Its Place keeps per-call state — the load averages and the count of
 // calls that times the migration pass — which its ticker advances over a
-// whole window at once, each load in a tight loop that stops at the
-// recurrence's fixed point; the window ends before any tick whose Place
-// would move a thread, so every decision is the one per-tick stepping
-// makes.
+// whole window at once. The ticker runs the load recurrences four threads
+// at a time, so their independent multiply-adds overlap, and checks for
+// the recurrences' fixed points once per migration period or 32-tick
+// chunk; the window ends before any tick whose Place would move a thread,
+// so every decision is the one per-tick stepping makes.
 package gts
 
 import (
@@ -73,17 +74,21 @@ type Scheduler struct {
 	ticks  int
 	counts []int
 
-	// watch is window scratch (see Settled): the runnable threads whose
-	// threshold move the window's frozen queue counts permit.
-	watch []watched
+	// watch and lanes are window scratch: the runnable threads whose
+	// threshold move the window's frozen queue counts permit (see Settled),
+	// and every thread's recurrence for SteadyAdvance.
+	watch []lane
+	lanes []lane
 }
 
-// watched is a runnable thread whose load alone decides whether the
-// migration pass moves it: up for a little thread (Up threshold), !up for
-// a big one (Down threshold).
-type watched struct {
-	id int
-	up bool
+// lane is one thread's load recurrence over a window: whether the thread
+// ran in the tick before the window (ran0, which the window's first tick
+// feeds in) and whether it runs in the window (ran, which every later tick
+// feeds in). On the watch list, up tells which threshold decides its move:
+// Up for a little thread, Down for a big one.
+type lane struct {
+	id            int
+	ran0, ran, up bool
 }
 
 // New returns a GTS scheduler with kernel-flavoured defaults, allowed to use
@@ -131,8 +136,9 @@ func (g *Scheduler) Place(m *sim.Machine) {
 	for len(g.loads) < len(threads) {
 		g.loads = append(g.loads, LoadScale)
 	}
+	d, gain := g.Decay, g.gain()
 	for _, t := range threads {
-		g.loads[t.Global] = g.decay(g.loads[t.Global], t.RanLastTick())
+		g.loads[t.Global] = decay(g.loads[t.Global], d, term(t.RanLastTick(), gain))
 	}
 
 	plat := m.Platform()
@@ -157,16 +163,26 @@ func (g *Scheduler) Place(m *sim.Machine) {
 	g.balanceClusters(m, threads, counts, usable)
 }
 
-// decay is one tick of a thread's load average: a geometric step toward
-// LoadScale if the thread ran in the previous tick, toward zero if not.
-// Place and the ticker's recurrences all call it, so a window evaluates
-// the very float expression the per-tick path does.
-func (g *Scheduler) decay(load float64, ran bool) float64 {
-	target := 0.0
+// decay is one tick of a thread's load average: load·d + c, a geometric
+// step toward LoadScale (c is gain) if the thread ran in the previous tick,
+// toward zero (c is 0) if not. Place and the ticker's recurrences all call
+// it, so a window evaluates the very float expression the per-tick path
+// does. The conversion of the product is the language's barrier against
+// fusing it with the addition: without it a compiler may emit one fused
+// multiply-add (arm64 does), which rounds once instead of twice.
+func decay(load, d, c float64) float64 { return float64(load*d) + c }
+
+// gain is the constant term of a tick after one the thread ran in:
+// LoadScale·(1−Decay), a product kept unfused like decay's.
+func (g *Scheduler) gain() float64 { return float64(LoadScale * (1 - g.Decay)) }
+
+// term is the constant term of a tick after one in which the thread ran
+// (gain) or did not (0).
+func term(ran bool, gain float64) float64 {
 	if ran {
-		target = LoadScale
+		return gain
 	}
-	return load*g.Decay + target*(1-g.Decay)
+	return 0
 }
 
 // countQueues fills the per-core scratch counts: the runnable threads on
@@ -380,14 +396,17 @@ func level(plat *hmp.Platform, counts []int, usable hmp.CPUMask) bool {
 // Settled records the runnable threads whose move the counts permit, and
 // the returned ticker (g itself) ends the window before the first
 // migration-pass tick at which one of them crosses its threshold. Settled
-// writes only that watch list.
+// writes only its scratch: that watch list, with each thread's run flags
+// for the window (RanLastTick, and RunsInWindow, which the machine has
+// settled before it asks the placer).
 func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 	threads := m.Threads()
 	if len(g.loads) < len(threads) {
 		return nil, false
 	}
 	if cap(g.watch) < len(threads) {
-		g.watch = make([]watched, 0, len(threads))
+		g.watch = make([]lane, 0, len(threads))
+		g.lanes = make([]lane, 0, len(threads))
 	}
 	plat := m.Platform()
 	usable := g.Allowed & m.OnlineMask()
@@ -422,7 +441,7 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 			dest = room
 		}
 		if t.Affinity()&dest != 0 {
-			g.watch = append(g.watch, watched{id: t.Global, up: up})
+			g.watch = append(g.watch, lane{id: t.Global, ran0: t.RanLastTick(), ran: t.RunsInWindow(), up: up})
 		}
 	}
 	if g.pulls(counts) {
@@ -437,63 +456,126 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 
 // SteadyBound implements sim.SteadyTicker: it runs each watched thread's
 // load recurrence over the next n ticks, as Place's update would (the
-// first tick feeds RanLastTick, the later ones RunsInWindow), and returns
-// the ticks before the first migration-pass tick at which one of them
-// crosses its threshold, so that tick's pass runs through Step.
-func (g *Scheduler) SteadyBound(m *sim.Machine, n int64) int64 {
-	threads := m.Threads()
-	for _, w := range g.watch {
-		t := threads[w.id]
-		n = g.crossBound(g.loads[w.id], t.RanLastTick(), t.RunsInWindow(), w.up, n)
-	}
-	return n
-}
-
-// crossBound returns how many of the next n ticks pass before the first
-// migration pass that finds load — updated with ran0 on the first tick and
-// ran on every later one — past its threshold, or n when none does. The
-// loop ends early at the recurrence's fixed point, after which every pass
-// finds the same load.
-func (g *Scheduler) crossBound(load float64, ran0, ran, up bool, n int64) int64 {
-	period := int64(g.PeriodTicks)
-	pass := period - int64(g.ticks)%period // the window's next migration-pass tick
-	load = g.decay(load, ran0)
-	for j := int64(1); j <= n; j++ {
-		if j > 1 {
-			next := g.decay(load, ran)
-			if next == load {
-				if !g.crosses(load, up) {
-					return n
-				}
-				return min(pass-1, n)
-			}
-			load = next
-		}
-		if j == pass {
-			if g.crosses(load, up) {
-				return j - 1
-			}
-			pass += period
-		}
-	}
-	return n
-}
+// first tick feeds RanLastTick, the later ones RunsInWindow, both recorded
+// by Settled), and returns the ticks before the first migration-pass tick
+// at which one of them crosses its threshold, so that tick's pass runs
+// through Step.
+func (g *Scheduler) SteadyBound(m *sim.Machine, n int64) int64 { return g.bound(g.watch, n) }
 
 // SteadyAdvance implements sim.SteadyTicker: it runs every thread's load
-// recurrence over n ticks, exiting at its fixed point (a thread that runs
-// reaches one within about 1.5k ticks), and counts the skipped Place calls.
+// recurrence over n ticks and counts the skipped Place calls.
 func (g *Scheduler) SteadyAdvance(m *sim.Machine, n int64) {
+	g.lanes = g.lanes[:0]
 	for _, t := range m.Threads() {
-		load := g.decay(g.loads[t.Global], t.RanLastTick())
-		ran := t.RunsInWindow()
-		for j := int64(1); j < n; j++ {
-			next := g.decay(load, ran)
-			if next == load {
+		g.lanes = append(g.lanes, lane{id: t.Global, ran0: t.RanLastTick(), ran: t.RunsInWindow()})
+	}
+	g.advance(g.lanes, n)
+	g.ticks += int(n)
+}
+
+// Four recurrences at a time: a load's tick is a multiply and an add that
+// wait on the previous tick, so one recurrence leaves the floating-point
+// units idle most of the time, and four independent ones, held in
+// registers, fill them. A thread that runs reaches its fixed point (1024
+// less 23 ulps) within about 1.5k ticks; one that does not decays for
+// about 34.5k ticks, into the subnormals, before a tick leaves its load
+// unchanged. Past a fixed point every tick is a no-op, so a group stops
+// once all four of its loads have reached theirs, and the check for it
+// runs once per migration period (bound) or 32-tick chunk (advance)
+// rather than every tick. A group short of four repeats its first lane.
+
+// quad returns the first four lanes of ls, the first repeated where ls is
+// shorter.
+func quad(ls []lane) (a, b, c, e lane) {
+	a, b, c, e = ls[0], ls[0], ls[0], ls[0]
+	if len(ls) > 1 {
+		b = ls[1]
+	}
+	if len(ls) > 2 {
+		c = ls[2]
+	}
+	if len(ls) > 3 {
+		e = ls[3]
+	}
+	return a, b, c, e
+}
+
+// start returns a lane's load after the window's first tick and the
+// constant term every later tick adds.
+func (g *Scheduler) start(l lane, d, gain float64) (load, c float64) {
+	return decay(g.loads[l.id], d, term(l.ran0, gain)), term(l.ran, gain)
+}
+
+// bound returns how many of the next n ticks pass before the first
+// migration pass that finds one of the lanes' loads past its threshold, or
+// n when none does.
+func (g *Scheduler) bound(ls []lane, n int64) int64 {
+	period := int64(g.PeriodTicks)
+	first := period - int64(g.ticks)%period // the window's first migration-pass tick
+	for i := 0; i < len(ls) && first <= n; i += 4 {
+		n = g.bound4(ls[i:], first, n)
+	}
+	return n
+}
+
+// bound4 is bound over the first four lanes of ls.
+func (g *Scheduler) bound4(ls []lane, first, n int64) int64 {
+	a, b, c, e := quad(ls)
+	d, gain, period := g.Decay, g.gain(), int64(g.PeriodTicks)
+	la, ca := g.start(a, d, gain)
+	lb, cb := g.start(b, d, gain)
+	lc, cc := g.start(c, d, gain)
+	le, ce := g.start(e, d, gain)
+	pass := first
+	if pass == 1 {
+		if g.crosses(la, a.up) || g.crosses(lb, b.up) || g.crosses(lc, c.up) || g.crosses(le, e.up) {
+			return 0
+		}
+		pass += period
+	}
+	// Ticks 2 on feed the same constant, so a tick that leaves every load
+	// unchanged marks four fixed points.
+	for j := int64(1); pass <= n; pass += period {
+		for ; j < pass-1; j++ {
+			la, lb, lc, le = decay(la, d, ca), decay(lb, d, cb), decay(lc, d, cc), decay(le, d, ce)
+		}
+		pa, pb, pc, pe := la, lb, lc, le
+		la, lb, lc, le = decay(la, d, ca), decay(lb, d, cb), decay(lc, d, cc), decay(le, d, ce)
+		j++
+		if g.crosses(la, a.up) || g.crosses(lb, b.up) || g.crosses(lc, c.up) || g.crosses(le, e.up) {
+			return pass - 1
+		}
+		if la == pa && lb == pb && lc == pc && le == pe {
+			return n
+		}
+	}
+	return n
+}
+
+// advanceChunk is how many ticks advance runs between fixed-point checks.
+const advanceChunk = 32
+
+// advance runs every lane's load recurrence over n ticks.
+func (g *Scheduler) advance(ls []lane, n int64) {
+	d, gain := g.Decay, g.gain()
+	for i := 0; i < len(ls); i += 4 {
+		a, b, c, e := quad(ls[i:])
+		la, ca := g.start(a, d, gain)
+		lb, cb := g.start(b, d, gain)
+		lc, cc := g.start(c, d, gain)
+		le, ce := g.start(e, d, gain)
+		for j := int64(1); j < n; {
+			for end := min(j+advanceChunk, n) - 1; j < end; j++ {
+				la, lb, lc, le = decay(la, d, ca), decay(lb, d, cb), decay(lc, d, cc), decay(le, d, ce)
+			}
+			pa, pb, pc, pe := la, lb, lc, le
+			la, lb, lc, le = decay(la, d, ca), decay(lb, d, cb), decay(lc, d, cc), decay(le, d, ce)
+			j++
+			if la == pa && lb == pb && lc == pc && le == pe {
 				break
 			}
-			load = next
 		}
-		g.loads[t.Global] = load
+		// A repeated lane writes its first lane's value back to it.
+		g.loads[a.id], g.loads[b.id], g.loads[c.id], g.loads[e.id] = la, lb, lc, le
 	}
-	g.ticks += int(n)
 }

@@ -13,16 +13,29 @@ import (
 )
 
 // countingPlacer wraps a GTS scheduler and counts the Place calls the
-// machine makes, so a test can tell the ticks its windows skipped from the
-// ticks it stepped.
+// machine makes and the windows its ticker advances, so a test can tell
+// the ticks its windows skipped from the ticks it stepped.
 type countingPlacer struct {
 	*gts.Scheduler
-	places int
+	places, windows int
 }
 
 func (c *countingPlacer) Place(m *sim.Machine) {
 	c.places++
 	c.Scheduler.Place(m)
+}
+
+func (c *countingPlacer) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
+	tk, ok := c.Scheduler.Settled(m)
+	if tk != nil {
+		tk = c
+	}
+	return tk, ok
+}
+
+func (c *countingPlacer) SteadyAdvance(m *sim.Machine, n int64) {
+	c.windows++
+	c.Scheduler.SteadyAdvance(m, n)
 }
 
 // gtsFixture is one GTS-placed machine set-up; at lists the hotplug actions
@@ -213,5 +226,30 @@ func compareGTSMachines(t *testing.T, f, s *sim.Machine, fg, sg *gts.Scheduler) 
 		case math.Float64bits(fg.Load(ft)) != math.Float64bits(sg.Load(st)):
 			t.Fatalf("t=%d: thread %d load diverged: %v != %v", at, i, fg.Load(ft), sg.Load(st))
 		}
+	}
+}
+
+// TestGTSWindowReentry is the GTS fixture of sim's TestWindowReentry: the
+// Steps (Place calls) a GTS-placed SW machine takes per window its ticker
+// advances, over 10 simulated seconds after a 2 s warm-up. Stepping a
+// known edge once and retrying a certification vetoed only by a cold power
+// memo after one tick brings it to about 2.8; blind 4-tick back-offs at
+// every edge took about 4.7. The bound sits about halfway between.
+func TestGTSWindowReentry(t *testing.T) {
+	const max = 3.7
+	plat := hmp.Default()
+	m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+	g := &countingPlacer{Scheduler: gts.New(plat)}
+	m.SetPlacer(g)
+	b, _ := workload.ByShort("SW")
+	m.Spawn(b.Name, b.New(8), 10)
+	m.RunUntil(2 * sim.Second)
+	steps0, windows0 := g.places, g.windows
+	m.RunUntil(12 * sim.Second)
+	steps, windows := g.places-steps0, g.windows-windows0
+	per := float64(steps) / float64(windows)
+	t.Logf("%d Steps, %d windows: %.2f Steps per window", steps, windows, per)
+	if windows == 0 || per > max {
+		t.Fatalf("%d Steps over %d windows, want at most %.1f per window", steps, windows, float64(max))
 	}
 }

@@ -10,7 +10,10 @@
 // occupy CPUs 0..3 and big cores CPUs 4..7.
 package hmp
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ClusterKind identifies one of the two core clusters of an HMP platform.
 type ClusterKind uint8
@@ -257,4 +260,19 @@ func (p *Platform) Validate() error {
 		return fmt.Errorf("hmp: non-positive base frequency %d", p.BaseKHz)
 	}
 	return nil
+}
+
+// Equal reports whether two platforms describe the same board, field by
+// field, OPP grids included.
+func (p *Platform) Equal(q *Platform) bool {
+	if p.BaseKHz != q.BaseKHz {
+		return false
+	}
+	for k := range p.Clusters {
+		a, b := &p.Clusters[k], &q.Clusters[k]
+		if a.Kind != b.Kind || a.Name != b.Name || a.Cores != b.Cores || a.IPC != b.IPC || !slices.Equal(a.OPPs, b.OPPs) {
+			return false
+		}
+	}
+	return true
 }

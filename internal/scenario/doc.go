@@ -53,7 +53,7 @@
 //     measured maximum rate (±5% band). init_big/init_little are the
 //     MP-HARS initial core allocation (default 1+1). threads defaults to
 //     8; validation rejects more than 1,024, here and in an arrival
-//     stream's template.
+//     stream's template, and more than 10,000 declared apps.
 //   - duration_ms, sample_every_ms, migrate_every_ms and the faults
 //     block's *_ms fields: validation rejects any above sim.MaxMS (2^40 ms,
 //     about 35 years), where converting them to simulated microseconds
@@ -136,7 +136,9 @@
 // app's slo target, minus the checkpoint delay scored against its slack
 // when the candidate is a migration destination) or by their "node" pin;
 // platform events (hotplug, dvfs_cap) must name the node they act on,
-// while app events address the app wherever it runs.
+// while app events address the app wherever it runs. Validation rejects
+// more than 4,096 nodes. Nodes on equal boards share one max-rate
+// calibration per (bench, threads).
 //
 // Traffic traces: each "arrivals" stream is a seeded Poisson arrival
 // process with a piecewise-constant rate profile ("rate" steps, each

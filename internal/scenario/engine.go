@@ -32,12 +32,11 @@ import (
 type Options struct {
 	// MaxRate resolves a benchmark's maximum achievable heartbeat rate for
 	// fractional targets. Nil selects an engine-local calibration run per
-	// (bench, threads, platform instance) tuple (deterministic, cached for
-	// the run): nodes that share a platform instance, as every default-board
-	// node does, share one calibration. A non-nil override is consulted
-	// once per such tuple, for every node — callers supplying one to a
-	// multi-node scenario with heterogeneous platforms are responsible for
-	// the rates making sense on every node.
+	// (bench, threads, board) tuple (deterministic, cached for the run):
+	// nodes on equal boards, default or inline, share one calibration. A
+	// non-nil override is consulted once per such tuple, for every node —
+	// callers supplying one to a multi-node scenario with heterogeneous
+	// platforms are responsible for the rates making sense on every node.
 	MaxRate func(short string, threads int) float64
 
 	// Trace, when non-nil, receives the per-sample metric trace (see the
@@ -1301,7 +1300,8 @@ func (e *engine) target(explicit *TargetSpec, frac float64, bench string, thread
 }
 
 // rateKey is the max-rate cache key: a benchmark at a thread count on one
-// platform instance.
+// board. resolveNodes gives equal boards one instance, so the pointer
+// stands for the board's value.
 type rateKey struct {
 	bench   string
 	threads int
@@ -1311,8 +1311,8 @@ type rateKey struct {
 // maxRate measures (and caches) a benchmark's maximum achievable heartbeat
 // rate on one node's platform: a short unmanaged run under the GTS
 // scheduler at the platform maximum, mirroring the experiments
-// environment's calibration. The cache keys on the platform instance, so
-// nodes sharing a platform (every default-board node) calibrate once.
+// environment's calibration. The cache keys on the board, so nodes on
+// equal boards calibrate once.
 func (e *engine) maxRate(bench string, threads int, nr *nodeRun) float64 {
 	key := rateKey{bench, threads, nr.rn.plat}
 	if r, ok := e.rates[key]; ok {

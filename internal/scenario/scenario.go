@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -144,6 +145,18 @@ const maxOccurrences = 100_000
 // arrival stream's template, so an oversized document fails validation
 // instead of exhausting memory when the engine spawns the app.
 const maxAppThreads = 1024
+
+// maxNodes and maxApps bound a scenario's node list and its declared apps,
+// so that a few MB of JSON cannot pass Decode and then exhaust memory. A
+// node costs its machine and its per-sample results whether or not it
+// ever runs an app: the 1024 mostly idle nodes of the fleet-idle-1k
+// benchmark peak at about 70 MB, so 4096 nodes, four times that fleet,
+// stay under about 300 MB. Declared apps get the bound the arrival
+// streams' total expansion has (maxArrivalApps).
+const (
+	maxNodes = 4096
+	maxApps  = maxArrivalApps
+)
 
 // Event is one timed dynamic event.
 type Event struct {
@@ -359,12 +372,15 @@ func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 			thermal: sc.Thermal,
 		}}, nil
 	}
+	if len(sc.Nodes) > maxNodes {
+		return nil, fmt.Errorf("scenario: %d nodes above the %d cap", len(sc.Nodes), maxNodes)
+	}
 	out := make([]resolvedNode, 0, len(sc.Nodes))
 	seen := make(map[string]bool, len(sc.Nodes))
-	// Nodes without their own platform share one default instance, so
-	// platform-keyed caches (the engine's max-rate calibration) dedupe
-	// across them.
-	var sharedDefault *hmp.Platform
+	// Nodes on equal boards, the default one or inline, share one
+	// instance, so platform-keyed caches (the engine's max-rate
+	// calibration) run once per distinct board.
+	var boards []*hmp.Platform
 	for i := range sc.Nodes {
 		ns := &sc.Nodes[i]
 		if ns.Name == "" {
@@ -376,15 +392,17 @@ func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 		seen[ns.Name] = true
 		nplat := ns.Platform
 		if nplat == nil {
-			if sharedDefault == nil {
-				sharedDefault = hmp.Default()
-			}
-			nplat = sharedDefault
+			nplat = hmp.Default()
 		} else {
 			if err := nplat.Validate(); err != nil {
 				return nil, fmt.Errorf("scenario: node %q: %w", ns.Name, err)
 			}
 			nplat.Normalize()
+		}
+		if j := slices.IndexFunc(boards, nplat.Equal); j >= 0 {
+			nplat = boards[j]
+		} else {
+			boards = append(boards, nplat)
 		}
 		mgr := ns.Manager
 		if mgr == "" {
@@ -509,6 +527,9 @@ func (sc *Scenario) resolveAndValidate() ([]resolvedNode, []AppSpec, error) {
 	}
 	if sc.Decisions != nil && sc.Decisions.Keep < 0 {
 		return nil, nil, fmt.Errorf("scenario: decisions: negative keep")
+	}
+	if len(sc.Apps) > maxApps {
+		return nil, nil, fmt.Errorf("scenario: %d apps above the %d cap", len(sc.Apps), maxApps)
 	}
 	apps, err := sc.expandApps()
 	if err != nil {

@@ -411,3 +411,86 @@ func TestDecodeRejectsOverflowingTimes(t *testing.T) {
 		t.Errorf("duration_ms at the cap: %v", err)
 	}
 }
+
+// TestDecodeRejectsOversizedLists pins the node and declared-app caps: one
+// past each cap fails Decode with the cap named, and a document at the cap
+// decodes. Nothing is run.
+func TestDecodeRejectsOversizedLists(t *testing.T) {
+	decode := func(sc *Scenario) error {
+		var buf bytes.Buffer
+		if err := sc.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(&buf)
+		return err
+	}
+	nodes := func(n int) *Scenario {
+		sc := &Scenario{
+			Name: "nodes", Manager: ManagerNone, DurationMS: 1000,
+			Apps: []AppSpec{{Name: "app0", Bench: "SW", Threads: 4, TargetFrac: 0.5}},
+		}
+		for i := 0; i < n; i++ {
+			sc.Nodes = append(sc.Nodes, NodeSpec{Name: fmt.Sprintf("n%d", i)})
+		}
+		return sc
+	}
+	apps := func(n int) *Scenario {
+		sc := &Scenario{Name: "apps", Manager: ManagerNone, DurationMS: 1000}
+		for i := 0; i < n; i++ {
+			sc.Apps = append(sc.Apps, AppSpec{Name: fmt.Sprintf("app%d", i), Bench: "SW", Threads: 1})
+		}
+		return sc
+	}
+	for _, c := range []struct {
+		what string
+		cap  int
+		spec func(n int) *Scenario
+	}{
+		{"nodes", maxNodes, nodes},
+		{"apps", maxApps, apps},
+	} {
+		want := fmt.Sprintf("%d %s above the %d cap", c.cap+1, c.what, c.cap)
+		if err := decode(c.spec(c.cap + 1)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%d %s: Decode err = %v, want %q", c.cap+1, c.what, err, want)
+		}
+		if err := decode(c.spec(c.cap)); err != nil {
+			t.Errorf("%d %s, at the cap: %v", c.cap, c.what, err)
+		}
+	}
+}
+
+// TestCalibrationPerDistinctBoard pins the max-rate cache to board values:
+// two nodes on equal inline boards, each running one fractional-target
+// app, consult the MaxRate override once; on two different boards, twice.
+func TestCalibrationPerDistinctBoard(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		board func() *hmp.Platform
+		want  int
+	}{
+		{"equal boards", littleHeavyPlatform, 1},
+		{"different boards", tinyPlatform, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc := &Scenario{
+				Name: "calibrate", Manager: ManagerHARSE, DurationMS: 200,
+				Nodes: []NodeSpec{
+					{Name: "n0", Platform: littleHeavyPlatform()},
+					{Name: "n1", Platform: c.board()},
+				},
+				Apps: []AppSpec{
+					{Name: "a0", Bench: "SW", Threads: 4, TargetFrac: 0.5, Node: "n0"},
+					{Name: "a1", Bench: "SW", Threads: 4, TargetFrac: 0.5, Node: "n1"},
+				},
+			}
+			calls := 0
+			maxRate := func(string, int) float64 { calls++; return 50 }
+			if _, err := Run(sc, Options{MaxRate: maxRate, Strict: true}); err != nil {
+				t.Fatal(err)
+			}
+			if calls != c.want {
+				t.Fatalf("MaxRate consulted %d times, want %d", calls, c.want)
+			}
+		})
+	}
+}

@@ -197,8 +197,9 @@ type Machine struct {
 	ticks       int64
 
 	// steadySkip is RunUntilCached's certification back-off: ticks left to
-	// skip the SteadyUntil attempt after a failed or too-short window, so
-	// churny phases do not pay the scan every tick (see steadySkipTicks).
+	// step before the next SteadyUntil attempt — one after a window that
+	// stopped before a known edge, steadySkipTicks after a failed or
+	// too-short window, so churny phases do not pay the scan every tick.
 	// steady is the reusable window plan SteadyUntil certifies and
 	// RunSteady executes.
 	steadySkip int
@@ -206,9 +207,12 @@ type Machine struct {
 	// windowID numbers the certifications; a thread stamped with the
 	// current one is in the window plan (Thread.RunsInWindow). jumpTicks
 	// and jumpCost count the accumulator ticks windows advanced and the
-	// real float ticks they spent doing so (see Machine.jump).
+	// real float ticks they spent doing so (see Machine.jump); steps and
+	// windows count RunUntilCached's Steps and RunSteady's windows. The
+	// counters only tell tests which path ran.
 	windowID            int64
 	jumpTicks, jumpCost int64
+	steps, windows      int64
 
 	tracer *Tracer
 	// nodeName is the machine's fleet identity (set by NewNode, "" for a
@@ -676,11 +680,14 @@ func (m *Machine) RunUntil(t Time) { m.RunUntilCached(t, nil) }
 
 // RunUntilCached is RunUntil with empty windows routed through a JumpCache
 // (see FastForwardCached): identical resulting state, shared replay work.
+// The edge a window stopped before is stepped without re-certifying, and
+// the veto a certification met sets the back-off (see steadySkipTicks).
 func (m *Machine) RunUntilCached(t Time, jc *JumpCache) {
 	for m.now < t {
 		idle := len(m.runnable) == 0
 		if m.steadySkip > 0 && !idle {
 			m.steadySkip--
+			m.steps++
 			m.Step()
 			continue
 		}
@@ -690,11 +697,15 @@ func (m *Machine) RunUntilCached(t Time, jc *JumpCache) {
 			continue
 		}
 		if until >= m.now+steadyMinTicks*m.cfg.TickLen && m.RunSteady(until) {
+			if m.steady.edge {
+				m.steadySkip = 1
+			}
 			continue
 		}
-		if !idle {
+		if !idle && !m.steady.cold {
 			m.steadySkip = steadySkipTicks
 		}
+		m.steps++
 		m.Step()
 	}
 }

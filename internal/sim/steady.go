@@ -20,10 +20,14 @@ import (
 // complete or a ticker would act, and gives each float accumulator its
 // value after n ticks from its bit pattern (see accum.go), at a cost of a
 // few real additions per binade the accumulator crosses instead of one per
-// tick. This is an execution strategy, not a semantic change — every
-// observable state is bit-for-bit what the equivalent sequence of Step
-// calls would produce, and the general per-tick loop survives as the
-// reference the golden digests and the equivalence suites pin it to.
+// tick. A window that stops before such a tick knows it ends the window,
+// so RunUntilCached steps it without certifying again; a machine then
+// pays about two Steps per window (that edge, and the tick that warms the
+// power memo it left cold). This is an execution strategy, not a semantic
+// change — every observable state is bit-for-bit what the equivalent
+// sequence of Step calls would produce, and the general per-tick loop
+// survives as the reference the golden digests and the equivalence suites
+// pin it to.
 
 // SteadyTicker is the bulk half of a SteadyDaemon or SteadyPlacer whose
 // calls inside a certified window are internal-only (they advance private
@@ -86,7 +90,9 @@ type SteadyDaemon interface {
 // in windows: Settled reports whether every Place call in the window is
 // certain to move no thread — nothing runnable, or every thread permitted
 // where it is and no balancing move available — while runnability,
-// placement, affinity, and the online mask are all frozen. A placer whose
+// placement, affinity, and the online mask are all frozen. Settled runs
+// after the rest of the certification has passed, so Thread.RunsInWindow
+// already answers for the window. A placer whose
 // Place keeps per-call state (gts.Scheduler's load averages and its
 // migration-pass counter) returns a ticker that advances that state over
 // the window's ticks and ends the window before a tick whose Place would
@@ -137,6 +143,11 @@ type steadyPlan struct {
 	charges     []Time
 	chargedCPUs []int
 	totalCharge Time
+
+	// cold records that the last certification failed on the power memo
+	// alone, and edge that the last window stopped before a tick known to
+	// end it (see RunUntilCached).
+	cold, edge bool
 }
 
 // empty reports whether the certified plan moves only the clock and the
@@ -149,10 +160,15 @@ func (p *steadyPlan) empty() bool { return len(p.cores) == 0 && len(p.tickers) =
 // saves. steadySkipTicks is the back-off RunUntilCached arms after a failed
 // or too-short certification on a machine with runnable threads: churny
 // phases (a pipeline blocking on I/O every few ticks) would otherwise pay
-// the full scan every tick for nothing. The minimum does not apply to
-// empty windows, whose jumps pay from one tick on, nor the back-off to a
-// machine with nothing runnable, whose certification is cheap. Both only
-// steer which advancement path runs; results are bit-identical either way.
+// the full scan every tick for nothing. Two outcomes are not churn and
+// skip it: a window that stopped before a tick known to end it (a unit
+// completes, or a ticker acts), whose edge is stepped next and only it,
+// and a certification vetoed by the power memo alone — the usual state
+// right after that edge, whose utilisation differed — which is retried
+// after one tick. The minimum does not apply to empty windows, whose jumps
+// pay from one tick on, nor the back-off to a machine with nothing
+// runnable, whose certification is cheap. Both only steer which
+// advancement path runs; results are bit-identical either way.
 const (
 	steadyMinTicks  = 4
 	steadySkipTicks = 4
@@ -213,6 +229,7 @@ func (m *Machine) primeSteady() {
 // for an empty plan, FastForwardCached) executes it and must be the next
 // advancement call.
 func (m *Machine) SteadyUntil(limit Time) Time {
+	m.steady.cold = false
 	if limit <= m.now || m.misplaced != 0 || len(m.journal) != 0 {
 		return m.now
 	}
@@ -277,18 +294,19 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 		}
 	}
 
+	// A power memo keyed on another tick's levels, online counts or
+	// utilisation is cold: it vetoes the window, but the next tick warms
+	// it, so the checks after it still run to tell that veto apart.
 	powerOn := m.cfg.Power != nil && !m.failed
+	cold := false
 	if powerOn {
 		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-			if !m.powerValid[k] || m.levels[k] != m.lastLevel[k] {
-				return m.now
-			}
 			online := m.plat.Clusters[k].Cores
 			if m.opm != nil && m.online != m.allMask {
 				online = m.OnlineCount(k)
 			}
-			if online != m.lastOnline[k] {
-				return m.now
+			if !m.powerValid[k] || m.levels[k] != m.lastLevel[k] || online != m.lastOnline[k] {
+				cold = true
 			}
 		}
 	}
@@ -306,12 +324,12 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 			for k := range m.lastTickUse {
 				for _, tu := range m.lastTickUse[k] {
 					if tu != 0 {
-						return m.now
+						cold = true
 					}
 				}
 			}
 		}
-		return m.settlePlacer(sp, until)
+		return m.settlePlacer(sp, until, cold)
 	}
 
 	var speedByCluster [hmp.NumClusters]float64
@@ -361,21 +379,28 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 		if powerOn {
 			k := c.cluster
 			if m.lastTickUse[k][i-m.plat.FirstCPU(k)] != tu {
-				return m.now
+				cold = true
 			}
 		}
 		if sc.hasSteal || sc.hi > sc.lo {
 			p.cores = append(p.cores, sc)
 		}
 	}
-	return m.settlePlacer(sp, until)
+	return m.settlePlacer(sp, until, cold)
 }
 
 // settlePlacer is SteadyUntil's last check: the placer's certification (a
 // nil placer places nothing). A placer ticker goes first in the plan,
 // ahead of the daemons', because Step runs Place before them; primeSteady
-// sized the plan for it.
-func (m *Machine) settlePlacer(sp SteadyPlacer, until Time) Time {
+// sized the plan for it. A cold power memo vetoes the window here, after
+// every other machine-side check has passed, so the plan records that it
+// was the only one; the placer is not consulted for a vetoed window (the
+// next Step's Place makes any move it would have vetoed for).
+func (m *Machine) settlePlacer(sp SteadyPlacer, until Time, cold bool) Time {
+	if cold {
+		m.steady.cold = true
+		return m.now
+	}
 	if sp == nil {
 		return until
 	}
@@ -399,7 +424,9 @@ func (m *Machine) settlePlacer(sp SteadyPlacer, until Time) Time {
 // general Step so its callback, beats, and reconcile happen on the
 // reference path) or which a planned ticker's SteadyBound declines.
 // Reports whether at least one tick was advanced; on false the machine is
-// untouched and the caller must fall back to Step.
+// untouched and the caller must fall back to Step. A window cut short by a
+// completion or a ticker's bound records in the plan that the tick after
+// it is such an edge.
 //
 // Every accumulator takes Step's float operations in Step's order: thread
 // remaining -= done and workDone += done, core busy += steal and then
@@ -420,13 +447,22 @@ func (m *Machine) RunSteady(until Time) bool {
 	tickLen := m.cfg.TickLen
 	n := int64((until - m.now + tickLen - 1) / tickLen) // RunUntil overshoots to the tick grid
 	if p.short(n) {
-		n = m.runTicks(m.tickerBound(min(n, plainTicks)))
-	} else if n = m.tickerBound(p.completionBound(n)); n > 0 {
-		m.accrueJump(n)
+		b := min(n, plainTicks)
+		k := m.tickerBound(b)
+		n = m.runTicks(k)
+		p.edge = n < b
+	} else {
+		c, completes := p.completionBound(n)
+		n = m.tickerBound(c)
+		p.edge = completes || n < c
+		if n > 0 {
+			m.accrueJump(n)
+		}
 	}
 	if n <= 0 {
 		return false
 	}
+	m.windows++
 	for _, tk := range p.tickers {
 		tk.SteadyAdvance(m, n)
 	}
@@ -518,25 +554,27 @@ window:
 }
 
 // completionBound returns how many of the next n ticks pass before the
-// first whose pre-tick check finds a plan thread's unit completing. A unit
-// lasts about remaining/done more ticks, so the window is first capped
-// just past the
-// earliest such estimate, which keeps every exact search short (a cap that
-// falls short only ends the window early). Each thread's remaining is then
-// searched by its binades, and the walk is kept for accrueJump.
-func (p *steadyPlan) completionBound(n int64) int64 {
+// first whose pre-tick check finds a plan thread's unit completing, and
+// whether such a tick was found. A unit lasts about remaining/done more
+// ticks, so the window is first capped just past the earliest such
+// estimate, which keeps every exact search short (a cap that falls short
+// only ends the window early, at a tick not known to complete anything).
+// Each thread's remaining is then searched by its binades, and the walk is
+// kept for accrueJump.
+func (p *steadyPlan) completionBound(n int64) (int64, bool) {
 	for i := range p.threads {
 		st := &p.threads[i]
 		if est := st.t.remaining / st.done; est < float64(n-2) {
 			n = int64(est) + 2
 		}
 	}
+	capped := n
 	p.walks = slices.Grow(p.walks[:0], len(p.threads))[:len(p.threads)]
 	for i := range p.threads {
 		st := &p.threads[i]
 		n = p.walks[i].search(st.t.remaining, st.done, st.speed, st.share, n)
 	}
-	return n
+	return n, n < capped
 }
 
 // accrueJump applies n window ticks to every accumulator of the plan by

@@ -484,3 +484,41 @@ func compareGovernors(t *testing.T, f, s *thermal.Governor) {
 			f.Throttles(), f.Trips(), f.Releases(), s.Throttles(), s.Trips(), s.Releases())
 	}
 }
+
+// TestWindowReentry pins what re-entering a window costs: the Steps a
+// machine takes per window it runs, over 10 simulated seconds after a 2 s
+// warm-up. A window that stops before a known edge (a unit completing)
+// steps that tick and re-certifies, and a certification vetoed only by the
+// power memo retries after one tick, so a SW machine under the mask
+// balancer takes about two Steps per window and the FE pipeline about
+// three; blind 4-tick back-offs at every edge took about 4.9 and 6.3. The
+// bounds sit about halfway between.
+func TestWindowReentry(t *testing.T) {
+	for _, tc := range []struct {
+		short string
+		max   float64
+	}{
+		{short: "SW", max: 3.4},
+		{short: "FE", max: 4.6},
+	} {
+		t.Run(tc.short, func(t *testing.T) {
+			plat := hmp.Default()
+			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
+			b, ok := workload.ByShort(tc.short)
+			if !ok {
+				t.Fatalf("no %s benchmark", tc.short)
+			}
+			m.Spawn(b.Name, b.New(8), 10)
+			m.RunUntil(2 * sim.Second)
+			steps0, windows0 := m.RunStats()
+			m.RunUntil(12 * sim.Second)
+			steps, windows := m.RunStats()
+			steps, windows = steps-steps0, windows-windows0
+			per := float64(steps) / float64(windows)
+			t.Logf("%d Steps, %d windows: %.2f Steps per window", steps, windows, per)
+			if windows == 0 || per > tc.max {
+				t.Fatalf("%d Steps over %d windows, want at most %.1f per window", steps, windows, tc.max)
+			}
+		})
+	}
+}

@@ -57,9 +57,9 @@ func (t *Thread) RanLastTick() bool { return t.lastRan == t.Proc.m.execTick }
 
 // RunsInWindow reports whether the thread runs on every tick of the
 // machine's certified window — whether it is in the window plan. A
-// SteadyTicker reads it for the window's second tick on, where RanLastTick
-// would report the window's previous tick; outside a window it means
-// nothing.
+// SteadyPlacer's Settled or a SteadyTicker reads it for the window's
+// second tick on, where RanLastTick would report the window's previous
+// tick; outside a window it means nothing.
 func (t *Thread) RunsInWindow() bool { return t.window == t.Proc.m.windowID }
 
 // Migrations returns how many times the thread has changed cores.
