@@ -27,7 +27,7 @@ func Assign(T, CB, CL int, r float64) Assignment {
 	}
 	if CB == 0 {
 		// Degenerate: only little cores are allocated.
-		return Assignment{TL: T, CLU: minInt(T, CL)}
+		return Assignment{TL: T, CLU: min(T, CL)}
 	}
 	rCB := r * float64(CB)
 	ft := float64(T)
@@ -49,7 +49,7 @@ func Assign(T, CB, CL int, r float64) Assignment {
 			tb = T
 		}
 		tl := T - tb
-		return Assignment{TB: tb, TL: tl, CBU: CB, CLU: minInt(tl, CL)}
+		return Assignment{TB: tb, TL: tl, CBU: CB, CLU: min(tl, CL)}
 	}
 }
 
@@ -81,11 +81,4 @@ func (a Assignment) CompletionTime(T int, SB, SL float64) (tB, tL, tF float64) {
 		return tB, tL, math.Inf(1)
 	}
 	return tB, tL, tF
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -106,7 +106,7 @@ func bruteForceTF(T, CB, CL int, sb, sl float64) float64 {
 		if (tb > 0 && CB == 0) || (tl > 0 && CL == 0) {
 			continue
 		}
-		a := Assignment{TB: tb, TL: tl, CBU: minInt(tb, CB), CLU: minInt(tl, CL)}
+		a := Assignment{TB: tb, TL: tl, CBU: min(tb, CB), CLU: min(tl, CL)}
 		_, _, tf := a.CompletionTime(T, sb, sl)
 		if tf < best {
 			best = tf

@@ -173,16 +173,9 @@ func NewEstimators(plat *hmp.Platform, threads int, model *power.LinearModel) Es
 	}
 }
 
-// Score evaluates one candidate state: estimated rate, estimated power, and
-// normalized performance per watt. The current state's evaluation is a memo
-// hit after the first candidate of a sweep; ScoreEval is the variant for
-// callers that have already hoisted its throughput out of their loop.
-func (e Estimators) Score(cur hmp.State, curRate float64, cand hmp.State, tgt heartbeat.Target) (rate, watts, pp float64) {
-	return e.ScoreEval(e.Perf.evalCachedPtr(cur).Throughput, curRate, cand, tgt)
-}
-
-// ScoreEval scores a candidate against the current state's estimated
-// throughput (curTput).
+// ScoreEval evaluates one candidate state against the current state's
+// estimated throughput (curTput), which callers hoist out of their sweep:
+// estimated rate, estimated power, and normalized performance per watt.
 func (e Estimators) ScoreEval(curTput, curRate float64, cand hmp.State, tgt heartbeat.Target) (rate, watts, pp float64) {
 	candEv := e.Perf.evalCachedPtr(cand)
 	if curTput > 0 {

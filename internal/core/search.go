@@ -1,6 +1,7 @@
 package core
 
 import (
+	"iter"
 	"math"
 
 	"repro/internal/heartbeat"
@@ -102,36 +103,16 @@ type SearchResult struct {
 // wins; among unsatisfying states the highest estimated rate wins. The
 // current state competes on equal terms (getBetterState).
 func Search(e Estimators, cs hmp.State, curRate float64, tgt heartbeat.Target, prm SearchParams, b Bounds) SearchResult {
-	plat := e.Perf.Plat
 	// Hoist the current state's evaluation out of the sweep: every
 	// candidate's rate estimate divides by the same current throughput.
 	curTput := e.Perf.evalCachedPtr(cs).Throughput
 	best := SearchResult{Rate: math.Inf(-1), PP: math.Inf(-1)}
 	explored := 0
-
-	loB, hiB := sweepRange(cs.BigCores, prm, 0, b.MaxBigCores)
-	loL, hiL := sweepRange(cs.LittleCores, prm, 0, b.MaxLittleCores)
-	loFB, hiFB := freqRange(cs.BigLevel, prm, capLevel(plat.Clusters[hmp.Big].MaxLevel(), b.BigLevelCap), b.BigFreq)
-	loFL, hiFL := freqRange(cs.LittleLevel, prm, capLevel(plat.Clusters[hmp.Little].MaxLevel(), b.LittleLevelCap), b.LittleFreq)
-
-	for i := loB; i <= hiB; i++ {
-		for j := loL; j <= hiL; j++ {
-			if i+j == 0 {
-				continue
-			}
-			for k := loFB; k <= hiFB; k++ {
-				for l := loFL; l <= hiFL; l++ {
-					cand := hmp.State{BigCores: i, LittleCores: j, BigLevel: k, LittleLevel: l}
-					if hmp.Distance(cand, cs) > prm.D {
-						continue
-					}
-					explored++
-					cr := scoreResult(e, curTput, curRate, cand, tgt)
-					if better(cr, best, tgt) {
-						best = cr
-					}
-				}
-			}
+	for cand := range neighbourhood(e.Perf.Plat, cs, prm, b) {
+		explored++
+		cr := scoreResult(e, curTput, curRate, cand, tgt)
+		if better(cr, best, tgt) {
+			best = cr
 		}
 	}
 	// getBetterState: make sure the current state competes even when the
@@ -146,6 +127,34 @@ func Search(e Estimators, cs hmp.State, curRate float64, tgt heartbeat.Target, p
 	}
 	best.Explored = explored
 	return best
+}
+
+// neighbourhood yields Algorithm 2's candidates around cs in sweep order:
+// every state that allocates a core, lies within the per-dimension sweep
+// ranges (−M..+N, narrowed by the bounds), and is at most prm.D from cs in
+// Manhattan distance. Search and the Tabu search walk it alike.
+func neighbourhood(plat *hmp.Platform, cs hmp.State, prm SearchParams, b Bounds) iter.Seq[hmp.State] {
+	return func(yield func(hmp.State) bool) {
+		loB, hiB := sweepRange(cs.BigCores, prm, 0, b.MaxBigCores)
+		loL, hiL := sweepRange(cs.LittleCores, prm, 0, b.MaxLittleCores)
+		loFB, hiFB := freqRange(cs.BigLevel, prm, capLevel(plat.Clusters[hmp.Big].MaxLevel(), b.BigLevelCap), b.BigFreq)
+		loFL, hiFL := freqRange(cs.LittleLevel, prm, capLevel(plat.Clusters[hmp.Little].MaxLevel(), b.LittleLevelCap), b.LittleFreq)
+		for i := loB; i <= hiB; i++ {
+			for j := loL; j <= hiL; j++ {
+				if i+j == 0 {
+					continue
+				}
+				for k := loFB; k <= hiFB; k++ {
+					for l := loFL; l <= hiFL; l++ {
+						cand := hmp.State{BigCores: i, LittleCores: j, BigLevel: k, LittleLevel: l}
+						if hmp.Distance(cand, cs) <= prm.D && !yield(cand) {
+							return
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // better implements the selection rule of Algorithm 2 lines 13–22.

@@ -66,41 +66,21 @@ func NewTabuSearch(memory int) SearchFunc {
 	tl := NewTabuList(memory)
 	var bestEver float64 = math.Inf(-1) // best pp seen across adaptations
 	return func(e Estimators, cs hmp.State, curRate float64, tgt heartbeat.Target, prm SearchParams, b Bounds) SearchResult {
-		plat := e.Perf.Plat
 		curTput := e.Perf.evalCachedPtr(cs).Throughput
 		best := SearchResult{Rate: math.Inf(-1), PP: math.Inf(-1)}
 		haveBest := false
 		explored := 0
-
-		loB, hiB := sweepRange(cs.BigCores, prm, 0, b.MaxBigCores)
-		loL, hiL := sweepRange(cs.LittleCores, prm, 0, b.MaxLittleCores)
-		loFB, hiFB := freqRange(cs.BigLevel, prm, capLevel(plat.Clusters[hmp.Big].MaxLevel(), b.BigLevelCap), b.BigFreq)
-		loFL, hiFL := freqRange(cs.LittleLevel, prm, capLevel(plat.Clusters[hmp.Little].MaxLevel(), b.LittleLevelCap), b.LittleFreq)
-
-		for i := loB; i <= hiB; i++ {
-			for j := loL; j <= hiL; j++ {
-				if i+j == 0 {
-					continue
-				}
-				for k := loFB; k <= hiFB; k++ {
-					for l := loFL; l <= hiFL; l++ {
-						cand := hmp.State{BigCores: i, LittleCores: j, BigLevel: k, LittleLevel: l}
-						if hmp.Distance(cand, cs) > prm.D {
-							continue
-						}
-						explored++
-						cr := scoreResult(e, curTput, curRate, cand, tgt)
-						// Tabu states are skipped unless they beat the best
-						// efficiency ever seen (aspiration).
-						if cand != cs && tl.Contains(cand) && cr.PP <= bestEver {
-							continue
-						}
-						if !haveBest || better(cr, best, tgt) {
-							best = cr
-							haveBest = true
-						}
-					}
-				}
+		for cand := range neighbourhood(e.Perf.Plat, cs, prm, b) {
+			explored++
+			cr := scoreResult(e, curTput, curRate, cand, tgt)
+			// Tabu states are skipped unless they beat the best efficiency
+			// ever seen (aspiration).
+			if cand != cs && tl.Contains(cand) && cr.PP <= bestEver {
+				continue
+			}
+			if !haveBest || better(cr, best, tgt) {
+				best = cr
+				haveBest = true
 			}
 		}
 		if !haveBest {

@@ -207,7 +207,7 @@ func (e *Env) RunStaticOptimal(b workload.Benchmark, tgt heartbeat.Target) RunRe
 	m.SetLevel(hmp.Big, best.State.BigLevel)
 	m.SetLevel(hmp.Little, best.State.LittleLevel)
 	g := gts.New(e.Plat)
-	g.SetAllowed(stateCpuset(e.Plat, best.State))
+	g.SetAllowed(best.State.Cpuset(e.Plat))
 	m.SetPlacer(g)
 	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
 	res := e.measure(m, p, tgt)
@@ -230,20 +230,6 @@ func (e *Env) RunHARSTraced(b workload.Benchmark, tgt heartbeat.Target, cfg core
 	res := e.measure(m, p, tgt)
 	res.State = mgr.State()
 	return res, mgr.Decisions()
-}
-
-func stateCpuset(p *hmp.Platform, st hmp.State) hmp.CPUMask {
-	var mask hmp.CPUMask
-	for i := 0; i < st.LittleCores; i++ {
-		mask = mask.Set(p.CPU(hmp.Little, i))
-	}
-	for i := 0; i < st.BigCores; i++ {
-		mask = mask.Set(p.CPU(hmp.Big, i))
-	}
-	if mask == 0 {
-		mask = hmp.AllCPUs(p)
-	}
-	return mask
 }
 
 // parallelFor runs fn(i) for i in [0, n) across workers, preserving result

@@ -222,7 +222,7 @@ func TestPowerProfileReport(t *testing.T) {
 
 func TestStateCpusetFallsBackToAll(t *testing.T) {
 	e := testEnv(t)
-	mask := stateCpuset(e.Plat, hmp.State{})
+	mask := hmp.State{}.Cpuset(e.Plat)
 	if mask.Count() != e.Plat.TotalCores() {
 		t.Errorf("empty state cpuset should fall back to all cores")
 	}

@@ -202,7 +202,6 @@ type Sleeper interface {
 // the package comment).
 type Fleet struct {
 	nodes []*Node
-	tick  sim.Time
 	hooks []Hook
 
 	// sleepers caches the Sleeper assertion per hook (nil = the hook does
@@ -240,20 +239,14 @@ func New(nodes ...*Node) (*Fleet, error) {
 				n.Name, n.Now(), nodes[0].Name, now)
 		}
 	}
-	return &Fleet{nodes: nodes, tick: tick, allSleepers: true, jump: sim.NewJumpCache()}, nil
+	return &Fleet{nodes: nodes, allSleepers: true, jump: sim.NewJumpCache()}, nil
 }
 
 // Nodes returns the fleet's nodes in index order.
 func (f *Fleet) Nodes() []*Node { return f.nodes }
 
-// Node returns the node at index i.
-func (f *Fleet) Node(i int) *Node { return f.nodes[i] }
-
 // Now returns the shared clock (every node agrees with it).
 func (f *Fleet) Now() sim.Time { return f.nodes[0].Now() }
-
-// TickLen returns the shared tick length.
-func (f *Fleet) TickLen() sim.Time { return f.tick }
 
 // AddHook registers a fleet-wide per-tick hook. Hooks run in registration
 // order after all nodes have stepped.

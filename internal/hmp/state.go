@@ -80,21 +80,27 @@ func (s State) Valid(p *Platform) bool {
 // Clamp returns the state with every dimension clamped to the platform's
 // grid. It does not enforce TotalCores ≥ 1.
 func (s State) Clamp(p *Platform) State {
-	s.BigCores = clampInt(s.BigCores, 0, p.Clusters[Big].Cores)
-	s.LittleCores = clampInt(s.LittleCores, 0, p.Clusters[Little].Cores)
+	s.BigCores = min(max(s.BigCores, 0), p.Clusters[Big].Cores)
+	s.LittleCores = min(max(s.LittleCores, 0), p.Clusters[Little].Cores)
 	s.BigLevel = p.Clusters[Big].ClampLevel(s.BigLevel)
 	s.LittleLevel = p.Clusters[Little].ClampLevel(s.LittleLevel)
 	return s
 }
 
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
+// Cpuset returns the cpuset a state's cores occupy: the first C_L little
+// and C_B big cores, or every core when the state allocates none.
+func (s State) Cpuset(p *Platform) CPUMask {
+	var mask CPUMask
+	for i := 0; i < s.LittleCores; i++ {
+		mask = mask.Set(p.CPU(Little, i))
 	}
-	if v > hi {
-		return hi
+	for i := 0; i < s.BigCores; i++ {
+		mask = mask.Set(p.CPU(Big, i))
 	}
-	return v
+	if mask == 0 {
+		return AllCPUs(p)
+	}
+	return mask
 }
 
 // Distance returns the Manhattan distance between two states in the

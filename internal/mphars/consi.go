@@ -261,15 +261,5 @@ func (c *ConsI) applyConfig(m *sim.Machine) {
 	st := c.configs[c.cur]
 	m.SetLevel(hmp.Big, st.BigLevel)
 	m.SetLevel(hmp.Little, st.LittleLevel)
-	var mask hmp.CPUMask
-	for i := 0; i < st.LittleCores; i++ {
-		mask = mask.Set(c.plat.CPU(hmp.Little, i))
-	}
-	for i := 0; i < st.BigCores; i++ {
-		mask = mask.Set(c.plat.CPU(hmp.Big, i))
-	}
-	if mask == 0 {
-		mask = hmp.AllCPUs(c.plat)
-	}
-	c.g.SetAllowed(mask)
+	c.g.SetAllowed(st.Cpuset(c.plat))
 }

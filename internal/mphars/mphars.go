@@ -221,8 +221,8 @@ func (mgr *Manager) Register(m *sim.Machine, proc *sim.Process, target heartbeat
 		}
 	}
 	proc.HB.SetTarget(target)
-	n.nprocsB = minInt(initBig, mgr.freeCount(hmp.Big))
-	n.nprocsL = minInt(initLittle, mgr.freeCount(hmp.Little))
+	n.nprocsB = min(initBig, mgr.freeCount(hmp.Big))
+	n.nprocsL = min(initLittle, mgr.freeCount(hmp.Little))
 	if n.nprocsB+n.nprocsL == 0 {
 		panic(fmt.Sprintf("mphars: no free cores to register %s", proc.Name))
 	}
@@ -427,21 +427,21 @@ func (mgr *Manager) grabAnyFree(n *appNode) bool {
 // heartbeat loop re-reads the already-consumed latest record, the frozen
 // recompute folds unchanged freezing counts). The window is accepted only
 // when each pass is provably in that regime right now — conditions that are
-// invariant while completions, platform state, and free cores are frozen:
+// invariant while completions, platform state, and free cores are frozen.
+// Where Tick branches on a predicate, SteadyBegin asks the same one:
 //
 //   - ReconcilePlatform: cached cluster frequencies match the machine's and
 //     no core's hotplug state changed underneath the ownership tables;
-//   - rescue pass: no live zero-core application while a free core exists
+//   - rescue pass: no stranded application while a free core exists
 //     (grabAnyFree would mutate the free pool);
 //   - heartbeat consumption: every application's beat count already seen,
 //     and its latest record already folded into the trace;
-//   - frozen recompute: the cached flags equal the recomputation;
-//   - adaptOne: every application early-returns (exited, no record yet,
-//     inside its adaptation period, or inside the target band).
+//   - frozen recompute: each cached flag equals anyFreezing;
+//   - adaptOne: no application has an adaptation due (adaptDue).
 func (mgr *Manager) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		c := mgr.clusters[k]
-		if c.nfreq != m.Level(k) {
+		if c.nfreq != m.Level(k) || c.frozen != mgr.anyFreezing(k) {
 			return sim.SteadyEntry{}, false
 		}
 		for i := range c.offline {
@@ -449,42 +449,16 @@ func (mgr *Manager) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 				return sim.SteadyEntry{}, false
 			}
 		}
-		frozen := false
-		for n := mgr.head; n != nil; n = n.next {
-			if n.freezing(k) > 0 {
-				frozen = true
-				break
-			}
-		}
-		if c.frozen != frozen {
-			return sim.SteadyEntry{}, false
-		}
 	}
 	anyFree := mgr.freeCount(hmp.Big)+mgr.freeCount(hmp.Little) > 0
 	for n := mgr.head; n != nil; n = n.next {
-		if n.nprocsB+n.nprocsL == 0 && !n.proc.Exited() && anyFree {
+		if (anyFree && n.stranded()) || n.proc.HB.Count() != n.lastSeen {
 			return sim.SteadyEntry{}, false
 		}
-		if n.proc.HB.Count() != n.lastSeen {
+		// An adaptation due means adaptOne would search and actuate.
+		if rec, ok := n.proc.HB.Latest(); ok && (!n.traced(rec) || mgr.adaptDue(n, rec)) {
 			return sim.SteadyEntry{}, false
 		}
-		rec, ok := n.proc.HB.Latest()
-		if !ok {
-			continue
-		}
-		if len(n.trace) == 0 || n.trace[len(n.trace)-1].HBIndex != rec.Index {
-			return sim.SteadyEntry{}, false
-		}
-		if n.proc.Exited() {
-			continue
-		}
-		if rec.Index < n.adaptationIndex+mgr.cfg.AdaptEvery {
-			continue
-		}
-		if !heartbeat.OutsideBand(n.target, rec.WindowRate) {
-			continue
-		}
-		return sim.SteadyEntry{}, false // adaptOne would search and actuate
 	}
 	return sim.SteadyEntry{ChargeCPU: mgr.cfg.OverheadCPU, Charge: mgr.cfg.PollPerTick}, true
 }
@@ -497,7 +471,7 @@ func (mgr *Manager) Tick(m *sim.Machine) {
 	// Rescue pass: an application stripped to zero cores by hotplug gets
 	// the first core that frees up (departure or a core coming back online).
 	for n := mgr.head; n != nil; n = n.next {
-		if n.nprocsB+n.nprocsL == 0 && !n.proc.Exited() && mgr.grabAnyFree(n) {
+		if n.stranded() && mgr.grabAnyFree(n) {
 			mgr.scheduleThreads(m, n)
 		}
 	}
@@ -517,7 +491,7 @@ func (mgr *Manager) Tick(m *sim.Machine) {
 		}
 		if rec, ok := n.proc.HB.Latest(); ok {
 			n.lastRate = rec.WindowRate
-			if len(n.trace) == 0 || n.trace[len(n.trace)-1].HBIndex != rec.Index {
+			if !n.traced(rec) {
 				n.trace = append(n.trace, TracePoint{
 					Time:        m.Now(),
 					HBIndex:     rec.Index,
@@ -533,20 +507,36 @@ func (mgr *Manager) Tick(m *sim.Machine) {
 
 	// Lines 12–15: recompute frozen flags from the freezing counts.
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-		frozen := false
-		for n := mgr.head; n != nil; n = n.next {
-			if n.freezing(k) > 0 {
-				frozen = true
-				break
-			}
-		}
-		mgr.clusters[k].frozen = frozen
+		mgr.clusters[k].frozen = mgr.anyFreezing(k)
 	}
 
 	// Lines 16–26: per-application adaptation.
 	for n := mgr.head; n != nil; n = n.next {
 		mgr.adaptOne(m, n)
 	}
+}
+
+// anyFreezing reports whether some application still holds a freezing
+// count on cluster k, which keeps the cluster frozen (lines 12–15).
+func (mgr *Manager) anyFreezing(k hmp.ClusterKind) bool {
+	for n := mgr.head; n != nil; n = n.next {
+		if n.freezing(k) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// stranded reports whether a live application holds no core, so the
+// rescue pass hands it the first free one.
+func (n *appNode) stranded() bool {
+	return n.nprocsB+n.nprocsL == 0 && !n.proc.Exited()
+}
+
+// traced reports whether the heartbeat record is already the
+// application's latest trace point.
+func (n *appNode) traced(rec heartbeat.Record) bool {
+	return len(n.trace) > 0 && n.trace[len(n.trace)-1].HBIndex == rec.Index
 }
 
 func (n *appNode) freezing(k hmp.ClusterKind) int {
@@ -582,21 +572,20 @@ func (mgr *Manager) curState(n *appNode) hmp.State {
 	}
 }
 
+// adaptDue reports whether adaptOne acts on the application's latest
+// heartbeat record: the application is live, a full adaptation period has
+// passed since its last adaptation, and the rate is outside the target band.
+func (mgr *Manager) adaptDue(n *appNode, rec heartbeat.Record) bool {
+	return !n.proc.Exited() && rec.Index >= n.adaptationIndex+mgr.cfg.AdaptEvery &&
+		heartbeat.OutsideBand(n.target, rec.WindowRate)
+}
+
 func (mgr *Manager) adaptOne(m *sim.Machine, n *appNode) {
-	if n.proc.Exited() {
-		return
-	}
 	rec, ok := n.proc.HB.Latest()
-	if !ok {
-		return
-	}
-	if rec.Index < n.adaptationIndex+mgr.cfg.AdaptEvery {
+	if !ok || !mgr.adaptDue(n, rec) {
 		return
 	}
 	rate := rec.WindowRate
-	if !heartbeat.OutsideBand(n.target, rate) {
-		return
-	}
 	n.adaptationIndex = rec.Index
 
 	// Line 18: free cores bound the core-count sweep; external DVFS
@@ -622,8 +611,8 @@ func (mgr *Manager) adaptOne(m *sim.Machine, n *appNode) {
 		return
 	}
 	// Lines 21–22: core allocation (Algorithm 4) and thread scheduling.
-	n.decBigCoreCnt = maxInt(0, n.nprocsB-res.State.BigCores)
-	n.decLittleCoreCnt = maxInt(0, n.nprocsL-res.State.LittleCores)
+	n.decBigCoreCnt = max(0, n.nprocsB-res.State.BigCores)
+	n.decLittleCoreCnt = max(0, n.nprocsL-res.State.LittleCores)
 	n.nprocsB = res.State.BigCores
 	n.nprocsL = res.State.LittleCores
 	mgr.scheduleThreads(m, n)
@@ -703,18 +692,4 @@ func (mgr *Manager) scheduleThreads(m *sim.Machine, n *appNode) {
 	st := mgr.curState(n)
 	ev := n.est.Perf.EvaluateCached(st)
 	core.ApplySchedule(n.proc, ev.Assignment, mgr.cfg.Scheduler, bigCores, littleCores)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -76,7 +76,7 @@ func Measure(o Options, st hmp.State) Result {
 	m.SetLevel(hmp.Big, st.BigLevel)
 	m.SetLevel(hmp.Little, st.LittleLevel)
 	g := gts.New(o.Plat)
-	g.SetAllowed(stateMask(o.Plat, st))
+	g.SetAllowed(st.Cpuset(o.Plat))
 	m.SetPlacer(g)
 	p := m.Spawn("probe", o.NewProgram(), o.HBWindow)
 	m.Run(o.Warmup)
@@ -93,19 +93,6 @@ func Measure(o Options, st hmp.State) Result {
 		res.PP = res.NormPerf / res.PowerW
 	}
 	return res
-}
-
-// stateMask returns the cpuset of a state: the first C_L little and C_B big
-// cores.
-func stateMask(p *hmp.Platform, st hmp.State) hmp.CPUMask {
-	var mask hmp.CPUMask
-	for i := 0; i < st.LittleCores; i++ {
-		mask = mask.Set(p.CPU(hmp.Little, i))
-	}
-	for i := 0; i < st.BigCores; i++ {
-		mask = mask.Set(p.CPU(hmp.Big, i))
-	}
-	return mask
 }
 
 // FindStatic sweeps all states and returns the static optimal. The

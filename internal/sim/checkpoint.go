@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/heartbeat"
-	"repro/internal/hmp"
 )
 
 // CheckpointCost models what a work-conserving process move costs: the
@@ -124,10 +123,12 @@ func (s *ProcSnapshot) Migrations() int {
 // Checkpoint captures a live process's run state and terminates the local
 // incarnation: thread progress, workload-internal state (the Program object
 // itself moves with the snapshot), heartbeat history, and pending wakeups
-// are packaged for Restore on another machine; the local process is then
-// killed exactly as a departure would be, so the machine's own digests and
-// statistics for the executed portion stay valid. Must not be called from
-// mid-execute program callbacks.
+// are packaged for Restore on another machine (see capture); the wakeups
+// are then dropped from the timer heap — they must fire on the
+// destination, not linger here as dead deliveries — and the local process
+// is killed exactly as a departure would be, so the machine's own digests
+// and statistics for the executed portion stay valid. Must not be called
+// from mid-execute program callbacks.
 func (m *Machine) Checkpoint(p *Process) *ProcSnapshot {
 	if m.inExec {
 		panic("sim: Checkpoint called during execute")
@@ -135,46 +136,16 @@ func (m *Machine) Checkpoint(p *Process) *ProcSnapshot {
 	if p.exited {
 		panic(fmt.Sprintf("sim: Checkpoint of exited process %q", p.Name))
 	}
-	snap := &ProcSnapshot{
-		Name:    p.Name,
-		Prog:    p.prog,
-		HB:      p.HB,
-		Threads: make([]ThreadSnapshot, len(p.Threads)),
-		TakenAt: m.now,
-	}
-	for i, t := range p.Threads {
-		snap.Threads[i] = ThreadSnapshot{
-			Remaining:  t.remaining,
-			WorkDone:   t.workDone,
-			Migrations: t.migrations,
-			Blocked:    t.blocked,
+	snap := m.capture(p, p.prog, p.HB)
+	if len(snap.Wakeups) > 0 {
+		kept := m.timers.entries[:0]
+		for _, e := range m.timers.entries {
+			if e.proc != p {
+				kept = append(kept, e)
+			}
 		}
-	}
-	// Extract the process's pending wakeups from the timer heap: they must
-	// fire on the destination, not linger here as dead deliveries. Sorting
-	// by (at, seq) reproduces the firing order the source would have used,
-	// so re-pushing them on the destination preserves delivery order.
-	var mine []timerEntry
-	kept := m.timers.entries[:0]
-	for _, e := range m.timers.entries {
-		if e.proc == p {
-			mine = append(mine, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	if len(mine) > 0 {
 		m.timers.entries = kept
 		heap.Init(&m.timers)
-		sort.Slice(mine, func(i, j int) bool {
-			if mine[i].at != mine[j].at {
-				return mine[i].at < mine[j].at
-			}
-			return mine[i].seq < mine[j].seq
-		})
-		for _, e := range mine {
-			snap.Wakeups = append(snap.Wakeups, WakeupSnapshot{Local: e.local, At: e.at, Units: e.units})
-		}
 	}
 	if m.tracer != nil {
 		m.emit(Event{T: m.now, Kind: EvMigrateOut, Proc: p.Name})
@@ -184,8 +155,8 @@ func (m *Machine) Checkpoint(p *Process) *ProcSnapshot {
 }
 
 // Snapshot captures a live process's run state WITHOUT disturbing it: the
-// program and heartbeat monitor are deep-copied, thread progress is copied,
-// and pending wakeups are read out of the timer heap but left in place. The
+// program and heartbeat monitor are deep-copied, and capture copies thread
+// progress and the pending wakeups, which stay in the timer heap. The
 // process keeps running; the snapshot is a consistent restore point frozen
 // at the capture instant. Returns ok=false when the program does not
 // implement Cloneable (periodic background checkpoints then skip the app).
@@ -201,10 +172,19 @@ func (m *Machine) Snapshot(p *Process) (*ProcSnapshot, bool) {
 	if !ok {
 		return nil, false
 	}
+	return m.capture(p, cl.CloneProgram(), p.HB.Clone()), true
+}
+
+// capture packages p's run state with the given program and heartbeat
+// monitor, for Checkpoint and Snapshot alike: per-thread progress, and
+// copies of p's pending wakeups sorted by (at, seq), the order the source
+// would fire them, so re-pushing them on the destination preserves
+// delivery order. It leaves the machine untouched.
+func (m *Machine) capture(p *Process, prog Program, hb *heartbeat.Monitor) *ProcSnapshot {
 	snap := &ProcSnapshot{
 		Name:    p.Name,
-		Prog:    cl.CloneProgram(),
-		HB:      p.HB.Clone(),
+		Prog:    prog,
+		HB:      hb,
 		Threads: make([]ThreadSnapshot, len(p.Threads)),
 		TakenAt: m.now,
 	}
@@ -216,8 +196,6 @@ func (m *Machine) Snapshot(p *Process) (*ProcSnapshot, bool) {
 			Blocked:    t.blocked,
 		}
 	}
-	// Copy (don't extract) the process's pending wakeups, in the (at, seq)
-	// order the source would fire them.
 	var mine []timerEntry
 	for _, e := range m.timers.entries {
 		if e.proc == p {
@@ -233,17 +211,18 @@ func (m *Machine) Snapshot(p *Process) (*ProcSnapshot, bool) {
 	for _, e := range mine {
 		snap.Wakeups = append(snap.Wakeups, WakeupSnapshot{Local: e.local, At: e.at, Units: e.units})
 	}
-	return snap, true
+	return snap
 }
 
-// Restore continues a checkpointed process on this machine: a new Process
-// (fresh ID, fresh threads, all-CPU affinity, no placement) resumes the
-// snapshot's program with its heartbeat monitor, per-thread progress, and
-// pending wakeups intact — statistics are continuous across the move. The
-// application stays frozen until resumeAt (clamped to now): runnable
-// threads and wakeups due earlier are delivered at resumeAt, later wakeups
-// fire on time. The program's Start hook is NOT invoked — the snapshot
-// already holds the started state.
+// Restore continues a checkpointed process on this machine: a new Process,
+// built as Spawn builds one (fresh ID, fresh threads, all-CPU affinity, no
+// placement, the window plan resized), resumes the snapshot's program with
+// its heartbeat monitor, per-thread progress, and pending wakeups intact —
+// statistics are continuous across the move. The application stays frozen
+// until resumeAt (clamped to now): runnable threads and wakeups due
+// earlier are delivered at resumeAt, later wakeups fire on time. The
+// program's Start hook is NOT invoked — the snapshot already holds the
+// started state.
 func (m *Machine) Restore(snap *ProcSnapshot, resumeAt Time) *Process {
 	return m.restore(snap, resumeAt, EvMigrateIn)
 }
@@ -266,50 +245,14 @@ func (m *Machine) restore(snap *ProcSnapshot, resumeAt Time, kind EventKind) *Pr
 	if resumeAt < m.now {
 		resumeAt = m.now
 	}
-	p := &Process{
-		ID:   len(m.procs),
-		Name: snap.Name,
-		m:    m,
-		prog: snap.Prog,
-		HB:   snap.HB,
-	}
-	if cs, ok := snap.Prog.(CacheSensitive); ok {
-		p.cacheBonus = cs.CacheBonus()
-	}
-	all := hmp.AllCPUs(m.plat)
+	p := m.newProcess(snap.Name, snap.Prog, snap.HB)
 	for i, ts := range snap.Threads {
-		t := &Thread{
-			Global:     len(m.threads),
-			Local:      i,
-			Proc:       p,
-			affinity:   all,
-			core:       -1,
-			blocked:    true,
-			lastRan:    -1,
-			workDone:   ts.WorkDone,
-			migrations: ts.Migrations,
-		}
-		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-			t.speedFactor[k] = snap.Prog.SpeedFactor(i, k)
-		}
-		p.Threads = append(p.Threads, t)
-		m.threads = append(m.threads, t)
-	}
-	for i, t := range p.Threads {
-		if i > 0 {
-			t.sibPrev = p.Threads[i-1]
-		}
-		if i+1 < len(p.Threads) {
-			t.sibNext = p.Threads[i+1]
-		}
-	}
-	m.procs = append(m.procs, p)
-	for i, ts := range snap.Threads {
+		t := p.Threads[i]
+		t.workDone, t.migrations = ts.WorkDone, ts.Migrations
 		if ts.Blocked || ts.Remaining <= 0 {
 			continue
 		}
 		if resumeAt <= m.now {
-			t := p.Threads[i]
 			t.remaining = ts.Remaining
 			m.makeRunnable(t)
 		} else {

@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/hmp"
+
 // MaskBalancer is the placement policy used underneath HARS: every runnable
 // thread is kept on a CPU inside its affinity mask, spread to the
 // least-loaded permitted core. It models a work-conserving OS scheduler
@@ -12,7 +14,10 @@ package sim
 // and the balancing sweep visits only runnable threads — and only when some
 // core is at least two threads heavier than the lightest. Decisions are
 // tick-for-tick identical to the historical full-scan implementation (see
-// the equivalence tests in the repository root).
+// the equivalence tests in the repository root). The sweep's two rules,
+// the spread that skips it and the target it moves a thread to, are the
+// spread and target functions below; Settled certifies windows with those
+// same two functions, so it keeps no copy of the sweep.
 type MaskBalancer struct {
 	counts []int // scratch: in-mask runnable threads per core
 }
@@ -33,21 +38,22 @@ func (b *MaskBalancer) Prime(nc int) {
 
 // Settled implements SteadyPlacer. With nothing runnable every per-core
 // count is zero, so both the repair pass and the balancing sweep are
-// vacuous — on a crashed machine too, which has no online core for the
-// spread check below. Otherwise, with no misplaced thread the repair pass
-// is vacuous and the per-core counts Place would compute equal the O(1)
-// run-queue lengths, so Place is a pure no-op exactly when its balancing
-// sweep would move nothing — and stays one while runnability, placement,
-// affinity, and the online mask are frozen, because the counts cannot
-// change underneath it. The global spread check mirrors Place's sweep
-// skip (all cores on an all-online machine, online cores otherwise); when
-// the spread exceeds one — routine under affinity masks that pack threads
-// onto a core subset while permitted cores sit level — the sweep itself is
-// replayed read-only: a single thread with a permitted online core two
-// lighter than its own refutes settledness. Certification runs this once
+// vacuous — on a crashed machine too, which has no online core to spread
+// over. Otherwise, with no misplaced thread the repair pass is vacuous and
+// the per-core counts Place would compute equal the O(1) run-queue lengths,
+// so Place is a pure no-op exactly when its balancing sweep would move
+// nothing — and stays one while runnability, placement, affinity, and the
+// online mask are frozen, because the counts cannot change underneath it.
+// Settled asks the sweep's own rules on those counts: the spread that
+// skips it (routinely over one under affinity masks that pack threads onto
+// a core subset while permitted cores sit level), then each runnable
+// thread's target. The sweep's counts do not change before its first move,
+// so that move is the first thread whose target is not its own core, and
+// with no such thread the sweep moves none. Certification runs this once
 // per window, not per tick, so the O(runnable × cores) scan amortizes
-// across every tick the window jumps. The balancer keeps no per-call
-// state, so it returns no ticker: skipping the no-op calls is invisible.
+// across every tick the window jumps. It writes only the scratch counts,
+// which Place recomputes; the balancer keeps no per-call state, so it
+// returns no ticker: skipping the no-op calls is invisible.
 func (b *MaskBalancer) Settled(m *Machine) (SteadyTicker, bool) {
 	if m.misplaced != 0 {
 		return nil, false
@@ -55,63 +61,18 @@ func (b *MaskBalancer) Settled(m *Machine) (SteadyTicker, bool) {
 	if len(m.runnable) == 0 {
 		return nil, true
 	}
-	online := m.online
-	all := online == m.allMask
-	var minC, maxC int
-	if all {
-		minC, maxC = m.cores[0].runLen, m.cores[0].runLen
-		for i := 1; i < len(m.cores); i++ {
-			n := m.cores[i].runLen
-			if n < minC {
-				minC = n
-			}
-			if n > maxC {
-				maxC = n
-			}
-		}
-	} else {
-		seen := false
-		for i := range m.cores {
-			if !online.Has(i) {
-				continue
-			}
-			n := m.cores[i].runLen
-			if !seen || n < minC {
-				minC = n
-			}
-			if !seen || n > maxC {
-				maxC = n
-			}
-			seen = true
-		}
-		if !seen {
-			return nil, false
-		}
+	counts := b.runLens(m)
+	minC, maxC, ok := spread(m, counts)
+	if !ok {
+		return nil, false
 	}
 	if maxC-minC <= 1 {
 		return nil, true
 	}
-	// Replay the sweep read-only, with counts == runLen (misplaced is zero).
-	// Place's first move happens at the first thread whose core is above
-	// minC+1 with a permitted online core two lighter; if no thread has one,
-	// the sweep visits every thread and moves none.
-	nc := len(m.cores)
 	for _, id := range m.runnable {
 		t := m.threads[id]
-		if t.core < 0 {
-			continue
-		}
-		cur := m.cores[t.core].runLen
-		if cur <= minC+1 {
-			continue
-		}
-		for cpu := 0; cpu < nc; cpu++ {
-			if cpu == t.core || !t.affinity.Has(cpu) || (!all && !online.Has(cpu)) {
-				continue
-			}
-			if m.cores[cpu].runLen < cur-1 {
-				return nil, false
-			}
+		if counts[t.core] > minC+1 && target(t, counts, m.online) != t.core {
+			return nil, false
 		}
 	}
 	return nil, true
@@ -119,21 +80,10 @@ func (b *MaskBalancer) Settled(m *Machine) (SteadyTicker, bool) {
 
 // Place implements Placer.
 func (b *MaskBalancer) Place(m *Machine) {
-	nc := len(m.cores)
 	online := m.online
-	// The all-online fast paths below skip the per-core hotplug tests in
-	// the hot loops; they are exact because online.Has(cpu) is then true
-	// for every cpu.
-	all := online == m.allMask
-	if cap(b.counts) < nc {
-		b.counts = make([]int, nc)
-	}
-	counts := b.counts[:nc]
 	// Per-core counts of in-mask runnable threads: the run-queue length
 	// minus any thread currently stranded outside its affinity mask.
-	for cpu := range counts {
-		counts[cpu] = m.cores[cpu].runLen
-	}
+	counts := b.runLens(m)
 	if m.misplaced > 0 {
 		for _, id := range m.runnable {
 			t := m.threads[id]
@@ -150,11 +100,9 @@ func (b *MaskBalancer) Place(m *Machine) {
 				continue
 			}
 			best := -1
-			for cpu := 0; cpu < nc; cpu++ {
-				if !t.affinity.Has(cpu) || (!all && !online.Has(cpu)) {
-					continue
-				}
-				if best < 0 || counts[cpu] < counts[best] {
+			mask := t.affinity & online
+			for cpu := range counts {
+				if mask.Has(cpu) && (best < 0 || counts[cpu] < counts[best]) {
 					best = cpu
 				}
 			}
@@ -170,60 +118,75 @@ func (b *MaskBalancer) Place(m *Machine) {
 	// no such move exists anywhere, so the sweep is skipped outright; minC
 	// stays a valid lower bound during the sweep because a move only ever
 	// drains cores that are at least two above it.
-	var minC, maxC int
-	if all {
-		minC, maxC = counts[0], counts[0]
-		for _, n := range counts[1:] {
-			if n < minC {
-				minC = n
-			}
-			if n > maxC {
-				maxC = n
-			}
-		}
-	} else {
-		seen := false
-		for cpu, n := range counts {
-			if !online.Has(cpu) {
-				continue
-			}
-			if !seen || n < minC {
-				minC = n
-			}
-			if !seen || n > maxC {
-				maxC = n
-			}
-			seen = true
-		}
-		if !seen {
-			return
-		}
-	}
-	if maxC-minC <= 1 {
+	minC, maxC, ok := spread(m, counts)
+	if !ok || maxC-minC <= 1 {
 		return
 	}
 	for _, id := range m.runnable {
 		t := m.threads[id]
-		if t.core < 0 {
-			continue
-		}
 		cur := t.core
-		if counts[cur] <= minC+1 {
-			continue // no core anywhere is two lighter
+		if cur < 0 || counts[cur] <= minC+1 {
+			continue // unplaced, or no core anywhere is two lighter
 		}
-		best := cur
-		for cpu := 0; cpu < nc; cpu++ {
-			if cpu == cur || !t.affinity.Has(cpu) || (!all && !online.Has(cpu)) {
-				continue
-			}
-			if counts[cpu] < counts[best]-1 {
-				best = cpu
-			}
-		}
-		if best != cur {
+		if best := target(t, counts, online); best != cur {
 			counts[cur]--
 			counts[best]++
 			m.Migrate(t, best)
 		}
 	}
+}
+
+// runLens returns the balancer's scratch counts holding each core's
+// run-queue length.
+func (b *MaskBalancer) runLens(m *Machine) []int {
+	nc := len(m.cores)
+	if cap(b.counts) < nc {
+		b.counts = make([]int, nc)
+	}
+	counts := b.counts[:nc]
+	for cpu := range counts {
+		counts[cpu] = m.cores[cpu].runLen
+	}
+	return counts
+}
+
+// spread returns the lightest and the heaviest of the online cores' counts,
+// with ok=false when no core is online. On an all-online machine it skips
+// the per-core hotplug test, which is then true for every core.
+func spread(m *Machine, counts []int) (minC, maxC int, ok bool) {
+	if m.online == m.allMask {
+		minC, maxC = counts[0], counts[0]
+		for _, n := range counts[1:] {
+			minC, maxC = min(minC, n), max(maxC, n)
+		}
+		return minC, maxC, true
+	}
+	for cpu, n := range counts {
+		if !m.online.Has(cpu) {
+			continue
+		}
+		if !ok || n < minC {
+			minC = n
+		}
+		if !ok || n > maxC {
+			maxC = n
+		}
+		ok = true
+	}
+	return minC, maxC, ok
+}
+
+// target returns the core the balancing sweep moves placed thread t to
+// under counts: the last permitted online core two threads lighter than
+// the best so far, or t's own core when none is.
+func target(t *Thread, counts []int, online hmp.CPUMask) int {
+	cur := t.core
+	mask := t.affinity & online
+	best := cur
+	for cpu := range counts {
+		if cpu != cur && mask.Has(cpu) && counts[cpu] < counts[best]-1 {
+			best = cpu
+		}
+	}
+	return best
 }

@@ -505,26 +505,34 @@ func (m *Machine) Threads() []*Thread { return m.threads }
 // blocked and affine to every CPU, then calls the program's Start hook (which
 // typically hands out the first units of work).
 func (m *Machine) Spawn(name string, prog Program, hbWindow int) *Process {
+	if n := prog.NumThreads(); n <= 0 {
+		panic(fmt.Sprintf("sim: program %q declares %d threads", name, n))
+	}
+	p := m.newProcess(name, prog, heartbeat.NewMonitor(name, hbWindow))
+	prog.Start(p)
+	return p
+}
+
+// newProcess adds a process running prog to the machine, for Spawn and
+// Restore alike: one thread per prog.NumThreads, blocked, unplaced and
+// affine to every CPU, with sibling links. The per-thread speed factors
+// and the optional cache-sharing bonus are resolved here once, so the hot
+// execute path reads plain fields instead of making an interface call and
+// a type assertion per thread per tick. The window plan is resized for the
+// new threads.
+func (m *Machine) newProcess(name string, prog Program, hb *heartbeat.Monitor) *Process {
 	p := &Process{
 		ID:   len(m.procs),
 		Name: name,
 		m:    m,
 		prog: prog,
-		HB:   heartbeat.NewMonitor(name, hbWindow),
+		HB:   hb,
 	}
-	n := prog.NumThreads()
-	if n <= 0 {
-		panic(fmt.Sprintf("sim: program %q declares %d threads", name, n))
-	}
-	// Resolve the per-thread speed factors and the optional cache-sharing
-	// bonus once at spawn: the hot execute path then reads plain fields
-	// instead of making an interface call and a type assertion per thread
-	// per tick.
 	if cs, ok := prog.(CacheSensitive); ok {
 		p.cacheBonus = cs.CacheBonus()
 	}
 	all := hmp.AllCPUs(m.plat)
-	for i := 0; i < n; i++ {
+	for i := range prog.NumThreads() {
 		t := &Thread{
 			Global:   len(m.threads),
 			Local:    i,
@@ -550,7 +558,6 @@ func (m *Machine) Spawn(name string, prog Program, hbWindow int) *Process {
 	}
 	m.procs = append(m.procs, p)
 	m.primeSteady()
-	prog.Start(p)
 	return p
 }
 
@@ -858,7 +865,7 @@ func (m *Machine) runThreadSlow(t *Thread, budget, speed float64) float64 {
 // running on cluster k: programs that declare a cache bonus run faster when
 // an adjacent sibling thread (ID ± 1) is placed on the same cluster. This is
 // the effect the paper's chunk-based scheduler exploits. The bonus is
-// resolved once at Spawn (Process.cacheBonus).
+// resolved once when the process is built (Process.cacheBonus).
 func (m *Machine) cacheFactor(t *Thread, k hmp.ClusterKind) float64 {
 	bonus := t.Proc.cacheBonus
 	if bonus == 0 {

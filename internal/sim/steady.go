@@ -97,8 +97,11 @@ type SteadyDaemon interface {
 // migration-pass counter) returns a ticker that advances that state over
 // the window's ticks and ends the window before a tick whose Place would
 // move a thread; a stateless placer (MaskBalancer) returns a nil ticker.
-// Settled itself must be pure apart from scratch its ticker reads.
-// Placers that do not implement it pin their machine to per-tick stepping.
+// Settled must not change anything the machine or a later Place call
+// reads; it may write the placer's private scratch (gts.Scheduler's watch
+// list for its ticker, MaskBalancer's per-core counts, which every Place
+// recomputes before reading). Placers that do not implement it pin their
+// machine to per-tick stepping.
 type SteadyPlacer interface {
 	Placer
 	Settled(m *Machine) (SteadyTicker, bool)
@@ -176,8 +179,12 @@ const (
 
 // primeSteady sizes the reusable window plan for the machine's current
 // core, daemon, and thread population so that certification inside the hot
-// loop never allocates. New, Spawn, and AddDaemon call it from the cold
-// construction paths.
+// loop never allocates. New, AddDaemon, and newProcess (so Spawn, Restore
+// and Recover) call it from the cold construction paths. The plan's thread
+// rows hold runnable threads only, so they are sized for the live
+// processes' threads: m.threads also keeps every exited process's threads,
+// and sizing for those would reallocate the rows at each arrival on a node
+// in proportion to its whole history.
 func (m *Machine) primeSteady() {
 	p := &m.steady
 	if len(p.charges) < len(m.cores) {
@@ -192,8 +199,14 @@ func (m *Machine) primeSteady() {
 	if cap(p.tickers) < len(m.daemons)+1 { // the daemons' and the placer's
 		p.tickers = make([]SteadyTicker, 0, len(m.daemons)+1)
 	}
-	if cap(p.threads) < len(m.threads) {
-		p.threads = make([]steadyThread, 0, len(m.threads))
+	live := 0
+	for _, q := range m.procs {
+		if !q.exited {
+			live += len(q.Threads)
+		}
+	}
+	if cap(p.threads) < live {
+		p.threads = make([]steadyThread, 0, live)
 	}
 }
 

@@ -28,10 +28,10 @@ type Thread struct {
 	remaining  float64 // work units left in the current unit
 	penalty    Time    // pending migration stall
 
-	// speedFactor caches Program.SpeedFactor per cluster, resolved at Spawn
-	// so the per-tick execute path makes no interface calls; sibPrev and
-	// sibNext link the ID-adjacent threads of the process for the
-	// cache-sharing check.
+	// speedFactor caches Program.SpeedFactor per cluster, resolved by
+	// newProcess so the per-tick execute path makes no interface calls;
+	// sibPrev and sibNext link the ID-adjacent threads of the process for
+	// the cache-sharing check.
 	speedFactor      [hmp.NumClusters]float64
 	sibPrev, sibNext *Thread
 
@@ -119,7 +119,7 @@ type Process struct {
 
 	m          *Machine
 	prog       Program
-	cacheBonus float64 // CacheSensitive.CacheBonus resolved at Spawn (0 if none)
+	cacheBonus float64 // CacheSensitive.CacheBonus resolved by newProcess (0 if none)
 	exited     bool    // set by Machine.Kill: the process has departed
 	Threads    []*Thread
 }
