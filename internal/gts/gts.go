@@ -141,18 +141,20 @@ func (g *Scheduler) Place(m *sim.Machine) {
 		g.loads[t.Global] = decay(g.loads[t.Global], d, term(t.RanLastTick(), gain))
 	}
 
-	plat := m.Platform()
 	usable := g.Allowed & m.OnlineMask()
-	counts := g.countQueues(plat.TotalCores(), threads, usable)
+	counts, clean := g.queueCounts(m, threads, usable)
 
-	// Repair threads placed outside their permitted set.
-	for _, t := range threads {
-		if !t.Runnable() || (t.Core() >= 0 && permitted(t, t.Core(), usable)) {
-			continue
-		}
-		if cpu := leastLoaded(t, counts, usable); cpu >= 0 {
-			m.Migrate(t, cpu)
-			counts[cpu]++
+	// Repair threads placed outside their permitted set (none is when the
+	// counts are clean).
+	if !clean {
+		for _, t := range threads {
+			if !t.Runnable() || (t.Core() >= 0 && permitted(t, t.Core(), usable)) {
+				continue
+			}
+			if cpu := leastLoaded(t, counts, usable); cpu >= 0 {
+				m.Migrate(t, cpu)
+				counts[cpu]++
+			}
 		}
 	}
 
@@ -185,13 +187,35 @@ func term(ran bool, gain float64) float64 {
 	return 0
 }
 
-// countQueues fills the per-core scratch counts: the runnable threads on
-// each core that are permitted to run there.
-func (g *Scheduler) countQueues(nc int, threads []*sim.Thread, usable hmp.CPUMask) []int {
+// queueCounts fills the per-core scratch counts: the runnable threads on
+// each core that are permitted to run there. clean reports that every
+// runnable thread is permitted where it sits. That holds exactly when no
+// runnable thread is misplaced (each sits on a core of its affinity) and
+// every non-empty run queue is usable, and then the counts are the
+// machine's O(1) run-queue lengths, as the mask balancer reads them.
+// Otherwise they come from a walk over every thread (countQueues).
+func (g *Scheduler) queueCounts(m *sim.Machine, threads []*sim.Thread, usable hmp.CPUMask) (counts []int, clean bool) {
+	nc := m.Platform().TotalCores()
 	if cap(g.counts) < nc {
 		g.counts = make([]int, nc)
 	}
-	counts := g.counts[:nc]
+	counts = g.counts[:nc]
+	if m.Misplaced() == 0 {
+		clean = true
+		for cpu := range counts {
+			counts[cpu] = m.RunQueueLen(cpu)
+			clean = clean && (counts[cpu] == 0 || usable.Has(cpu))
+		}
+		if clean {
+			return counts, true
+		}
+	}
+	return countQueues(counts, threads, usable), false
+}
+
+// countQueues fills counts with the runnable threads on each core that are
+// permitted to run there, walking every thread.
+func countQueues(counts []int, threads []*sim.Thread, usable hmp.CPUMask) []int {
 	for i := range counts {
 		counts[i] = 0
 	}
@@ -245,6 +269,9 @@ func (g *Scheduler) migrationPass(m *sim.Machine, threads []*sim.Thread, counts 
 		within := little
 		if up {
 			within = big
+		}
+		if t.Affinity()&within == 0 {
+			continue // no destination core: leastLoaded would find none
 		}
 		cpu := leastLoaded(t, counts, within)
 		if cpu < 0 || up && counts[cpu]+1 > g.UpQueueLimit {
@@ -408,9 +435,12 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 		g.watch = make([]lane, 0, len(threads))
 		g.lanes = make([]lane, 0, len(threads))
 	}
-	plat := m.Platform()
 	usable := g.Allowed & m.OnlineMask()
-	counts := g.countQueues(plat.TotalCores(), threads, usable)
+	counts, clean := g.queueCounts(m, threads, usable)
+	if !clean {
+		return nil, false // a runnable thread needs repair
+	}
+	plat := m.Platform()
 	// Under these counts a crossing little thread moves up exactly when a
 	// big core of its affinity has room under UpQueueLimit (the least
 	// loaded one then does), a crossing big thread exactly when a little
@@ -429,9 +459,6 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 			continue
 		}
 		cur := t.Core()
-		if cur < 0 || !permitted(t, cur, usable) {
-			return nil, false
-		}
 		if !even && balanceTarget(plat, t, counts, usable) != cur {
 			return nil, false
 		}

@@ -18,7 +18,9 @@ func (p *Platform) WriteJSON(w io.Writer) error {
 }
 
 // ReadPlatform parses and validates a platform description produced by
-// WriteJSON (or written by hand for a custom board).
+// WriteJSON (or written by hand for a custom board). Unknown fields are
+// rejected. scenario.Decode reads every inline node board through it,
+// once per distinct board text.
 func ReadPlatform(r io.Reader) (*Platform, error) {
 	var p Platform
 	dec := json.NewDecoder(r)
@@ -35,9 +37,9 @@ func ReadPlatform(r io.Reader) (*Platform, error) {
 
 // Normalize fixes up the fields that are redundant with structure — the
 // per-cluster Kind tags, which mirror array position — so a hand-written or
-// embedded JSON description can omit them. ReadPlatform calls it; decoders
-// that embed a Platform inside a larger document (scenario node specs) must
-// call it themselves after validation.
+// embedded JSON description can omit them. ReadPlatform calls it; code that
+// builds a Platform some other way must call it itself after validation
+// (scenario validation does, for node boards set in Go).
 func (p *Platform) Normalize() {
 	p.Clusters[Little].Kind = Little
 	p.Clusters[Big].Kind = Big

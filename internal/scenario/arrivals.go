@@ -103,6 +103,15 @@ func (st *ArrivalStream) validate(i int, durationMS int64) error {
 	return nil
 }
 
+// limit is how many arrivals the stream may expand to: max_apps, or
+// maxStreamApps when it declares none.
+func (st *ArrivalStream) limit() int {
+	if st.MaxApps > 0 {
+		return st.MaxApps
+	}
+	return maxStreamApps
+}
+
 // expand draws the stream's arrivals. A Poisson process with a piecewise-
 // constant rate is memoryless, so sampling each step independently with
 // its own exponential inter-arrival clock is exact — and keeps every
@@ -112,10 +121,7 @@ func (st *ArrivalStream) expand(idx int, durationMS int64) []AppSpec {
 	if seed == 0 {
 		seed = int64(idx + 1)
 	}
-	maxApps := st.MaxApps
-	if maxApps <= 0 {
-		maxApps = maxStreamApps
-	}
+	maxApps := st.limit()
 	rng := rand.New(rand.NewSource(seed))
 	var out []AppSpec
 	from := int64(0)
@@ -175,11 +181,7 @@ func (sc *Scenario) expandApps() ([]AppSpec, error) {
 		if err := st.validate(i, sc.DurationMS); err != nil {
 			return nil, err
 		}
-		limit := st.MaxApps
-		if limit <= 0 {
-			limit = maxStreamApps
-		}
-		if total += limit; total > maxArrivalApps {
+		if total += st.limit(); total > maxArrivalApps {
 			return nil, fmt.Errorf("scenario: arrival streams may expand to more than %d apps", maxArrivalApps)
 		}
 		apps = append(apps, st.expand(i, sc.DurationMS)...)

@@ -53,7 +53,9 @@
 //     measured maximum rate (±5% band). init_big/init_little are the
 //     MP-HARS initial core allocation (default 1+1). threads defaults to
 //     8; validation rejects more than 1,024, here and in an arrival
-//     stream's template, and more than 10,000 declared apps.
+//     stream's template, more than 10,000 declared apps, and more than
+//     2^18 threads over the declared apps and every arrival stream's worst
+//     case (max_apps arrivals of its template's threads).
 //   - duration_ms, sample_every_ms, migrate_every_ms and the faults
 //     block's *_ms fields: validation rejects any above sim.MaxMS (2^40 ms,
 //     about 35 years), where converting them to simulated microseconds
@@ -125,7 +127,7 @@
 //	}
 //
 // Each node is one sim.Node — its own platform description (inline
-// hmp.ReadPlatform JSON; omitted = the default board), power model,
+// hmp.ReadPlatform JSON; omitted or null = the default board), power model,
 // manager ("manager"/"adapt_every"/"overhead_cpu" default to the
 // scenario-level values), and thermal loop — and all nodes advance in
 // lockstep on one deterministic clock (internal/fleet). Arrivals are
@@ -137,8 +139,11 @@
 // when the candidate is a migration destination) or by their "node" pin;
 // platform events (hotplug, dvfs_cap) must name the node they act on,
 // while app events address the app wherever it runs. Validation rejects
-// more than 4,096 nodes. Nodes on equal boards share one max-rate
-// calibration per (bench, threads).
+// more than 4,096 nodes. A fleet's boards cost their distinct texts, not
+// their nodes: Decode reads each distinct "platform" text once, and the
+// nodes carrying it share the decoded board. Nodes on equal boards, however
+// written, share one pair of power models and one max-rate calibration
+// per (bench, threads).
 //
 // Traffic traces: each "arrivals" stream is a seeded Poisson arrival
 // process with a piecewise-constant rate profile ("rate" steps, each

@@ -366,6 +366,7 @@ type engine struct {
 	apps      []*appRun
 	appSpecs  []AppSpec // declared apps + arrival-stream expansions
 	ckptCost  sim.CheckpointCost
+	boards    map[*hmp.Platform]boardModels // power models, one pair per board
 
 	rates map[rateKey]float64 // max-rate cache
 	trace *bufio.Writer
@@ -412,6 +413,7 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 		appSpecs: appSpecs,
 		ckptCost: ckptCost,
 		rates:    make(map[rateKey]float64),
+		boards:   make(map[*hmp.Platform]boardModels),
 		hash:     fnv.New64a(),
 	}
 	out := io.Writer(e.hash)
@@ -551,13 +553,26 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 	return e.result(), nil
 }
 
+// boardModels are one board's power models: the machines' ground truth
+// and the managers' estimator model. Neither is written after
+// construction, so every node on the board shares the pair.
+type boardModels struct {
+	truth *power.GroundTruth
+	model *power.LinearModel
+}
+
 // buildNode assembles one machine of the run: platform, power model,
 // manager, thermal governor, and the per-tick hooks — in the fixed daemon
 // order (governor, observers, MP-HARS manager) the thermal subsystem
 // documents.
 func (e *engine) buildNode(rn resolvedNode) (*nodeRun, error) {
-	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: power.DefaultGroundTruth(rn.plat)})
-	nr := &nodeRun{rn: rn, m: sn.Machine, model: power.SyntheticLinearModel(rn.plat)}
+	bm, ok := e.boards[rn.plat]
+	if !ok {
+		bm = boardModels{power.DefaultGroundTruth(rn.plat), power.SyntheticLinearModel(rn.plat)}
+		e.boards[rn.plat] = bm
+	}
+	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: bm.truth})
+	nr := &nodeRun{rn: rn, m: sn.Machine, model: bm.model}
 
 	switch rn.manager {
 	case ManagerGTS:
@@ -1280,12 +1295,7 @@ func (e *engine) appByName(name string) *appRun {
 	return nil
 }
 
-func threadsOf(a *appRun) int {
-	if a.spec.Threads > 0 {
-		return a.spec.Threads
-	}
-	return 8
-}
+func threadsOf(a *appRun) int { return appThreads(a.spec.Threads) }
 
 // target resolves a target spec: explicit band, or frac of the benchmark's
 // maximum rate (on the node the app runs on) with the paper's ±5% band.

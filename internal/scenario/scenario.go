@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -116,9 +117,11 @@ type NodeSpec struct {
 	Name string `json:"name"`
 
 	// Platform is the node's board description, the same JSON
-	// hmp.ReadPlatform accepts, embedded inline. Nil selects the default
-	// ODROID-XU3-like platform — so a heterogeneous fleet mixes custom
-	// and stock boards freely.
+	// hmp.ReadPlatform accepts, embedded inline. Nil (or null in the
+	// document) selects the default ODROID-XU3-like platform — so a
+	// heterogeneous fleet mixes custom and stock boards freely. Decode
+	// gives the nodes that carry one board text one shared instance; treat
+	// it as read-only.
 	Platform *hmp.Platform `json:"platform,omitempty"`
 
 	// Manager is the node's runtime manager kind; empty inherits the
@@ -157,6 +160,17 @@ const (
 	maxNodes = 4096
 	maxApps  = maxArrivalApps
 )
+
+// maxThreads bounds the threads a scenario may spawn: its declared apps'
+// plus every arrival stream's worst case, its arrival cap times its
+// template's threads. Each list is capped on its own, but their product is
+// not: 10,000 declared apps of 1024 threads would pass every other bound
+// and spawn 10M threads. A thread costs at most about 0.9 kB of live
+// machine and program state (FE's pipeline, the heaviest workload, over
+// sixteen 1024-thread apps), so 2^18 threads, 256 apps at the per-app cap
+// and 170 times the largest benchmark spec's worst case, stay under about
+// 250 MB, within the 300 MB maxNodes allows.
+const maxThreads = 1 << 18
 
 // Event is one timed dynamic event.
 type Event struct {
@@ -273,13 +287,29 @@ type DecisionSpec struct {
 	Keep int `json:"keep,omitempty"`
 }
 
+// specDoc is the document Decode reads: a Scenario whose nodes hold their
+// boards as raw text (each nodeDoc's Platform shadows the embedded
+// NodeSpec's), so that Decode reads each distinct board text once.
+type specDoc struct {
+	Scenario
+	Nodes []nodeDoc `json:"nodes,omitempty"`
+}
+
+type nodeDoc struct {
+	NodeSpec
+	Platform json.RawMessage `json:"platform,omitempty"`
+}
+
 // Decode parses and validates a scenario document. Unknown fields are
-// rejected so typos surface instead of silently doing nothing.
+// rejected so typos surface instead of silently doing nothing. A fleet's
+// boards cost their distinct texts, not their nodes: each distinct
+// "platform" text is read once by hmp.ReadPlatform, and every node
+// carrying it gets the same *hmp.Platform.
 func Decode(r io.Reader) (*Scenario, error) {
-	var sc Scenario
+	var doc specDoc
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
 	}
 	// The decoder consumes exactly one JSON value; anything non-whitespace
@@ -288,6 +318,28 @@ func Decode(r io.Reader) (*Scenario, error) {
 	// of silently running the first value.
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("scenario: decode: trailing data after the scenario document")
+	}
+	sc := doc.Scenario
+	if len(doc.Nodes) > 0 {
+		sc.Nodes = make([]NodeSpec, len(doc.Nodes))
+		boards := make(map[string]*hmp.Platform)
+		for i := range doc.Nodes {
+			nd := &doc.Nodes[i]
+			sc.Nodes[i] = nd.NodeSpec
+			// A null board is an omitted one: the default board.
+			if len(nd.Platform) == 0 || string(nd.Platform) == "null" {
+				continue
+			}
+			p, ok := boards[string(nd.Platform)]
+			if !ok {
+				var err error
+				if p, err = hmp.ReadPlatform(bytes.NewReader(nd.Platform)); err != nil {
+					return nil, fmt.Errorf("scenario: node %q: %w", nd.Name, err)
+				}
+				boards[string(nd.Platform)] = p
+			}
+			sc.Nodes[i].Platform = p
+		}
 	}
 	// The optional list fields carry omitempty, so an explicitly-empty
 	// list in the input ("events": []) would be dropped by Encode and
@@ -378,9 +430,12 @@ func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 	out := make([]resolvedNode, 0, len(sc.Nodes))
 	seen := make(map[string]bool, len(sc.Nodes))
 	// Nodes on equal boards, the default one or inline, share one
-	// instance, so platform-keyed caches (the engine's max-rate
-	// calibration) run once per distinct board.
+	// instance, so the engine's per-board state (power models, the max-rate
+	// calibration) is built once per distinct board. Each node instance is
+	// validated once: decoded nodes with one board text already share one,
+	// and the by-value pass merges equal boards written differently.
 	var boards []*hmp.Platform
+	board := make(map[*hmp.Platform]*hmp.Platform) // node instance → its board
 	for i := range sc.Nodes {
 		ns := &sc.Nodes[i]
 		if ns.Name == "" {
@@ -390,19 +445,22 @@ func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 			return nil, fmt.Errorf("scenario: duplicate node name %q", ns.Name)
 		}
 		seen[ns.Name] = true
-		nplat := ns.Platform
-		if nplat == nil {
-			nplat = hmp.Default()
-		} else {
-			if err := nplat.Validate(); err != nil {
-				return nil, fmt.Errorf("scenario: node %q: %w", ns.Name, err)
+		nplat, ok := board[ns.Platform]
+		if !ok {
+			if nplat = ns.Platform; nplat == nil {
+				nplat = hmp.Default()
+			} else {
+				if err := nplat.Validate(); err != nil {
+					return nil, fmt.Errorf("scenario: node %q: %w", ns.Name, err)
+				}
+				nplat.Normalize()
 			}
-			nplat.Normalize()
-		}
-		if j := slices.IndexFunc(boards, nplat.Equal); j >= 0 {
-			nplat = boards[j]
-		} else {
-			boards = append(boards, nplat)
+			if j := slices.IndexFunc(boards, nplat.Equal); j >= 0 {
+				nplat = boards[j]
+			} else {
+				boards = append(boards, nplat)
+			}
+			board[ns.Platform] = nplat
 		}
 		mgr := ns.Manager
 		if mgr == "" {
@@ -632,6 +690,10 @@ func (sc *Scenario) resolveAndValidate() ([]resolvedNode, []AppSpec, error) {
 		}
 	}
 
+	if n := sc.threadBudget(); n > maxThreads {
+		return nil, nil, fmt.Errorf("scenario: apps and arrival streams may spawn %d threads above the %d cap", n, maxThreads)
+	}
+
 	occurrences := int64(0)
 	for i := range sc.Events {
 		ev := &sc.Events[i]
@@ -735,6 +797,31 @@ func (sc *Scenario) resolveAndValidate() ([]resolvedNode, []AppSpec, error) {
 		}
 	}
 	return nodes, apps, sc.checkHotplug(nodes)
+}
+
+// threadBudget returns how many threads the scenario may spawn: each
+// declared app's, plus each arrival stream's arrival cap times its
+// template's threads. Validation has bounded every term by then, so the
+// sum cannot overflow.
+func (sc *Scenario) threadBudget() int {
+	n := 0
+	for i := range sc.Apps {
+		n += appThreads(sc.Apps[i].Threads)
+	}
+	for i := range sc.Arrivals {
+		st := &sc.Arrivals[i]
+		n += st.limit() * appThreads(st.Threads)
+	}
+	return n
+}
+
+// appThreads is how many threads an app or stream template declaring n
+// spawns: n, or 8 when it declares none.
+func appThreads(n int) int {
+	if n > 0 {
+		return n
+	}
+	return 8
 }
 
 // occurrenceCount returns how many times the event fires within a run of

@@ -412,9 +412,9 @@ func TestDecodeRejectsOverflowingTimes(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsOversizedLists pins the node and declared-app caps: one
-// past each cap fails Decode with the cap named, and a document at the cap
-// decodes. Nothing is run.
+// TestDecodeRejectsOversizedLists pins the node and declared-app caps and
+// the total-threads budget: one past each cap fails Decode with the cap
+// named, and a document at the cap decodes. Nothing is run.
 func TestDecodeRejectsOversizedLists(t *testing.T) {
 	decode := func(sc *Scenario) error {
 		var buf bytes.Buffer
@@ -441,6 +441,19 @@ func TestDecodeRejectsOversizedLists(t *testing.T) {
 		}
 		return sc
 	}
+	// n threads: one arrival stream counted at its worst case (64 arrivals,
+	// its default cap, of 8 threads, the default), though at 2/s over 1 s
+	// it draws about 2, then declared apps of up to 1024 threads.
+	threads := func(n int) *Scenario {
+		sc := &Scenario{
+			Name: "threads", Manager: ManagerNone, DurationMS: 1000,
+			Arrivals: []ArrivalStream{{Name: "s", Bench: "SW", Rate: []RateStep{{PerS: 2}}}},
+		}
+		for n -= maxStreamApps * 8; n > 0; n -= maxAppThreads {
+			sc.Apps = append(sc.Apps, AppSpec{Name: fmt.Sprintf("app%d", len(sc.Apps)), Bench: "SW", Threads: min(n, maxAppThreads)})
+		}
+		return sc
+	}
 	for _, c := range []struct {
 		what string
 		cap  int
@@ -448,6 +461,7 @@ func TestDecodeRejectsOversizedLists(t *testing.T) {
 	}{
 		{"nodes", maxNodes, nodes},
 		{"apps", maxApps, apps},
+		{"threads", maxThreads, threads},
 	} {
 		want := fmt.Sprintf("%d %s above the %d cap", c.cap+1, c.what, c.cap)
 		if err := decode(c.spec(c.cap + 1)); err == nil || !strings.Contains(err.Error(), want) {

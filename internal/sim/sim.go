@@ -1057,3 +1057,11 @@ func (m *Machine) RunQueueLen(cpu int) int {
 func (m *Machine) RunnableCount() int {
 	return len(m.runnable)
 }
+
+// Misplaced returns how many runnable threads sit outside their affinity
+// mask or on no core, in O(1): the counter the mask balancer's repair pass
+// and window certification read. While it is zero, each core's run-queue
+// length counts only threads its affinity permits there.
+func (m *Machine) Misplaced() int {
+	return m.misplaced
+}
