@@ -94,21 +94,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// params returns the search parameters for this adaptation, following the
-// paper's per-version rules.
+// Params returns the version's search parameters (m, n, d) for one
+// adaptation, following the paper's per-version rules: HARS-I steps one
+// core count at distance 1 (m = 1 when the application overperforms,
+// n = 1 when it underperforms), HARS-E and HARS-EI search m = n = 4, d = 7.
+func (v Version) Params(overperforming bool) SearchParams {
+	if v != HARSI {
+		return SearchParams{M: 4, N: 4, D: 7}
+	}
+	if overperforming {
+		return SearchParams{M: 1, N: 0, D: 1}
+	}
+	return SearchParams{M: 0, N: 1, D: 1}
+}
+
+// params returns the search parameters for this adaptation: the explicit
+// Params override, or the version's own.
 func (c Config) params(overperforming bool) SearchParams {
 	if c.Params != (SearchParams{}) {
 		return c.Params
 	}
-	switch c.Version {
-	case HARSI:
-		if overperforming {
-			return SearchParams{M: 1, N: 0, D: 1}
-		}
-		return SearchParams{M: 0, N: 1, D: 1}
-	default: // HARSE, HARSEI
-		return SearchParams{M: 4, N: 4, D: 7}
-	}
+	return c.Version.Params(overperforming)
 }
 
 // scheduler returns the thread scheduler for the configured version.

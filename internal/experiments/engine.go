@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 )
 
@@ -47,7 +46,8 @@ type Outcome struct {
 }
 
 // RunDrivers executes the drivers through a worker pool of the given width
-// (workers <= 1 runs serially, workers == 0 uses one worker per CPU) and
+// (workers <= 1 runs serially, workers == 0 uses one worker per CPU; the
+// figure sweeps run through the same pool, one worker per CPU) and
 // returns their outcomes in input order. Every driver owns its machines and
 // only shares the environment's synchronized caches, so the reports are
 // identical whatever the pool width — the engine changes wall-clock time,
@@ -58,43 +58,20 @@ func RunDrivers(env *Env, drivers []Driver, workers int, onDone func(Outcome)) [
 	if workers == 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(drivers) {
-		workers = len(drivers)
-	}
 	out := make([]Outcome, len(drivers))
-	if workers <= 1 {
-		for i, d := range drivers {
-			t0 := time.Now()
-			out[i] = Outcome{Name: d.Name, Report: d.Run(env), Elapsed: time.Since(t0)}
-			if onDone != nil {
-				onDone(out[i])
-			}
-		}
-		return out
-	}
 	done := make([]chan struct{}, len(drivers))
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				d := drivers[i]
-				t0 := time.Now()
-				out[i] = Outcome{Name: d.Name, Report: d.Run(env), Elapsed: time.Since(t0)}
-				close(done[i])
-			}
-		}()
-	}
+	finished := make(chan struct{})
 	go func() {
-		for i := range drivers {
-			next <- i
-		}
-		close(next)
+		defer close(finished)
+		pool(len(drivers), workers, func(i int) {
+			d := drivers[i]
+			t0 := time.Now()
+			out[i] = Outcome{Name: d.Name, Report: d.Run(env), Elapsed: time.Since(t0)}
+			close(done[i])
+		})
 	}()
 	for i := range drivers {
 		<-done[i]
@@ -102,7 +79,7 @@ func RunDrivers(env *Env, drivers []Driver, workers int, onDone func(Outcome)) [
 			onDone(out[i])
 		}
 	}
-	wg.Wait()
+	<-finished
 	return out
 }
 

@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/gts"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
 	"repro/internal/oracle"
@@ -133,25 +132,38 @@ func (e *Env) newMachine() *sim.Machine {
 	return sim.New(e.Plat, sim.Config{Power: e.GT})
 }
 
+// static configures oracle.Measure, the one static run, for benchmark b on
+// the environment's board: the scale's thread count and heartbeat window,
+// measured over the measure window that follows warmup.
+func (e *Env) static(b workload.Benchmark, tgt heartbeat.Target, warmup, measure sim.Time) oracle.Options {
+	return oracle.Options{
+		Plat:       e.Plat,
+		Power:      e.GT,
+		NewProgram: func() sim.Program { return b.New(e.Scale.Threads) },
+		Target:     tgt,
+		Warmup:     warmup,
+		Measure:    measure,
+		FreqStride: e.Scale.OracleFreqStride,
+		HBWindow:   e.Scale.HBWindow,
+	}
+}
+
 // MaxRate measures (and caches) the maximum achievable heartbeat rate of a
-// benchmark: the baseline run at maximum core count and frequency under the
-// Linux HMP scheduler.
+// benchmark: the static run (oracle.Measure) at maximum core count and
+// frequency under the Linux HMP scheduler, measured from CalibSkip to
+// CalibTime. The scenario engine's calibration calls the same run with its
+// own window. MaxRate calibrates while holding the cache lock, so each
+// benchmark is calibrated once however many goroutines ask.
 func (e *Env) MaxRate(b workload.Benchmark) float64 {
 	e.mu.Lock()
-	if r, ok := e.maxRates[b.Short]; ok {
-		e.mu.Unlock()
-		return r
+	defer e.mu.Unlock()
+	r, ok := e.maxRates[b.Short]
+	if !ok {
+		o := e.static(b, heartbeat.Target{}, e.Scale.CalibSkip, e.Scale.CalibTime-e.Scale.CalibSkip)
+		r = oracle.Measure(o, hmp.MaxState(e.Plat)).Rate
+		e.maxRates[b.Short] = r
 	}
-	e.mu.Unlock()
-	m := e.newMachine()
-	m.SetPlacer(gts.New(e.Plat))
-	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
-	m.Run(e.Scale.CalibTime)
-	rate := p.HB.RateOver(e.Scale.CalibSkip, m.Now())
-	e.mu.Lock()
-	e.maxRates[b.Short] = rate
-	e.mu.Unlock()
-	return rate
+	return r
 }
 
 // Target builds the paper's performance target for a benchmark: frac of the
@@ -179,40 +191,25 @@ func (e *Env) measure(m *sim.Machine, p *sim.Process, tgt heartbeat.Target) RunR
 	return res
 }
 
+// runStatic is a version run held statically in state st: the static run
+// over the scale's measurement window, MeasureFrom to RunTime. No manager
+// runs, so its overhead is zero.
+func (e *Env) runStatic(b workload.Benchmark, tgt heartbeat.Target, st hmp.State) RunResult {
+	r := oracle.Measure(e.static(b, tgt, e.Scale.MeasureFrom, e.Scale.RunTime-e.Scale.MeasureFrom), st)
+	return RunResult{Rate: r.Rate, NormPerf: r.NormPerf, PowerW: r.PowerW, PP: r.PP, State: st}
+}
+
 // RunBaseline runs the baseline version: maximum core count and frequency,
 // scheduled by the Linux HMP scheduler.
 func (e *Env) RunBaseline(b workload.Benchmark, tgt heartbeat.Target) RunResult {
-	m := e.newMachine()
-	m.SetPlacer(gts.New(e.Plat))
-	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
-	res := e.measure(m, p, tgt)
-	res.State = hmp.MaxState(e.Plat)
-	return res
+	return e.runStatic(b, tgt, hmp.MaxState(e.Plat))
 }
 
 // RunStaticOptimal sweeps all states offline (the SO version), then runs the
 // chosen state statically under the Linux HMP scheduler.
 func (e *Env) RunStaticOptimal(b workload.Benchmark, tgt heartbeat.Target) RunResult {
-	best := oracle.FindStatic(oracle.Options{
-		Plat:       e.Plat,
-		Power:      e.GT,
-		NewProgram: func() sim.Program { return b.New(e.Scale.Threads) },
-		Target:     tgt,
-		Warmup:     e.Scale.OracleWarmup,
-		Measure:    e.Scale.OracleMeasure,
-		FreqStride: e.Scale.OracleFreqStride,
-		Parallel:   true,
-	})
-	m := e.newMachine()
-	m.SetLevel(hmp.Big, best.State.BigLevel)
-	m.SetLevel(hmp.Little, best.State.LittleLevel)
-	g := gts.New(e.Plat)
-	g.SetAllowed(best.State.Cpuset(e.Plat))
-	m.SetPlacer(g)
-	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
-	res := e.measure(m, p, tgt)
-	res.State = best.State
-	return res
+	best := oracle.FindStatic(e.static(b, tgt, e.Scale.OracleWarmup, e.Scale.OracleMeasure))
+	return e.runStatic(b, tgt, best.State)
 }
 
 // RunHARS runs one of the HARS versions with optional manager overrides.
@@ -232,10 +229,13 @@ func (e *Env) RunHARSTraced(b workload.Benchmark, tgt heartbeat.Target, cfg core
 	return res, mgr.Decisions()
 }
 
-// parallelFor runs fn(i) for i in [0, n) across workers, preserving result
-// order determinism (each fn writes only its own slot).
-func parallelFor(n int, fn func(i int)) {
-	workers := runtime.NumCPU()
+// parallelFor runs fn(i) for i in [0, n) on one worker per CPU.
+func parallelFor(n int, fn func(i int)) { pool(n, runtime.NumCPU(), fn) }
+
+// pool runs fn(i) for i in [0, n) on at most workers goroutines (serially,
+// in index order, when workers <= 1). Each fn writes only its own slot, so
+// results do not depend on the width.
+func pool(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}

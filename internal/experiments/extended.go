@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/core"
-	"repro/internal/stats"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // ExtendedSuite runs the three headline versions (Baseline, HARS-E,
 // HARS-EI) over the full ten-benchmark catalog — the paper's six plus the
@@ -14,52 +10,13 @@ import (
 func ExtendedSuite(e *Env) *Report {
 	versions := []string{"Baseline", "HARS-E", "HARS-EI"}
 	benches := workload.AllExtended()
+	grid := e.runGrid(benches, versions, 0.50)
 	rep := &Report{Title: "Extended suite (beyond the paper): perf/watt at the 50%±5% target"}
-	rep.Table.Header = append([]string{"bench"}, versions...)
-
-	for _, b := range benches {
-		e.MaxRate(b) // serial calibration, cached
+	labels := make([]string, len(benches))
+	for i, b := range benches {
+		labels[i] = b.Short
 	}
-	type job struct{ bi, vi int }
-	var jobs []job
-	for bi := range benches {
-		for vi := range versions {
-			jobs = append(jobs, job{bi, vi})
-		}
-	}
-	results := make([]RunResult, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		b := benches[j.bi]
-		tgt := e.Target(b, 0.50)
-		switch versions[j.vi] {
-		case "Baseline":
-			results[i] = e.RunBaseline(b, tgt)
-		case "HARS-E":
-			results[i] = e.RunHARS(b, tgt, core.Config{Version: core.HARSE})
-		case "HARS-EI":
-			results[i] = e.RunHARS(b, tgt, core.Config{Version: core.HARSEI})
-		}
-	})
-	perVersion := map[string][]float64{}
-	for bi := range benches {
-		base := results[bi*len(versions)].PP
-		cells := []string{benches[bi].Short}
-		for vi, v := range versions {
-			rel := 0.0
-			if base > 0 {
-				rel = results[bi*len(versions)+vi].PP / base
-			}
-			perVersion[v] = append(perVersion[v], rel)
-			cells = append(cells, stats.F(rel, 2))
-		}
-		rep.Table.AddRow(cells...)
-	}
-	gm := []string{"GM"}
-	for _, v := range versions {
-		gm = append(gm, stats.F(stats.GeoMean(perVersion[v]), 2))
-	}
-	rep.Table.AddRow(gm...)
+	relativeTable(rep, "bench", labels, versions, func(r, v int) float64 { return grid[r][v].PP })
 	rep.Notes = append(rep.Notes,
 		"benchmarks beyond the paper's six: CA=canneal, DE=dedup, SC=streamcluster, X2=x264")
 	return rep

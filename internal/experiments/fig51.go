@@ -43,46 +43,70 @@ type SingleAppResult struct {
 // the given target fraction: the engine behind Figures 5.1 and 5.2.
 func RunSingleApp(e *Env, o SingleAppOptions) []SingleAppResult {
 	benches := o.benches()
+	grid := e.runGrid(benches, Fig51Versions, o.TargetFrac)
 	out := make([]SingleAppResult, len(benches))
-	// Calibrate serially first (cached) so parallel runs share targets.
-	for _, b := range benches {
-		e.MaxRate(b)
-	}
-	type job struct {
-		bench   int
-		version string
-	}
-	var jobs []job
-	for i := range benches {
-		for _, v := range Fig51Versions {
-			jobs = append(jobs, job{bench: i, version: v})
+	for i, b := range benches {
+		out[i] = SingleAppResult{Bench: b, Results: map[string]RunResult{}}
+		for vi, v := range Fig51Versions {
+			out[i].Results[v] = grid[i][vi]
 		}
-	}
-	results := make([]RunResult, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		b := benches[j.bench]
-		tgt := e.Target(b, o.TargetFrac)
-		switch j.version {
-		case "Baseline":
-			results[i] = e.RunBaseline(b, tgt)
-		case "SO":
-			results[i] = e.RunStaticOptimal(b, tgt)
-		case "HARS-I":
-			results[i] = e.RunHARS(b, tgt, core.Config{Version: core.HARSI})
-		case "HARS-E":
-			results[i] = e.RunHARS(b, tgt, core.Config{Version: core.HARSE})
-		case "HARS-EI":
-			results[i] = e.RunHARS(b, tgt, core.Config{Version: core.HARSEI})
-		}
-	})
-	for i := range benches {
-		out[i] = SingleAppResult{Bench: benches[i], Results: map[string]RunResult{}}
-	}
-	for i, j := range jobs {
-		out[j.bench].Results[j.version] = results[i]
 	}
 	return out
+}
+
+// runGrid runs every version of every benchmark at frac of the
+// benchmark's maximum rate, in parallel, and returns the results indexed
+// [bench][version].
+func (e *Env) runGrid(benches []workload.Benchmark, versions []string, frac float64) [][]RunResult {
+	nv := len(versions)
+	grid := make([][]RunResult, len(benches))
+	for i := range grid {
+		grid[i] = make([]RunResult, nv)
+	}
+	parallelFor(len(benches)*nv, func(i int) {
+		b := benches[i/nv]
+		tgt := e.Target(b, frac)
+		r := &grid[i/nv][i%nv]
+		switch versions[i%nv] {
+		case "Baseline":
+			*r = e.RunBaseline(b, tgt)
+		case "SO":
+			*r = e.RunStaticOptimal(b, tgt)
+		case "HARS-I":
+			*r = e.RunHARS(b, tgt, core.Config{Version: core.HARSI})
+		case "HARS-E":
+			*r = e.RunHARS(b, tgt, core.Config{Version: core.HARSE})
+		case "HARS-EI":
+			*r = e.RunHARS(b, tgt, core.Config{Version: core.HARSEI})
+		}
+	})
+	return grid
+}
+
+// relativeTable fills rep's table: a head column of labels, then per
+// version the row's value relative to its first version's (the Baseline's,
+// 0 when that is not positive), then a GM row of each column's geometric
+// mean.
+func relativeTable(rep *Report, head string, labels, versions []string, val func(row, v int) float64) {
+	rep.Table.Header = append([]string{head}, versions...)
+	cols := make([][]float64, len(versions))
+	for r, label := range labels {
+		cells := []string{label}
+		for v := range versions {
+			rel := 0.0
+			if base := val(r, 0); base > 0 {
+				rel = val(r, v) / base
+			}
+			cols[v] = append(cols[v], rel)
+			cells = append(cells, stats.F(rel, 2))
+		}
+		rep.Table.AddRow(cells...)
+	}
+	gm := []string{"GM"}
+	for _, col := range cols {
+		gm = append(gm, stats.F(stats.GeoMean(col), 2))
+	}
+	rep.Table.AddRow(gm...)
 }
 
 // Fig51 regenerates Figure 5.1 (performance/watt, default 50% target): per
@@ -102,26 +126,13 @@ func Fig52(e *Env) *Report {
 func singleAppReport(e *Env, o SingleAppOptions, title string) *Report {
 	rows := RunSingleApp(e, o)
 	rep := &Report{Title: title}
-	rep.Table.Header = append([]string{"bench"}, Fig51Versions...)
-	perVersion := map[string][]float64{}
-	for _, row := range rows {
-		base := row.Results["Baseline"].PP
-		cells := []string{row.Bench.Short}
-		for _, v := range Fig51Versions {
-			rel := 0.0
-			if base > 0 {
-				rel = row.Results[v].PP / base
-			}
-			perVersion[v] = append(perVersion[v], rel)
-			cells = append(cells, stats.F(rel, 2))
-		}
-		rep.Table.AddRow(cells...)
+	labels := make([]string, len(rows))
+	for i, row := range rows {
+		labels[i] = row.Bench.Short
 	}
-	gm := []string{"GM"}
-	for _, v := range Fig51Versions {
-		gm = append(gm, stats.F(stats.GeoMean(perVersion[v]), 2))
-	}
-	rep.Table.AddRow(gm...)
+	relativeTable(rep, "bench", labels, Fig51Versions, func(r, v int) float64 {
+		return rows[r].Results[Fig51Versions[v]].PP
+	})
 	rep.Notes = append(rep.Notes,
 		"values are normalized performance/watt relative to the Baseline version (Baseline = 1.00)")
 	for _, row := range rows {

@@ -24,9 +24,6 @@ type Fig53Point struct {
 // (m = n = 4) at one target fraction.
 func RunFig53(e *Env, targetFrac float64) []Fig53Point {
 	benches := workload.All()
-	for _, b := range benches {
-		e.MaxRate(b)
-	}
 	type job struct{ di, bi int }
 	var jobs []job
 	for di := range Fig53Distances {

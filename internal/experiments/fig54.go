@@ -125,55 +125,17 @@ func (e *Env) RunMultiApp(caseNames [2]string, version string, frac float64) Mul
 // (geomean of the two applications' normalized performance, per watt)
 // relative to the baseline version, plus the geometric mean over cases.
 func Fig54(e *Env) *Report {
-	// Pre-calibrate serially.
-	for _, c := range Fig54Cases {
-		for _, s := range c {
-			if b, ok := workload.ByShort(s); ok {
-				e.MaxRate(b)
-			}
-		}
-	}
-	type job struct{ ci, vi int }
-	var jobs []job
-	for ci := range Fig54Cases {
-		for vi := range Fig54Versions {
-			jobs = append(jobs, job{ci, vi})
-		}
-	}
-	runs := make([]MultiAppRun, len(jobs))
-	parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		runs[i] = e.RunMultiApp(Fig54Cases[j.ci], Fig54Versions[j.vi], 0.50)
+	nv := len(Fig54Versions)
+	runs := make([]MultiAppRun, len(Fig54Cases)*nv)
+	parallelFor(len(runs), func(i int) {
+		runs[i] = e.RunMultiApp(Fig54Cases[i/nv], Fig54Versions[i%nv], 0.50)
 	})
-	byCase := make(map[int]map[string]MultiAppRun)
-	for i, j := range jobs {
-		if byCase[j.ci] == nil {
-			byCase[j.ci] = map[string]MultiAppRun{}
-		}
-		byCase[j.ci][Fig54Versions[j.vi]] = runs[i]
-	}
-
 	rep := &Report{Title: "Figure 5.4: performance/watt, multi-application (50%±5% targets)"}
-	rep.Table.Header = append([]string{"case"}, Fig54Versions...)
-	perVersion := map[string][]float64{}
-	for ci := range Fig54Cases {
-		base := byCase[ci]["Baseline"].Eff
-		cells := []string{fmt.Sprintf("%d:%s+%s", ci+1, Fig54Cases[ci][0], Fig54Cases[ci][1])}
-		for _, v := range Fig54Versions {
-			rel := 0.0
-			if base > 0 {
-				rel = byCase[ci][v].Eff / base
-			}
-			perVersion[v] = append(perVersion[v], rel)
-			cells = append(cells, stats.F(rel, 2))
-		}
-		rep.Table.AddRow(cells...)
+	labels := make([]string, len(Fig54Cases))
+	for ci, c := range Fig54Cases {
+		labels[ci] = fmt.Sprintf("%d:%s+%s", ci+1, c[0], c[1])
 	}
-	gm := []string{"GM"}
-	for _, v := range Fig54Versions {
-		gm = append(gm, stats.F(stats.GeoMean(perVersion[v]), 2))
-	}
-	rep.Table.AddRow(gm...)
+	relativeTable(rep, "case", labels, Fig54Versions, func(c, v int) float64 { return runs[c*nv+v].Eff })
 	rep.Notes = append(rep.Notes,
 		"case efficiency = geomean of per-app normalized performance / average system power, relative to Baseline")
 	return rep

@@ -38,9 +38,21 @@ func ReadPlatform(r io.Reader) (*Platform, error) {
 // Normalize fixes up the fields that are redundant with structure — the
 // per-cluster Kind tags, which mirror array position — so a hand-written or
 // embedded JSON description can omit them. ReadPlatform calls it; code that
-// builds a Platform some other way must call it itself after validation
-// (scenario validation does, for node boards set in Go).
+// builds a Platform some other way must normalize it after validation
+// (scenario validation does, through Normalized, for node boards set in Go).
 func (p *Platform) Normalize() {
 	p.Clusters[Little].Kind = Little
 	p.Clusters[Big].Kind = Big
+}
+
+// Normalized returns p itself when its Kind tags already match their
+// positions, and a normalized copy otherwise. It never writes p, so a board
+// shared between goroutines can be normalized by each of them.
+func (p *Platform) Normalized() *Platform {
+	if p.Clusters[Little].Kind == Little && p.Clusters[Big].Kind == Big {
+		return p
+	}
+	q := *p
+	q.Normalize()
+	return &q
 }

@@ -204,7 +204,7 @@ func (c *Controller) Poll() bool {
 		return false
 	}
 	c.lastAdapt = rec.Index
-	prm := versionParams(c.cfg.Version, rate > c.cfg.Target.Avg)
+	prm := c.cfg.Version.Params(rate > c.cfg.Target.Avg)
 	res := core.Search(c.est, c.state, rate, c.cfg.Target, prm, core.Unbounded(c.cfg.Space))
 	c.searches++
 	if res.State == c.state {
@@ -217,16 +217,6 @@ func (c *Controller) Poll() bool {
 	}
 	c.act.Apply(res.State)
 	return true
-}
-
-func versionParams(v core.Version, over bool) core.SearchParams {
-	if v == core.HARSI {
-		if over {
-			return core.SearchParams{M: 1, N: 0, D: 1}
-		}
-		return core.SearchParams{M: 0, N: 1, D: 1}
-	}
-	return core.SearchParams{M: 4, N: 4, D: 7}
 }
 
 // Run polls on the given interval until the context is cancelled —

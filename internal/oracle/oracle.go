@@ -1,10 +1,13 @@
-// Package oracle implements the paper's "static optimal" (SO) baseline: an
-// offline sweep over every available system state that measures each state's
-// actual performance and power (the paper's offline simulations), then picks
-// the state with the best normalized performance per watt among those that
-// satisfy the target. The chosen state is applied statically and the
-// application runs under the Linux HMP scheduler (GTS), exactly as the
-// paper's SO version does.
+// Package oracle implements the paper's static runs: an application held in
+// one system state under the Linux HMP scheduler (GTS) and measured after a
+// warm-up. Measure is the one such run; the max-rate calibration, the
+// Baseline version and the static-optimal (SO) version all call it.
+// FindStatic is the SO baseline's offline sweep: it measures every
+// available state's actual performance and power (the paper's offline
+// simulations) on all CPUs, then picks the state with the best normalized
+// performance per watt among those that satisfy the target. The chosen
+// state is applied statically and the application runs under GTS, exactly
+// as the paper's SO version does.
 package oracle
 
 import (
@@ -14,15 +17,16 @@ import (
 	"repro/internal/gts"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
-// Options configures the offline sweep.
+// Options configures a static run (Measure) and the offline sweep
+// (FindStatic), which fans its probes out over all CPUs.
 type Options struct {
 	Plat *hmp.Platform
-	// Power is the ground-truth model standing in for the physical board.
-	Power *power.GroundTruth
+	// Power is the model standing in for the physical board; nil means no
+	// energy accounting (PowerW and PP read 0).
+	Power sim.PowerModel
 	// NewProgram builds a fresh instance of the application per probe run
 	// (programs carry run state).
 	NewProgram func() sim.Program
@@ -33,13 +37,10 @@ type Options struct {
 	Warmup sim.Time
 	// Measure is the simulated measurement window per state. Default 3 s.
 	Measure sim.Time
-	// FreqStride coarsens the frequency grids of the sweep (1 = full grid).
+	// FreqStride coarsens FindStatic's frequency grids (1 = full grid).
 	FreqStride int
 	// HBWindow is the heartbeat window size. Default 10.
 	HBWindow int
-	// Parallel runs probe simulations on all CPUs. Results are reduced in
-	// state order, so the outcome is deterministic either way.
-	Parallel bool
 }
 
 func (o Options) withDefaults() Options {
@@ -68,8 +69,8 @@ type Result struct {
 }
 
 // Measure probes a single state: the application runs under GTS restricted
-// to the state's cores and frequencies, and rate/power are measured after
-// warmup.
+// to the state's cores and frequencies, and rate/power are measured over
+// the Measure window that follows Warmup.
 func Measure(o Options, st hmp.State) Result {
 	o = o.withDefaults()
 	m := sim.New(o.Plat, sim.Config{Power: o.Power})
@@ -95,37 +96,32 @@ func Measure(o Options, st hmp.State) Result {
 	return res
 }
 
-// FindStatic sweeps all states and returns the static optimal. The
-// selection rule matches the runtime search: a state satisfying the target
-// minimum beats any that does not; among satisfying states the best
-// normalized-perf-per-watt wins; otherwise the highest rate wins.
+// FindStatic sweeps all states, probing them on all CPUs, and returns the
+// static optimal. Results are reduced in state order, so the outcome does
+// not depend on the CPU count. The selection rule matches the runtime
+// search: a state satisfying the target minimum beats any that does not;
+// among satisfying states the best normalized-perf-per-watt wins;
+// otherwise the highest rate wins.
 func FindStatic(o Options) Result {
 	o = o.withDefaults()
 	states := hmp.AllStates(o.Plat, o.FreqStride)
 	results := make([]Result, len(states))
-	if o.Parallel {
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		workers := runtime.NumCPU()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					results[i] = Measure(o, states[i])
-				}
-			}()
-		}
-		for i := range states {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i, st := range states {
-			results[i] = Measure(o, st)
-		}
+	var wg sync.WaitGroup
+	idx := make(chan int)
+	for w := 0; w < runtime.NumCPU(); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				results[i] = Measure(o, states[i])
+			}
+		}()
 	}
+	for i := range states {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	best := results[0]
 	for _, r := range results[1:] {
 		if betterResult(r, best, o.Target) {

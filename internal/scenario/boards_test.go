@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/hmp"
@@ -77,6 +78,38 @@ func TestResolveSharesEqualBoards(t *testing.T) {
 	}
 	if nodes[2].plat == nodes[0].plat || !nodes[2].plat.Equal(hmp.Default()) {
 		t.Fatal("the node without a board did not get the default one")
+	}
+}
+
+// TestRunSharedScenarioConcurrently: validating and running a scenario
+// only read it, so two goroutines may run one decoded multi-node spec at
+// once (under -race, a write to its shared boards fails the test) and must
+// produce equal traces.
+func TestRunSharedScenarioConcurrently(t *testing.T) {
+	tiny := boardText(t, tinyPlatform(), false)
+	heavy := boardText(t, littleHeavyPlatform(), true)
+	sc, err := Decode(strings.NewReader(fleetDoc(tiny, heavy, tiny, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res [2]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = Run(sc, Options{})
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res[0].TraceDigest != res[1].TraceDigest {
+		t.Fatalf("trace digests differ: %x vs %x", res[0].TraceDigest, res[1].TraceDigest)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
 	"repro/internal/mphars"
+	"repro/internal/oracle"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/thermal"
@@ -1319,10 +1320,11 @@ type rateKey struct {
 }
 
 // maxRate measures (and caches) a benchmark's maximum achievable heartbeat
-// rate on one node's platform: a short unmanaged run under the GTS
-// scheduler at the platform maximum, mirroring the experiments
-// environment's calibration. The cache keys on the board, so nodes on
-// equal boards calibrate once.
+// rate on one node's platform: the static run (oracle.Measure) at the
+// platform maximum under the GTS scheduler, 8 s of warm-up then 12 s
+// measured, with no power model. The experiments environment's
+// calibration calls the same run with its own scale's window. The cache
+// keys on the board, so nodes on equal boards calibrate once.
 func (e *engine) maxRate(bench string, threads int, nr *nodeRun) float64 {
 	key := rateKey{bench, threads, nr.rn.plat}
 	if r, ok := e.rates[key]; ok {
@@ -1333,11 +1335,12 @@ func (e *engine) maxRate(bench string, threads int, nr *nodeRun) float64 {
 		r = e.opts.MaxRate(bench, threads)
 	} else {
 		b, _ := workload.ByShort(bench)
-		cm := sim.New(nr.rn.plat, sim.Config{})
-		cm.SetPlacer(gts.New(nr.rn.plat))
-		p := cm.Spawn(b.Name, b.New(threads), 10)
-		cm.Run(20 * sim.Second)
-		r = p.HB.RateOver(8*sim.Second, cm.Now())
+		r = oracle.Measure(oracle.Options{
+			Plat:       nr.rn.plat,
+			NewProgram: func() sim.Program { return b.New(threads) },
+			Warmup:     8 * sim.Second,
+			Measure:    12 * sim.Second,
+		}, hmp.MaxState(nr.rn.plat)).Rate
 	}
 	e.rates[key] = r
 	return r

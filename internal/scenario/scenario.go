@@ -411,7 +411,9 @@ func (rn *resolvedNode) thermalOn() bool {
 // scenario without nodes becomes one legacy node on the default platform, a
 // multi-node scenario resolves each entry's platform, manager, and thermal
 // block. Per-node validity (platform description, manager kind, thermal
-// spec against the node's grid) is checked here.
+// spec against the node's grid) is checked here. It never writes the
+// scenario (a board with misplaced Kind tags resolves to a normalized
+// copy), so goroutines may validate and run one Scenario at once.
 func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 	if len(sc.Nodes) == 0 {
 		plat := hmp.Default()
@@ -453,7 +455,7 @@ func (sc *Scenario) resolveNodes() ([]resolvedNode, error) {
 				if err := nplat.Validate(); err != nil {
 					return nil, fmt.Errorf("scenario: node %q: %w", ns.Name, err)
 				}
-				nplat.Normalize()
+				nplat = nplat.Normalized()
 			}
 			if j := slices.IndexFunc(boards, nplat.Equal); j >= 0 {
 				nplat = boards[j]
