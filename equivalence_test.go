@@ -140,7 +140,7 @@ func TestEquivalenceHARSE(t *testing.T) {
 	p := m.Spawn("sw", b.New(8), 10)
 	lm := power.SyntheticLinearModel(plat)
 	tgt := heartbeat.Target{Min: 5.0, Avg: 6.0, Max: 7.0}
-	mgr := core.NewManager(m, p, lm, tgt, core.Config{Version: core.HARSE, OverheadCPU: 4, AdaptEvery: 2})
+	mgr := core.NewManager(m, p, core.NewEstimatorSet(plat, lm), tgt, core.Config{Version: core.HARSE, OverheadCPU: 4, AdaptEvery: 2})
 	m.AddDaemon(mgr)
 	m.AddDaemon(&rqChecker{t})
 	m.Run(12 * sim.Second)

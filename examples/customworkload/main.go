@@ -77,7 +77,7 @@ func main() {
 	proc := m.Spawn("transcoder", &transcoder{threads: 8}, 10)
 
 	target := heartbeat.Target{Min: 1.30, Avg: 1.45, Max: 1.60} // frames/s
-	mgr := core.NewManager(m, proc, model, target, core.Config{Version: core.HARSEI})
+	mgr := core.NewManager(m, proc, core.NewEstimatorSet(plat, model), target, core.Config{Version: core.HARSEI})
 	m.AddDaemon(mgr)
 
 	for step := 0; step < 6; step++ {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/core"
 	"repro/internal/gts"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
@@ -46,7 +47,7 @@ func main() {
 
 	// One machine, two applications, one MP-HARS manager.
 	m := sim.New(plat, sim.Config{Power: board})
-	mgr := mphars.New(m, model, mphars.Config{Version: mphars.MPHARSE})
+	mgr := mphars.New(m, core.NewEstimatorSet(plat, model), mphars.Config{Version: mphars.MPHARSE})
 	m.AddDaemon(mgr)
 	var procs [2]*sim.Process
 	for i, n := range names {

@@ -53,7 +53,7 @@ func main() {
 	//    placement whenever the heartbeat rate leaves the band.
 	m := sim.New(plat, sim.Config{Power: board})
 	proc := m.Spawn(bench.Name, bench.New(8), 10)
-	mgr := core.NewManager(m, proc, model, target, core.Config{Version: core.HARSEI})
+	mgr := core.NewManager(m, proc, core.NewEstimatorSet(plat, model), target, core.Config{Version: core.HARSEI})
 	mgr.OnDecision = func(d core.Decision) {
 		fmt.Printf("  t=%5.1fs adapt: %s -> %s (rate %.2f)\n",
 			sim.Seconds(d.Time), d.From.Pretty(plat), d.To.Pretty(plat), d.Rate)

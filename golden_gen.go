@@ -65,7 +65,7 @@ func main() {
 		p := m.Spawn("sw", b.New(8), 10)
 		lm := power.SyntheticLinearModel(plat)
 		tgt := heartbeat.Target{Min: 5.0, Avg: 6.0, Max: 7.0}
-		mgr := core.NewManager(m, p, lm, tgt, core.Config{Version: core.HARSE, OverheadCPU: 4, AdaptEvery: 2})
+		mgr := core.NewManager(m, p, core.NewEstimatorSet(plat, lm), tgt, core.Config{Version: core.HARSE, OverheadCPU: 4, AdaptEvery: 2})
 		m.AddDaemon(mgr)
 		m.Run(12 * sim.Second)
 		fmt.Printf("hars state: %v searches=%d explored=%d decisions=%d\n",

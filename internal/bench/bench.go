@@ -255,8 +255,9 @@ func fleetScaleSteady(b *testing.B, steady bool) {
 		for j := 0; j < busy; j++ {
 			n := fnodes[j*nodes/busy]
 			p := n.Spawn(bench.Name, bench.New(8), 10)
-			lm := power.SyntheticLinearModel(n.Machine.Platform())
-			mgr := core.NewManager(n.Machine, p, lm, tgt, core.Config{Version: core.HARSE, OverheadCPU: 4})
+			plat := n.Machine.Platform()
+			set := core.NewEstimatorSet(plat, power.SyntheticLinearModel(plat))
+			mgr := core.NewManager(n.Machine, p, set, tgt, core.Config{Version: core.HARSE, OverheadCPU: 4})
 			n.Machine.AddDaemon(mgr)
 			if !steady {
 				n.Machine.AddDaemon(perTick{})

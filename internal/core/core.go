@@ -7,7 +7,9 @@
 //   - the performance estimator (Table 3.1): given a candidate system state
 //     it computes the thread assignment that minimizes the completion time
 //     of an equally-partitioned unit of work, the resulting estimated
-//     execution time t_f = max(t_B, t_L), and the per-cluster utilizations;
+//     execution time t_f = max(t_B, t_L), and the per-cluster utilizations,
+//     memoized in one table per board and thread count that every manager
+//     built from the board's EstimatorSet shares;
 //   - the power estimator (Equations 3.1–3.2): per-cluster linear models
 //     P = α·(C_U·U_U) + β fitted offline from profiled sensor data
 //     (internal/power);

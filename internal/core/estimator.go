@@ -30,22 +30,45 @@ type PerfEstimator struct {
 	// estimate here; zero keeps the paper's fixed r0.
 	R0 float64
 
-	// Dense memo table over the small 4-D state space (core counts ×
-	// frequency levels), shared by Search, the tabu search, and MP-HARS's
-	// per-application sweeps; on an MP-HARS node one table serves every
-	// application of one thread count. Entries are validated against
-	// memoEpoch, which bumps whenever the effective ratio or thread count
-	// changes, so invalidation is O(1). Evaluate is a pure function of
-	// (state, ratio, T): memoized results are bit-for-bit identical to
-	// recomputed ones.
-	memo          []PerfEval
-	memoStamp     []uint32
-	memoEpoch     uint32
-	memoR0        float64 // effective ratio the current epoch is valid for
-	memoT         int
-	nCL, nFB, nFL int // index strides (little cores + 1, big levels, little levels)
-	memoStates    int
+	// memo is the Table 3.1 memo table EvaluateCached reads through: one
+	// an EstimatorSet shares among every estimator of its board and this
+	// thread count, or the estimator's own, built on first use.
+	memo *perfMemo
+}
+
+// perfMemo is a dense memo of Evaluate over one board's small 4-D state
+// space (core counts × frequency levels), used by Search, the tabu search
+// and MP-HARS's per-application sweeps. Entries are validated against
+// epoch, which bumps whenever the reading estimator's effective ratio or
+// thread count differs from the one the epoch is valid for, so
+// invalidation is O(1) and estimators with different ratios (a HARS
+// manager learning its ratio beside fixed-ratio ones) may share a table:
+// they only cost each other recomputations. Evaluate is a pure function of
+// (board, state, ratio, T), so memoized results are bit-for-bit identical
+// to recomputed ones.
+type perfMemo struct {
+	evals         []PerfEval
+	stamp         []uint32
+	epoch         uint32
+	r0            float64  // effective ratio the current epoch is valid for
+	t             int      // thread count the current epoch is valid for
+	nCL, nFB, nFL int      // index strides (little cores + 1, big levels, little levels)
 	scratch       PerfEval // fallback slot for out-of-grid states
+}
+
+// newPerfMemo sizes a memo table for the board. Its epoch starts past
+// every entry's zero stamp, so no entry is valid before it is computed.
+func newPerfMemo(plat *hmp.Platform) *perfMemo {
+	t := &perfMemo{
+		epoch: 1,
+		nCL:   plat.Clusters[hmp.Little].Cores + 1,
+		nFB:   plat.Clusters[hmp.Big].Levels(),
+		nFL:   plat.Clusters[hmp.Little].Levels(),
+	}
+	n := (plat.Clusters[hmp.Big].Cores + 1) * t.nCL * t.nFB * t.nFL
+	t.evals = make([]PerfEval, n)
+	t.stamp = make([]uint32, n)
+	return t
 }
 
 // Ratio returns the big/little performance ratio in effect.
@@ -56,20 +79,6 @@ func (e *PerfEstimator) Ratio() float64 {
 	return e.Plat.R0()
 }
 
-// initMemo sizes the memo table for the estimator's platform.
-func (e *PerfEstimator) initMemo() {
-	nCB := e.Plat.Clusters[hmp.Big].Cores + 1
-	e.nCL = e.Plat.Clusters[hmp.Little].Cores + 1
-	e.nFB = e.Plat.Clusters[hmp.Big].Levels()
-	e.nFL = e.Plat.Clusters[hmp.Little].Levels()
-	e.memoStates = nCB * e.nCL * e.nFB * e.nFL
-	e.memo = make([]PerfEval, e.memoStates)
-	e.memoStamp = make([]uint32, e.memoStates)
-	e.memoEpoch = 1
-	e.memoR0 = e.Ratio()
-	e.memoT = e.T
-}
-
 // EvaluateCached is Evaluate through the estimator's memo table. Results are
 // identical to Evaluate; states outside the platform grid fall through to a
 // direct computation.
@@ -78,33 +87,35 @@ func (e *PerfEstimator) EvaluateCached(st hmp.State) PerfEval {
 }
 
 // evalCachedPtr is EvaluateCached without the struct copy: the pointer is
-// into the memo table (or a scratch slot for out-of-grid states) and is
-// valid until the next out-of-grid evaluation or epoch change.
+// into the memo table (or its scratch slot for out-of-grid states) and is
+// valid until the next evaluation through the table by any estimator
+// sharing it.
 func (e *PerfEstimator) evalCachedPtr(st hmp.State) *PerfEval {
 	if e.memo == nil {
-		e.initMemo()
+		e.memo = newPerfMemo(e.Plat)
 	}
-	if r := e.Ratio(); r != e.memoR0 || e.T != e.memoT {
-		e.memoEpoch++
-		e.memoR0 = r
-		e.memoT = e.T
+	t := e.memo
+	if r := e.Ratio(); r != t.r0 || e.T != t.t {
+		t.epoch++
+		t.r0 = r
+		t.t = e.T
 	}
-	if st.BigCores < 0 || st.LittleCores < 0 || st.LittleCores >= e.nCL ||
-		st.BigLevel < 0 || st.BigLevel >= e.nFB ||
-		st.LittleLevel < 0 || st.LittleLevel >= e.nFL {
-		e.scratch = e.Evaluate(st)
-		return &e.scratch
+	if st.BigCores < 0 || st.LittleCores < 0 || st.LittleCores >= t.nCL ||
+		st.BigLevel < 0 || st.BigLevel >= t.nFB ||
+		st.LittleLevel < 0 || st.LittleLevel >= t.nFL {
+		t.scratch = e.Evaluate(st)
+		return &t.scratch
 	}
-	idx := ((st.BigCores*e.nCL+st.LittleCores)*e.nFB+st.BigLevel)*e.nFL + st.LittleLevel
-	if idx >= e.memoStates {
-		e.scratch = e.Evaluate(st)
-		return &e.scratch
+	idx := ((st.BigCores*t.nCL+st.LittleCores)*t.nFB+st.BigLevel)*t.nFL + st.LittleLevel
+	if idx >= len(t.evals) {
+		t.scratch = e.Evaluate(st)
+		return &t.scratch
 	}
-	if e.memoStamp[idx] != e.memoEpoch {
-		e.memo[idx] = e.Evaluate(st)
-		e.memoStamp[idx] = e.memoEpoch
+	if t.stamp[idx] != t.epoch {
+		t.evals[idx] = e.Evaluate(st)
+		t.stamp[idx] = t.epoch
 	}
-	return &e.memo[idx]
+	return &t.evals[idx]
 }
 
 // Evaluate computes the Table 3.1 assignment and timing for a state.
@@ -163,15 +174,58 @@ type Estimators struct {
 }
 
 // NewEstimators builds estimators for an application with T threads on the
-// platform, using the fitted power model.
+// platform, using the fitted power model, over a memo table of their own.
 func NewEstimators(plat *hmp.Platform, threads int, model *power.LinearModel) Estimators {
-	perf := &PerfEstimator{Plat: plat, T: threads}
-	perf.initMemo() // preallocate so Search sweeps are allocation-free
-	return Estimators{
-		Perf:  perf,
-		Power: &PowerEstimator{Model: model},
+	return NewEstimatorSet(plat, model).For(threads)
+}
+
+// EstimatorSet is one board's estimators: the platform, its fitted power
+// model, and one Table 3.1 memo table per application thread count, which
+// every estimator the set hands out for that count shares. Sharing is
+// exact (see perfMemo), so a runtime manager is built from its board's set
+// rather than from a bare power model, and the managers of one board —
+// every node carrying it in a scenario run, every registration of an
+// MP-HARS manager — build each table once.
+//
+// A set is not safe for concurrent use. A scenario run shares one per
+// board across its nodes, which it advances from one goroutine; callers
+// that run machines concurrently build one set per run.
+type EstimatorSet struct {
+	plat   *hmp.Platform
+	power  *PowerEstimator
+	tables map[int]*perfMemo
+}
+
+// NewEstimatorSet returns an estimator set for the board plat and the
+// power model fitted on it; it builds no table until asked for one.
+func NewEstimatorSet(plat *hmp.Platform, model *power.LinearModel) *EstimatorSet {
+	return &EstimatorSet{
+		plat:   plat,
+		power:  &PowerEstimator{Model: model},
+		tables: make(map[int]*perfMemo),
 	}
 }
+
+// For returns estimators for an application with the given thread count.
+// The first call for a count builds (and preallocates, so the search
+// sweeps are allocation-free) its memo table, and later calls share it.
+// Each call returns its own PerfEstimator, so a manager that learns its
+// ratio (Config.LearnRatio) sets R0 for itself only.
+func (s *EstimatorSet) For(threads int) Estimators {
+	t, ok := s.tables[threads]
+	if !ok {
+		t = newPerfMemo(s.plat)
+		s.tables[threads] = t
+	}
+	return Estimators{
+		Perf:  &PerfEstimator{Plat: s.plat, T: threads, memo: t},
+		Power: s.power,
+	}
+}
+
+// Tables returns how many memo tables the set has built: one per distinct
+// thread count it was asked for.
+func (s *EstimatorSet) Tables() int { return len(s.tables) }
 
 // ScoreEval evaluates one candidate state against the current state's
 // estimated throughput (curTput), which callers hoist out of their sweep:

@@ -297,7 +297,7 @@ func TestManagerWithExtensionsReachesTarget(t *testing.T) {
 
 	m := sim.New(plat, sim.Config{Power: gt})
 	p := m.Spawn("steady", newWorkload(8), 10)
-	mgr := NewManager(m, p, testModel(plat), tgt, Config{
+	mgr := NewManager(m, p, testSet(plat), tgt, Config{
 		Version:    HARSE,
 		Predictor:  &KalmanPredictor{},
 		LearnRatio: true,
@@ -337,7 +337,7 @@ func TestManagerLearnsBlackscholesRatio(t *testing.T) {
 
 	m := sim.New(plat, sim.Config{Power: gt})
 	p := m.Spawn("bl", bl, 10)
-	mgr := NewManager(m, p, testModel(plat), tgt, Config{Version: HARSE, LearnRatio: true})
+	mgr := NewManager(m, p, testSet(plat), tgt, Config{Version: HARSE, LearnRatio: true})
 	m.AddDaemon(mgr)
 	m.Run(180 * sim.Second)
 	r := mgr.LearnedRatio()

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -172,12 +171,16 @@ type Manager struct {
 // beats count as already observed and the first adaptation waits a full
 // period past the move, so the manager never acts on rates measured on
 // another node.
-func NewManager(m *sim.Machine, proc *sim.Process, model *power.LinearModel, target heartbeat.Target, cfg Config) *Manager {
+//
+// set holds the estimators of the machine's board (see EstimatorSet): the
+// manager takes the memo table for its application's thread count from
+// it, so managers built from one set share their tables.
+func NewManager(m *sim.Machine, proc *sim.Process, set *EstimatorSet, target heartbeat.Target, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	mgr := &Manager{
 		cfg:    cfg,
 		proc:   proc,
-		est:    NewEstimators(m.Platform(), len(proc.Threads), model),
+		est:    set.For(len(proc.Threads)),
 		target: target,
 	}
 	if count := proc.HB.Count(); count > 0 {

@@ -46,7 +46,7 @@ func TestManagerReachesTargetAndSavesPower(t *testing.T) {
 		t.Run(v.String(), func(t *testing.T) {
 			m := sim.New(plat, sim.Config{Power: gt})
 			p := m.Spawn("steady", newWorkload(8), 10)
-			mgr := NewManager(m, p, testModel(plat), tgt, Config{Version: v})
+			mgr := NewManager(m, p, testSet(plat), tgt, Config{Version: v})
 			m.AddDaemon(mgr)
 			m.Run(120 * sim.Second)
 
@@ -84,7 +84,7 @@ func TestManagerChargesOverhead(t *testing.T) {
 
 	m := sim.New(plat, sim.Config{Power: gt})
 	p := m.Spawn("steady", newWorkload(8), 10)
-	mgr := NewManager(m, p, testModel(plat), tgt, Config{Version: HARSEI})
+	mgr := NewManager(m, p, testSet(plat), tgt, Config{Version: HARSEI})
 	m.AddDaemon(mgr)
 	m.Run(30 * sim.Second)
 	if m.Overhead() == 0 {
@@ -104,7 +104,7 @@ func TestManagerObservesDecisions(t *testing.T) {
 	m := sim.New(plat, sim.Config{Power: gt})
 	p := m.Spawn("steady", newWorkload(8), 10)
 	var seen int
-	mgr := NewManager(m, p, testModel(plat), tgt, Config{Version: HARSE})
+	mgr := NewManager(m, p, testSet(plat), tgt, Config{Version: HARSE})
 	mgr.OnDecision = func(d Decision) {
 		seen++
 		if d.Time < 0 || d.To.TotalCores() < 1 {
@@ -126,7 +126,7 @@ func TestManagerInitStateOverride(t *testing.T) {
 	m := sim.New(plat, sim.Config{})
 	p := m.Spawn("steady", newWorkload(8), 10)
 	init := hmp.State{BigCores: 1, LittleCores: 1, BigLevel: 0, LittleLevel: 0}
-	mgr := NewManager(m, p, testModel(plat), heartbeat.Target{Min: 1, Avg: 2, Max: 3},
+	mgr := NewManager(m, p, testSet(plat), heartbeat.Target{Min: 1, Avg: 2, Max: 3},
 		Config{Version: HARSE, InitState: &init})
 	if mgr.State() != init {
 		t.Fatalf("State = %+v, want init override", mgr.State())
@@ -189,7 +189,7 @@ func TestReconcileReappliesWhenAllocatedCoreDies(t *testing.T) {
 	p := m.Spawn("sw", b.New(2), 10)
 	init := hmp.State{BigCores: 1, LittleCores: 0,
 		BigLevel: plat.Clusters[hmp.Big].MaxLevel(), LittleLevel: 0}
-	mgr := NewManager(m, p, testModel(plat), heartbeat.Target{Min: 1, Avg: 2, Max: 3},
+	mgr := NewManager(m, p, testSet(plat), heartbeat.Target{Min: 1, Avg: 2, Max: 3},
 		Config{Version: HARSE, InitState: &init})
 	m.AddDaemon(mgr)
 	m.Run(100 * sim.Millisecond)

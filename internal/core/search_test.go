@@ -34,6 +34,9 @@ func testEstimators(p *hmp.Platform, threads int) Estimators {
 	return NewEstimators(p, threads, testModel(p))
 }
 
+// testSet builds an estimator set over testModel.
+func testSet(p *hmp.Platform) *EstimatorSet { return NewEstimatorSet(p, testModel(p)) }
+
 func TestEstimateRateScalesWithFrequency(t *testing.T) {
 	p := hmp.Default()
 	e := testEstimators(p, 4)

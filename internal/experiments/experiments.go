@@ -222,7 +222,7 @@ func (e *Env) RunHARS(b workload.Benchmark, tgt heartbeat.Target, cfg core.Confi
 func (e *Env) RunHARSTraced(b workload.Benchmark, tgt heartbeat.Target, cfg core.Config) (RunResult, []core.Decision) {
 	m := e.newMachine()
 	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
-	mgr := core.NewManager(m, p, e.Model, tgt, cfg)
+	mgr := core.NewManager(m, p, core.NewEstimatorSet(m.Platform(), e.Model), tgt, cfg)
 	m.AddDaemon(mgr)
 	res := e.measure(m, p, tgt)
 	res.State = mgr.State()

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/gts"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
@@ -75,7 +76,7 @@ func (e *Env) RunMultiApp(caseNames [2]string, version string, frac float64) Mul
 		if version == "MP-HARS-E" {
 			v = mphars.MPHARSE
 		}
-		mgr := mphars.New(m, e.Model, mphars.Config{Version: v})
+		mgr := mphars.New(m, core.NewEstimatorSet(m.Platform(), e.Model), mphars.Config{Version: v})
 		m.AddDaemon(mgr)
 		spawn()
 		// Even initial partition: half of each cluster per application.

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
@@ -25,7 +26,7 @@ func tinyPlatform() *hmp.Platform {
 // newMPNode builds a fleet node running an MP-HARS manager over plat.
 func newMPNode(id int, name string, plat *hmp.Platform) *fleet.Node {
 	sn := sim.NewNode(id, name, plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
-	mp := mphars.New(sn.Machine, power.SyntheticLinearModel(plat), mphars.Config{})
+	mp := mphars.New(sn.Machine, core.NewEstimatorSet(plat, power.SyntheticLinearModel(plat)), mphars.Config{})
 	sn.AddDaemon(mp)
 	return &fleet.Node{Node: sn, MP: mp}
 }
@@ -402,7 +403,7 @@ func TestCoolestPolicy(t *testing.T) {
 			t.Fatal(err)
 		}
 		sn.AddDaemon(gov)
-		mp := mphars.New(sn.Machine, power.SyntheticLinearModel(plat), mphars.Config{})
+		mp := mphars.New(sn.Machine, core.NewEstimatorSet(plat, power.SyntheticLinearModel(plat)), mphars.Config{})
 		sn.AddDaemon(mp)
 		return &fleet.Node{Node: sn, MP: mp, Gov: gov}
 	}

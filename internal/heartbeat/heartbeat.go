@@ -13,7 +13,6 @@ package heartbeat
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is a timestamp in microseconds, matching the simulator's clock.
@@ -61,19 +60,18 @@ type Record struct {
 
 // Monitor is the heartbeat registry for one application.
 //
-// Monitor is safe for concurrent use; within the simulator all calls happen
-// from the single simulation goroutine, but library users embedding a live
-// actuator may beat from many goroutines.
+// Monitor is not safe for concurrent use: the simulator beats and reads
+// every monitor from its one simulation goroutine, so the hot reads
+// (Count, Latest) take no lock. A caller that beats from several
+// goroutines guards the monitor itself, as live.Controller does.
 type Monitor struct {
-	mu     sync.Mutex
 	name   string
 	window int
 	target Target
 
-	// times holds the timestamps of all beats. Experiments are bounded
-	// (minutes of simulated time at a few beats per second), so an append-only
-	// log is fine and keeps the whole history inspectable.
-	times   []Time
+	// records is the log of all beats. Experiments are bounded (minutes
+	// of simulated time at a few beats per second), so an append-only log
+	// is fine and keeps the whole history inspectable.
 	records []Record
 }
 
@@ -91,12 +89,9 @@ func NewMonitor(name string, window int) *Monitor {
 // Checkpoint snapshots use it so a restored incarnation's rate history
 // diverges from the donor's from the snapshot point on.
 func (m *Monitor) Clone() *Monitor {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := &Monitor{name: m.name, window: m.window, target: m.target}
-	c.times = append(c.times, m.times...)
-	c.records = append(c.records, m.records...)
-	return c
+	c := *m
+	c.records = append([]Record(nil), m.records...)
+	return &c
 }
 
 // Name returns the application name the monitor was registered with.
@@ -106,33 +101,21 @@ func (m *Monitor) Name() string { return m.name }
 func (m *Monitor) Window() int { return m.window }
 
 // SetTarget registers the application's performance target.
-func (m *Monitor) SetTarget(t Target) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.target = t
-}
+func (m *Monitor) SetTarget(t Target) { m.target = t }
 
 // Target returns the registered performance target.
-func (m *Monitor) Target() Target {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.target
-}
+func (m *Monitor) Target() Target { return m.target }
 
 // Beat registers a heartbeat at the given timestamp and returns its record.
 func (m *Monitor) Beat(now Time) Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	idx := int64(len(m.times))
-	m.times = append(m.times, now)
+	idx := int64(len(m.records))
 	r := Record{Index: idx, Time: now}
 	if idx > 0 {
-		r.InstantRate = rateBetween(m.times[idx-1], now, 1)
-		first := m.times[0]
-		r.GlobalRate = rateBetween(first, now, idx)
+		r.InstantRate = rateBetween(m.records[idx-1].Time, now, 1)
+		r.GlobalRate = rateBetween(m.records[0].Time, now, idx)
 		w := int64(m.window)
 		if idx >= w {
-			r.WindowRate = rateBetween(m.times[idx-w], now, w)
+			r.WindowRate = rateBetween(m.records[idx-w].Time, now, w)
 		} else {
 			r.WindowRate = r.GlobalRate
 		}
@@ -150,16 +133,10 @@ func rateBetween(t0, t1 Time, beats int64) float64 {
 }
 
 // Count returns the number of beats recorded so far.
-func (m *Monitor) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return int64(len(m.times))
-}
+func (m *Monitor) Count() int64 { return int64(len(m.records)) }
 
 // Latest returns the most recent record, or ok=false if none exists.
 func (m *Monitor) Latest() (Record, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if len(m.records) == 0 {
 		return Record{}, false
 	}
@@ -168,8 +145,6 @@ func (m *Monitor) Latest() (Record, bool) {
 
 // At returns the record at the given beat index.
 func (m *Monitor) At(index int64) (Record, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if index < 0 || index >= int64(len(m.records)) {
 		return Record{}, false
 	}
@@ -178,22 +153,18 @@ func (m *Monitor) At(index int64) (Record, bool) {
 
 // Records returns a copy of all records.
 func (m *Monitor) Records() []Record {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return append([]Record(nil), m.records...)
 }
 
 // RateOver returns the average rate (beats/s) over the time span
 // [from, to): the number of beats with from ≤ t < to divided by the span.
 func (m *Monitor) RateOver(from, to Time) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if to <= from {
 		return 0
 	}
 	n := 0
-	for _, t := range m.times {
-		if t >= from && t < to {
+	for i := range m.records {
+		if t := m.records[i].Time; t >= from && t < to {
 			n++
 		}
 	}

@@ -92,13 +92,18 @@ type Config struct {
 	InitState *hmp.State
 }
 
-// Controller is the live HARS runtime manager.
+// Controller is the live HARS runtime manager. Its methods are safe for
+// concurrent use. heartbeat.Monitor is not, so the controller guards its
+// monitor with a lock of its own (beatMu), apart from the one a Poll
+// searches under (mu): a Beat never waits for a search.
 type Controller struct {
 	cfg   Config
-	mon   *heartbeat.Monitor
 	est   core.Estimators
 	act   Actuator
 	epoch time.Time
+
+	beatMu sync.Mutex
+	mon    *heartbeat.Monitor
 
 	mu        sync.Mutex
 	state     hmp.State
@@ -160,12 +165,21 @@ func NewController(cfg Config, act Actuator) (*Controller, error) {
 // Beat registers one completed unit of work. Safe for concurrent use from
 // any goroutine.
 func (c *Controller) Beat() {
+	c.beatMu.Lock()
+	defer c.beatMu.Unlock()
 	c.mon.Beat(c.cfg.Clock.Now().Sub(c.epoch).Microseconds())
+}
+
+// latest returns the monitor's most recent record under the beat lock.
+func (c *Controller) latest() (heartbeat.Record, bool) {
+	c.beatMu.Lock()
+	defer c.beatMu.Unlock()
+	return c.mon.Latest()
 }
 
 // Rate returns the current window heartbeat rate (beats/second).
 func (c *Controller) Rate() float64 {
-	rec, ok := c.mon.Latest()
+	rec, ok := c.latest()
 	if !ok {
 		return 0
 	}
@@ -190,7 +204,7 @@ func (c *Controller) Searches() int {
 // arrived and the window rate is outside the band, search the neighbourhood
 // and actuate the winner. It reports whether the configuration changed.
 func (c *Controller) Poll() bool {
-	rec, ok := c.mon.Latest()
+	rec, ok := c.latest()
 	if !ok {
 		return false
 	}

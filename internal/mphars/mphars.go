@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/heartbeat"
 	"repro/internal/hmp"
-	"repro/internal/power"
 	"repro/internal/sim"
 )
 
@@ -154,28 +153,27 @@ type clusterData struct {
 type Manager struct {
 	cfg      Config
 	plat     *hmp.Platform
-	model    *power.LinearModel
 	head     *appNode
 	tail     *appNode
 	clusters [hmp.NumClusters]*clusterData
 
-	// est holds one estimator pair per application thread count, built at
-	// the first registration of that count and reused by every later
-	// arrival, migration restore and recovery. Sharing is exact: the
-	// performance estimator's memo is a pure function of the platform, the
-	// thread count and the ratio, and MP-HARS never overrides the ratio.
-	est map[int]core.Estimators
+	// set is the board's estimator set. Every registration — an arrival,
+	// a migration restore, a recovery — takes its application's
+	// estimators from it, so each thread count's memo table is built once
+	// per set, not once per manager or per registration.
+	set *core.EstimatorSet
 
 	searches      int
 	exploredTotal int
 }
 
 // New creates an MP-HARS manager for the machine, with both clusters at
-// their maximum frequency and all cores free.
-func New(m *sim.Machine, model *power.LinearModel, cfg Config) *Manager {
+// their maximum frequency and all cores free. set holds the estimators of
+// the machine's board; managers of machines on one board may share it.
+func New(m *sim.Machine, set *core.EstimatorSet, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	plat := m.Platform()
-	mgr := &Manager{cfg: cfg, plat: plat, model: model, est: make(map[int]core.Estimators)}
+	mgr := &Manager{cfg: cfg, plat: plat, set: set}
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		free := make([]bool, plat.Clusters[k].Cores)
 		for i := range free {
@@ -201,15 +199,10 @@ func New(m *sim.Machine, model *power.LinearModel, cfg Config) *Manager {
 // through the freezing counters) and schedules the first adaptation a full
 // period after the move, so decisions rest on rates measured here.
 func (mgr *Manager) Register(m *sim.Machine, proc *sim.Process, target heartbeat.Target, initBig, initLittle int) *appNode {
-	est, ok := mgr.est[len(proc.Threads)]
-	if !ok {
-		est = core.NewEstimators(mgr.plat, len(proc.Threads), mgr.model)
-		mgr.est[len(proc.Threads)] = est
-	}
 	n := &appNode{
 		proc:     proc,
 		target:   target,
-		est:      est,
+		est:      mgr.set.For(len(proc.Threads)),
 		useBCore: make([]bool, mgr.plat.Clusters[hmp.Big].Cores),
 		useLCore: make([]bool, mgr.plat.Clusters[hmp.Little].Cores),
 	}

@@ -32,6 +32,11 @@ func testModel(p *hmp.Platform) *power.LinearModel {
 	return lm
 }
 
+// testSet builds an estimator set over testModel.
+func testSet(p *hmp.Platform) *core.EstimatorSet {
+	return core.NewEstimatorSet(p, testModel(p))
+}
+
 func steady(name string, unit float64) *workload.DataParallel {
 	return &workload.DataParallel{
 		AppName: name, Threads: 8, BigFactor: 1.5,
@@ -53,7 +58,7 @@ func soloMaxRate(t *testing.T, prog sim.Program) float64 {
 func TestRegisterAndInitialPartition(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{Version: MPHARSE})
+	mgr := New(m, testSet(plat), Config{Version: MPHARSE})
 	m.AddDaemon(mgr)
 	p1 := m.Spawn("a", steady("a", 0.5), 10)
 	p2 := m.Spawn("b", steady("b", 0.5), 10)
@@ -75,7 +80,7 @@ func TestRegisterAndInitialPartition(t *testing.T) {
 func TestRegisterClampsToFreeCores(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{})
+	mgr := New(m, testSet(plat), Config{})
 	p1 := m.Spawn("a", steady("a", 0.5), 10)
 	p2 := m.Spawn("b", steady("b", 0.5), 10)
 	mgr.Register(m, p1, heartbeat.Target{Min: 1, Avg: 2, Max: 3}, 4, 2)
@@ -93,7 +98,7 @@ func TestRegisterClampsToFreeCores(t *testing.T) {
 func TestRegisterPanicsWithNoCores(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{})
+	mgr := New(m, testSet(plat), Config{})
 	p1 := m.Spawn("a", steady("a", 0.5), 10)
 	mgr.Register(m, p1, heartbeat.Target{Min: 1, Avg: 2, Max: 3}, 4, 4)
 	p2 := m.Spawn("b", steady("b", 0.5), 10)
@@ -114,7 +119,7 @@ func TestTwoAppsAdaptWithoutSharingCores(t *testing.T) {
 	rateB := soloMaxRate(t, steady("b", 0.8))
 
 	m := sim.New(plat, sim.Config{Power: gt})
-	mgr := New(m, testModel(plat), Config{Version: MPHARSE})
+	mgr := New(m, testSet(plat), Config{Version: MPHARSE})
 	m.AddDaemon(mgr)
 	pA := m.Spawn("a", progA, 10)
 	pB := m.Spawn("b", progB, 10)
@@ -157,7 +162,7 @@ func TestTwoAppsAdaptWithoutSharingCores(t *testing.T) {
 func TestFreezeProtocolOnFrequencyDecrease(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{Version: MPHARSE, FreezeBeats: 8})
+	mgr := New(m, testSet(plat), Config{Version: MPHARSE, FreezeBeats: 8})
 	m.AddDaemon(mgr)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	pB := m.Spawn("b", steady("b", 0.5), 10)
@@ -182,7 +187,7 @@ func TestFreezeProtocolOnFrequencyDecrease(t *testing.T) {
 func TestAllocationReusesCores(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{})
+	mgr := New(m, testSet(plat), Config{})
 	p := m.Spawn("a", steady("a", 0.5), 10)
 	n := mgr.Register(m, p, heartbeat.Target{Min: 1, Avg: 2, Max: 3}, 3, 0)
 	if n.nprocsB != 3 {
@@ -219,15 +224,19 @@ func TestAllocationReusesCores(t *testing.T) {
 	}
 }
 
-// TestRegisterReusesEstimators: an app whose thread count the manager has
-// already seen registers without building a fresh estimator memo table
-// (about 113 KB on the default board), so a warm Register + Unregister
-// cycle — an arrival and departure, or a migration's restore and move
-// away — allocates only its per-app bookkeeping.
+// TestRegisterReusesEstimators: an app whose thread count the board's
+// estimator set has already seen registers without building a fresh
+// estimator memo table (about 113 KB on the default board), so a warm
+// Register + Unregister cycle — an arrival and departure, or a
+// migration's restore and move away — allocates only its per-app
+// bookkeeping. The set belongs to the board, not the manager: a second
+// manager on another machine with the same board builds no table at its
+// first registration either.
 func TestRegisterReusesEstimators(t *testing.T) {
 	plat := hmp.Default()
+	set := testSet(plat)
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{})
+	mgr := New(m, set, Config{})
 	p := m.Spawn("a", steady("a", 0.5), 10)
 	tgt := heartbeat.Target{Min: 1, Avg: 2, Max: 3}
 	mgr.Register(m, p, tgt, 2, 2)
@@ -244,13 +253,23 @@ func TestRegisterReusesEstimators(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 4096 {
 		t.Fatalf("warm Register + Unregister allocates %d B per cycle, want < 4096", per)
 	}
+
+	m2 := sim.New(plat, sim.Config{})
+	mgr2 := New(m2, set, Config{})
+	p2 := m2.Spawn("b", steady("b", 0.5), 10)
+	runtime.ReadMemStats(&before)
+	mgr2.Register(m2, p2, tgt, 2, 2)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4096 || set.Tables() != 1 {
+		t.Fatalf("first Register on a second manager of the board allocates %d B and leaves %d tables, want < 4096 B and 1", got, set.Tables())
+	}
 }
 
 func TestAppsCannotStealCores(t *testing.T) {
 	plat := hmp.Default()
 	gt := power.DefaultGroundTruth(plat)
 	m := sim.New(plat, sim.Config{Power: gt})
-	mgr := New(m, testModel(plat), Config{Version: MPHARSE})
+	mgr := New(m, testSet(plat), Config{Version: MPHARSE})
 	m.AddDaemon(mgr)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	pB := m.Spawn("b", steady("b", 0.5), 10)
@@ -293,7 +312,7 @@ func TestParams(t *testing.T) {
 func TestTraceAndAllocationOfUnknownProc(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testModel(plat), Config{})
+	mgr := New(m, testSet(plat), Config{})
 	ghost := m.Spawn("ghost", steady("ghost", 0.5), 10)
 	if mgr.Trace(ghost) != nil {
 		t.Error("trace of unregistered proc should be nil")

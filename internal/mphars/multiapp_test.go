@@ -18,7 +18,7 @@ func TestFourApplications(t *testing.T) {
 	plat := hmp.Default()
 	gt := power.DefaultGroundTruth(plat)
 	m := sim.New(plat, sim.Config{Power: gt})
-	mgr := New(m, testModel(plat), Config{Version: MPHARSE})
+	mgr := New(m, testSet(plat), Config{Version: MPHARSE})
 	m.AddDaemon(mgr)
 
 	names := []string{"a", "b", "c", "d"}
@@ -91,7 +91,7 @@ func TestInvariantsUnderRandomTargets(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		plat := hmp.Default()
 		m := sim.New(plat, sim.Config{})
-		mgr := New(m, testModel(plat), Config{Version: MPHARSE, AdaptEvery: 5})
+		mgr := New(m, testSet(plat), Config{Version: MPHARSE, AdaptEvery: 5})
 		m.AddDaemon(mgr)
 		apps := 2 + rng.Intn(2)
 		for i := 0; i < apps; i++ {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/hmp"
 )
 
@@ -110,6 +111,70 @@ func TestRunSharedScenarioConcurrently(t *testing.T) {
 	}
 	if res[0].TraceDigest != res[1].TraceDigest {
 		t.Fatalf("trace digests differ: %x vs %x", res[0].TraceDigest, res[1].TraceDigest)
+	}
+}
+
+// TestBoardSharesEstimatorTables: a fleet run builds each Table 3.1 memo
+// table once per distinct board and thread count, as it builds one
+// calibration and one ground truth per board — however many nodes carry
+// the board, and however often apps arrive and recover on them. Every node
+// below embeds its own copy of one of two boards, as the benchmark's
+// fleets do.
+func TestBoardSharesEstimatorTables(t *testing.T) {
+	board := func(i int) *hmp.Platform {
+		if i%2 == 1 {
+			return littleHeavyPlatform()
+		}
+		return hmp.Default()
+	}
+	tgt := &TargetSpec{Min: 1, Avg: 2, Max: 3}
+
+	// Eight HARS-E nodes, one pinned app each: SW and FE (8 threads: 8 and
+	// 34 threads) on both boards. One table per manager would build 8.
+	steady := &Scenario{Name: "tables-steady", Manager: ManagerHARSE, DurationMS: 2000, MigrateEveryMS: -1}
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("n%d", i)
+		bench := []string{"SW", "SW", "FE", "FE"}[i%4]
+		steady.Nodes = append(steady.Nodes, NodeSpec{Name: name, Platform: board(i)})
+		steady.Apps = append(steady.Apps, AppSpec{Name: "a" + name, Bench: bench, Threads: 8, Target: tgt, Node: name})
+	}
+
+	// Four MP-HARS-I nodes fed by SW and FE arrival streams (4 and 18
+	// threads) under SLO-aware placement, with background checkpoints and
+	// random crashes, so apps also recover onto other nodes (27 admissions
+	// and 5 recoveries). One table per manager and thread count would
+	// build up to 8.
+	churn := &Scenario{
+		Name: "tables-churn", Manager: ManagerMPHARSI, DurationMS: 8000, AdaptEvery: 2,
+		Placement: "slo-aware", MigrateEveryMS: 100,
+		Checkpoint: &CheckpointSpec{FreezeUS: 2000, PerMBUS: 100, SizeMB: 64},
+		Faults: &fault.Spec{
+			Seed: 5, CheckpointEveryMS: 500, TransferFailProb: 0.1,
+			Random: &fault.RandomCrashes{RatePerMin: 30, DownMS: 1500},
+		},
+	}
+	for i := 0; i < 4; i++ {
+		churn.Nodes = append(churn.Nodes, NodeSpec{Name: fmt.Sprintf("n%d", i), Platform: board(i)})
+	}
+	for i, bench := range []string{"SW", "FE"} {
+		churn.Arrivals = append(churn.Arrivals, ArrivalStream{
+			Name: "s" + bench, Seed: int64(3 + i), Rate: []RateStep{{PerS: 2}}, LifetimeMS: 1500,
+			Bench: bench, Threads: 4, Target: tgt, SLO: &SLOSpec{TargetHPS: 0.5, SlackMS: 150},
+		})
+	}
+
+	for _, tc := range []struct {
+		sc   *Scenario
+		want int // 0: at most the bound
+	}{{steady, 4}, {churn, 0}} {
+		built, bound, err := runTables(tc.sc, Options{Strict: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.sc.Name, err)
+		}
+		t.Logf("%s: %d tables built, bound %d", tc.sc.Name, built, bound)
+		if built == 0 || built > bound || (tc.want > 0 && built != tc.want) {
+			t.Errorf("%s: %d tables built, want 1..%d (boards × thread counts)", tc.sc.Name, built, bound)
+		}
 	}
 }
 

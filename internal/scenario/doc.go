@@ -142,8 +142,10 @@
 // more than 4,096 nodes. A fleet's boards cost their distinct texts, not
 // their nodes: Decode reads each distinct "platform" text once, and the
 // nodes carrying it share the decoded board. Nodes on equal boards, however
-// written, share one pair of power models and one max-rate calibration
-// per (bench, threads).
+// written, share one ground-truth power model, one max-rate calibration per
+// (bench, threads), and one estimator set: the synthetic linear model and
+// one Table 3.1 memo table per application thread count, which every HARS
+// and MP-HARS manager on the board reads through (core.EstimatorSet).
 //
 // Traffic traces: each "arrivals" stream is a seeded Poisson arrival
 // process with a piecewise-constant rate profile ("rate" steps, each

@@ -339,12 +339,12 @@ func (a *appRun) targetSpec() (*TargetSpec, float64) {
 // nodeRun is the engine's per-node state: the fleet node plus the typed
 // handles and resolved configuration.
 type nodeRun struct {
-	rn    resolvedNode
-	fn    *fleet.Node
-	m     *sim.Machine
-	model *power.LinearModel
-	mp    *mphars.Manager
-	gov   *thermal.Governor
+	rn  resolvedNode
+	fn  *fleet.Node
+	m   *sim.Machine
+	est *core.EstimatorSet // the board's, shared with its other nodes
+	mp  *mphars.Manager
+	gov *thermal.Governor
 
 	// downUntil is the node's pending recovery deadline while crashed: the
 	// max over all crash windows covering it, so overlapping crashes extend
@@ -367,7 +367,7 @@ type engine struct {
 	apps      []*appRun
 	appSpecs  []AppSpec // declared apps + arrival-stream expansions
 	ckptCost  sim.CheckpointCost
-	boards    map[*hmp.Platform]boardModels // power models, one pair per board
+	boards    map[*hmp.Platform]boardModels // power and estimator models per board
 
 	rates map[rateKey]float64 // max-rate cache
 	trace *bufio.Writer
@@ -397,6 +397,15 @@ type engine struct {
 // result and byte-identical trace output — whether it drives one machine
 // or a fleet.
 func Run(sc *Scenario, opts Options) (*Result, error) {
+	e, err := run(sc, opts)
+	if err != nil {
+		return nil, err
+	}
+	return e.result(), nil
+}
+
+// run executes the scenario and returns the finished engine.
+func run(sc *Scenario, opts Options) (*engine, error) {
 	resolved, appSpecs, err := sc.resolveAndValidate()
 	if err != nil {
 		return nil, err
@@ -551,15 +560,18 @@ func Run(sc *Scenario, opts Options) (*Result, error) {
 			return nil, fmt.Errorf("scenario: trace: %w", err)
 		}
 	}
-	return e.result(), nil
+	return e, nil
 }
 
-// boardModels are one board's power models: the machines' ground truth
-// and the managers' estimator model. Neither is written after
-// construction, so every node on the board shares the pair.
+// boardModels are one board's models: the machines' ground truth and the
+// managers' estimator set (the synthetic linear power model plus one
+// Table 3.1 memo table per thread count). Every node on the board shares
+// them: the ground truth is not written after construction, and the set's
+// tables are exact whichever manager fills them. The run advances its
+// nodes from one goroutine, so the set needs no lock.
 type boardModels struct {
 	truth *power.GroundTruth
-	model *power.LinearModel
+	est   *core.EstimatorSet
 }
 
 // buildNode assembles one machine of the run: platform, power model,
@@ -569,11 +581,14 @@ type boardModels struct {
 func (e *engine) buildNode(rn resolvedNode) (*nodeRun, error) {
 	bm, ok := e.boards[rn.plat]
 	if !ok {
-		bm = boardModels{power.DefaultGroundTruth(rn.plat), power.SyntheticLinearModel(rn.plat)}
+		bm = boardModels{
+			truth: power.DefaultGroundTruth(rn.plat),
+			est:   core.NewEstimatorSet(rn.plat, power.SyntheticLinearModel(rn.plat)),
+		}
 		e.boards[rn.plat] = bm
 	}
 	sn := sim.NewNode(rn.idx, rn.name, rn.plat, sim.Config{Power: bm.truth})
-	nr := &nodeRun{rn: rn, m: sn.Machine, model: bm.model}
+	nr := &nodeRun{rn: rn, m: sn.Machine, est: bm.est}
 
 	switch rn.manager {
 	case ManagerGTS:
@@ -583,7 +598,7 @@ func (e *engine) buildNode(rn resolvedNode) (*nodeRun, error) {
 		if rn.manager == ManagerMPHARSE {
 			v = mphars.MPHARSE
 		}
-		nr.mp = mphars.New(nr.m, nr.model, mphars.Config{
+		nr.mp = mphars.New(nr.m, nr.est, mphars.Config{
 			Version:     v,
 			AdaptEvery:  rn.adaptEvery,
 			OverheadCPU: rn.overheadCPU,
@@ -929,7 +944,7 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 		// Start from the maximum state the *current* platform supports, so
 		// an arrival after hotplug or capping begins inside bounds.
 		st := core.MachineBounds(nr.m).Clamp(hmp.MaxState(nr.rn.plat))
-		a.mgr = core.NewManager(nr.m, a.proc, nr.model, tgt, core.Config{
+		a.mgr = core.NewManager(nr.m, a.proc, nr.est, tgt, core.Config{
 			Version:     v,
 			AdaptEvery:  nr.rn.adaptEvery,
 			OverheadCPU: nr.rn.overheadCPU,

@@ -314,7 +314,7 @@ func TestSteadyMatchesStepping(t *testing.T) {
 		}},
 		{name: "idle mphars", build: func(t *testing.T) fixture {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
-			mgr := mphars.New(m, power.SyntheticLinearModel(plat), mphars.Config{})
+			mgr := mphars.New(m, core.NewEstimatorSet(plat, power.SyntheticLinearModel(plat)), mphars.Config{})
 			m.AddDaemon(mgr)
 			// The first poll charge is stolen on the second tick, whose
 			// power memo the window is then keyed on.
@@ -346,7 +346,7 @@ func TestSteadyMatchesStepping(t *testing.T) {
 			m := sim.New(plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
 			gov := newGov(t, m)
 			p := m.Spawn("s", &spinner{threads: 8, unit: 1e9}, 0)
-			mgr := core.NewManager(m, p, power.SyntheticLinearModel(plat),
+			mgr := core.NewManager(m, p, core.NewEstimatorSet(plat, power.SyntheticLinearModel(plat)),
 				heartbeat.Target{Min: 1, Avg: 2, Max: 3}, core.Config{Version: core.HARSE})
 			m.AddDaemon(mgr)
 			for i := 0; i < 3000; i++ {

@@ -210,6 +210,24 @@ func TestBenchmarkCatalog(t *testing.T) {
 	}
 }
 
+// TestLookupAllocatesNothing: ByShort and ByName read the catalogue built
+// once at package init; the scenario engine looks a benchmark up per
+// arrival. All hands out a copy, so a caller writing into it cannot
+// change later lookups.
+func TestLookupAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { workload.ByShort("FE") }); n != 0 {
+		t.Errorf("ByShort(FE) allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { workload.ByName("ferret") }); n != 0 {
+		t.Errorf("ByName(ferret) allocates %v times per call, want 0", n)
+	}
+	all := workload.All()
+	all[3].Short = "XX"
+	if b, ok := workload.ByShort("FE"); !ok || b.Name != "ferret" {
+		t.Errorf("ByShort(FE) after writing All's copy = %q, %v; want ferret", b.Name, ok)
+	}
+}
+
 func TestBlackscholesTraits(t *testing.T) {
 	b, _ := workload.ByShort("BL")
 	prog := b.New(8)
