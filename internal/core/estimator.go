@@ -135,33 +135,14 @@ func (e *PerfEstimator) Evaluate(st hmp.State) PerfEval {
 	return ev
 }
 
-// EstimateRate predicts the heartbeat rate in a candidate state given the
-// observed rate in the current state, using the paper's simple workload
-// model: the amount of work per heartbeat stays what it was in the last
-// period, so the rate scales with estimated throughput.
-func (e *PerfEstimator) EstimateRate(cur hmp.State, curRate float64, cand hmp.State) float64 {
-	curEv := e.EvaluateCached(cur)
-	candEv := e.EvaluateCached(cand)
-	if curEv.Throughput <= 0 {
-		return 0
-	}
-	return curRate * candEv.Throughput / curEv.Throughput
-}
-
 // PowerEstimator is HARS's power estimator (§3.1.2): the fitted per-cluster
 // linear models applied to the estimated used cores and utilizations.
 type PowerEstimator struct {
 	Model *power.LinearModel
 }
 
-// Estimate returns the estimated watts for a state whose performance
-// evaluation is ev.
-func (pe *PowerEstimator) Estimate(st hmp.State, ev PerfEval) float64 {
-	return pe.estimateEval(st, &ev)
-}
-
-// estimateEval is Estimate without the PerfEval copy (hot in the search
-// sweeps); the two-cluster formula lives only here.
+// estimateEval returns the estimated watts for a state whose performance
+// evaluation is ev: the two-cluster formula, which lives only here.
 func (pe *PowerEstimator) estimateEval(st hmp.State, ev *PerfEval) float64 {
 	return pe.Model.Estimate(hmp.Big, st.BigLevel, ev.CBU, ev.UB) +
 		pe.Model.Estimate(hmp.Little, st.LittleLevel, ev.CLU, ev.UL)

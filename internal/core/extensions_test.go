@@ -12,25 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-func TestLastValuePredictor(t *testing.T) {
-	var p LastValuePredictor
-	if p.Predict() != 0 {
-		t.Error("unprimed prediction should be 0")
-	}
-	p.Observe(3.5)
-	if p.Predict() != 3.5 {
-		t.Error("should return last observation")
-	}
-	p.Observe(1.25)
-	if p.Predict() != 1.25 {
-		t.Error("should track the newest observation")
-	}
-	p.Reset()
-	if p.Predict() != 0 {
-		t.Error("reset should clear state")
-	}
-}
-
 func TestKalmanConvergesToConstant(t *testing.T) {
 	var k KalmanPredictor
 	if k.Predict() != 0 {
@@ -44,20 +25,21 @@ func TestKalmanConvergesToConstant(t *testing.T) {
 	}
 }
 
+// TestKalmanSmootherThanLastValueOnNoise compares the filter with the
+// paper's default model, which predicts the last observation.
 func TestKalmanSmootherThanLastValueOnNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var k KalmanPredictor
-	var lv LastValuePredictor
 	truth := 5.0
-	var kErr, lvErr float64
+	var kErr, lvErr, last float64
 	for i := 0; i < 500; i++ {
 		z := truth + rng.NormFloat64()*0.8
 		if i > 0 {
 			kErr += math.Abs(k.Predict() - truth)
-			lvErr += math.Abs(lv.Predict() - truth)
+			lvErr += math.Abs(last - truth)
 		}
 		k.Observe(z)
-		lv.Observe(z)
+		last = z
 	}
 	if kErr >= lvErr {
 		t.Fatalf("Kalman error %v should beat last-value error %v on stationary noise", kErr, lvErr)
@@ -72,13 +54,6 @@ func TestKalmanTracksDrift(t *testing.T) {
 	want := 1.0 + 399*0.01
 	if math.Abs(k.Predict()-want) > 0.25 {
 		t.Fatalf("Kalman lost a slow ramp: predict %v, want ≈%v", k.Predict(), want)
-	}
-	k.Reset()
-	if k.Predict() != 0 {
-		t.Error("reset should clear state")
-	}
-	if k.Q != 1e-2 {
-		t.Error("reset should keep tuning")
 	}
 }
 

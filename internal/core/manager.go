@@ -53,14 +53,9 @@ type Config struct {
 	// platform maximum (the baseline state).
 	InitState *hmp.State
 
-	// Overhead model: the CPU time the user-level runtime burns, charged
-	// against OverheadCPU. PerCandidate is per explored state in a search,
-	// PerSearch per search invocation, PollPerTick per simulator tick for
-	// the heartbeat-polling loop.
-	PerCandidate sim.Time
-	PerSearch    sim.Time
-	PollPerTick  sim.Time
-	OverheadCPU  int
+	// OverheadCPU is the CPU charged with the runtime's own overhead
+	// (PollOverhead and SearchOverhead).
+	OverheadCPU int
 
 	// The §3.1.4 extensions, all disabled by default (paper behaviour):
 
@@ -81,16 +76,23 @@ func (c Config) withDefaults() Config {
 	if c.AdaptEvery <= 0 {
 		c.AdaptEvery = 10
 	}
-	if c.PerCandidate <= 0 {
-		c.PerCandidate = 150 * sim.Microsecond
-	}
-	if c.PerSearch <= 0 {
-		c.PerSearch = 500 * sim.Microsecond
-	}
-	if c.PollPerTick <= 0 {
-		c.PollPerTick = 2 * sim.Microsecond
-	}
 	return c
+}
+
+// The overhead model: the CPU time a user-level runtime burns, charged to
+// its manager's OverheadCPU. HARS (Manager) and MP-HARS charge the same
+// costs: PollOverhead every simulator tick for the heartbeat-polling loop,
+// and SearchOverhead for each search.
+const (
+	PollOverhead      = 2 * sim.Microsecond   // per simulator tick
+	searchOverhead    = 500 * sim.Microsecond // per search invocation
+	candidateOverhead = 150 * sim.Microsecond // per state a search explores
+)
+
+// SearchOverhead is the CPU time of one search that explored the given
+// number of candidate states.
+func SearchOverhead(explored int) sim.Time {
+	return searchOverhead + sim.Time(explored)*candidateOverhead
 }
 
 // Params returns the version's search parameters (m, n, d) for one
@@ -250,7 +252,7 @@ func (mgr *Manager) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 	if !mgr.platformSettled(m) || mgr.proc.HB.Count() != mgr.lastSeen {
 		return sim.SteadyEntry{}, false
 	}
-	return sim.SteadyEntry{ChargeCPU: mgr.cfg.OverheadCPU, Charge: mgr.cfg.PollPerTick}, true
+	return sim.SteadyEntry{ChargeCPU: mgr.cfg.OverheadCPU, Charge: PollOverhead}, true
 }
 
 // platformSettled reports whether reconcilePlatform would be a pure no-op:
@@ -276,7 +278,7 @@ func (mgr *Manager) Tick(m *sim.Machine) {
 	if mgr.proc.Exited() {
 		return
 	}
-	m.ChargeOverhead(mgr.cfg.OverheadCPU, mgr.cfg.PollPerTick)
+	m.ChargeOverhead(mgr.cfg.OverheadCPU, PollOverhead)
 	mgr.reconcilePlatform(m)
 	count := mgr.proc.HB.Count()
 	if count == mgr.lastSeen {
@@ -324,8 +326,7 @@ func (mgr *Manager) Tick(m *sim.Machine) {
 	res := searchFn(mgr.est, mgr.state, baseRate, mgr.target, prm, b)
 	mgr.searches++
 	mgr.exploredTotal += res.Explored
-	m.ChargeOverhead(mgr.cfg.OverheadCPU,
-		mgr.cfg.PerSearch+sim.Time(res.Explored)*mgr.cfg.PerCandidate)
+	m.ChargeOverhead(mgr.cfg.OverheadCPU, SearchOverhead(res.Explored))
 
 	d := Decision{
 		Time:     m.Now(),

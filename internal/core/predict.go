@@ -10,40 +10,17 @@ package core
 // WorkloadPredictor estimates the application's per-heartbeat workload (in
 // estimated-throughput units per beat) from noisy observations. The runtime
 // manager divides the current state's estimated throughput by the predicted
-// workload to obtain the base rate its search extrapolates from.
+// workload to obtain the base rate its search extrapolates from. A manager
+// without one (Config.Predictor nil) runs the paper's default model: the
+// next period's workload equals the last observed one, so the base rate is
+// the observed rate.
 type WorkloadPredictor interface {
 	// Observe feeds one workload measurement.
 	Observe(workload float64)
 	// Predict returns the workload expected over the next period. Before
 	// any observation it returns 0, meaning "no prediction".
 	Predict() float64
-	// Reset clears all state.
-	Reset()
 }
-
-// LastValuePredictor is the paper's default model: the next period's
-// workload equals the last observed one.
-type LastValuePredictor struct {
-	last float64
-	seen bool
-}
-
-// Observe implements WorkloadPredictor.
-func (p *LastValuePredictor) Observe(w float64) {
-	p.last = w
-	p.seen = true
-}
-
-// Predict implements WorkloadPredictor.
-func (p *LastValuePredictor) Predict() float64 {
-	if !p.seen {
-		return 0
-	}
-	return p.last
-}
-
-// Reset implements WorkloadPredictor.
-func (p *LastValuePredictor) Reset() { *p = LastValuePredictor{} }
 
 // KalmanPredictor is a scalar Kalman filter over the workload signal with a
 // random-walk process model:
@@ -108,6 +85,3 @@ func (k *KalmanPredictor) Predict() float64 {
 	}
 	return k.x
 }
-
-// Reset implements WorkloadPredictor.
-func (k *KalmanPredictor) Reset() { *k = KalmanPredictor{Q: k.Q, R: k.R} }

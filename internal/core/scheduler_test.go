@@ -103,12 +103,12 @@ func TestApplySchedule(t *testing.T) {
 	bigMask := hmp.MaskOf(4, 5, 6, 7)
 	for i := 0; i < 2; i++ {
 		if got := p.Threads[i].Affinity(); got != littleMask {
-			t.Errorf("thread %d mask = %v, want little %v", i, got.CPUs(), littleMask.CPUs())
+			t.Errorf("thread %d mask = %08b, want little %08b", i, got, littleMask)
 		}
 	}
 	for i := 2; i < 8; i++ {
 		if got := p.Threads[i].Affinity(); got != bigMask {
-			t.Errorf("thread %d mask = %v, want big %v", i, got.CPUs(), bigMask.CPUs())
+			t.Errorf("thread %d mask = %08b, want big %08b", i, got, bigMask)
 		}
 	}
 }
@@ -126,7 +126,7 @@ func TestApplyScheduleFallsBackWhenClusterEmpty(t *testing.T) {
 	ApplySchedule(p, asg, Chunk, nil, DefaultCores(plat, hmp.Little, 2))
 	for i := 0; i < 4; i++ {
 		if got := p.Threads[i].Affinity(); got != hmp.MaskOf(0, 1) {
-			t.Errorf("thread %d mask = %v, want little fallback", i, got.CPUs())
+			t.Errorf("thread %d mask = %08b, want little fallback", i, got)
 		}
 	}
 }

@@ -37,18 +37,27 @@ func testEstimators(p *hmp.Platform, threads int) Estimators {
 // testSet builds an estimator set over testModel.
 func testSet(p *hmp.Platform) *EstimatorSet { return NewEstimatorSet(p, testModel(p)) }
 
+// estimateRate is the search's rate estimate for cand from the rate
+// curRate observed in cur: the rate Estimators.ScoreEval scores with. The
+// work per heartbeat stays what it was in the last period (the paper's
+// workload model), so the rate scales with estimated throughput.
+func estimateRate(e Estimators, cur hmp.State, curRate float64, cand hmp.State) float64 {
+	rate, _, _ := e.ScoreEval(e.Perf.EvaluateCached(cur).Throughput, curRate, cand, heartbeat.Target{})
+	return rate
+}
+
 func TestEstimateRateScalesWithFrequency(t *testing.T) {
 	p := hmp.Default()
 	e := testEstimators(p, 4)
 	// 4 threads on 4 big cores: rate scales linearly with big frequency.
 	cur := hmp.State{BigCores: 4, LittleCores: 0, BigLevel: 0, LittleLevel: 0}
 	cand := cur.WithLevel(hmp.Big, 8) // 0.8 → 1.6 GHz
-	got := e.Perf.EstimateRate(cur, 2.0, cand)
+	got := estimateRate(e, cur, 2.0, cand)
 	if math.Abs(got-4.0) > 1e-9 {
-		t.Fatalf("EstimateRate = %v, want 4.0 (2× frequency)", got)
+		t.Fatalf("estimated rate = %v, want 4.0 (2× frequency)", got)
 	}
 	// Identity: the current state estimates the observed rate.
-	if got := e.Perf.EstimateRate(cur, 2.0, cur); math.Abs(got-2.0) > 1e-9 {
+	if got := estimateRate(e, cur, 2.0, cur); math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("identity estimate = %v, want 2.0", got)
 	}
 }
@@ -58,7 +67,7 @@ func TestEstimateRateMoreCores(t *testing.T) {
 	e := testEstimators(p, 8)
 	cur := hmp.State{BigCores: 2, LittleCores: 0, BigLevel: 4, LittleLevel: 0}
 	cand := cur.WithCores(hmp.Big, 4)
-	got := e.Perf.EstimateRate(cur, 1.0, cand)
+	got := estimateRate(e, cur, 1.0, cand)
 	if math.Abs(got-2.0) > 1e-9 {
 		t.Fatalf("doubling big cores with 8 threads: rate = %v, want 2.0", got)
 	}
@@ -75,7 +84,7 @@ func TestPowerEstimatorUsesUsedCores(t *testing.T) {
 	if ev.CBU != 2 || ev.CLU != 0 {
 		t.Fatalf("used cores = (%d, %d), want (2, 0)", ev.CBU, ev.CLU)
 	}
-	w := e.Power.Estimate(st, ev)
+	w := e.Power.estimateEval(st, &ev)
 	lm := testModel(p)
 	want := lm.Estimate(hmp.Big, 8, 2, 1.0)
 	if math.Abs(w-want) > 1e-9 {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/fleet"
-	"repro/internal/hmp"
 	"repro/internal/scenario"
 )
 
@@ -25,18 +24,6 @@ func DecisionsSweep(e *Env) *Report {
 		"forked", "replays", "regret miss", "regret (J)", "digest",
 	}
 
-	littleHeavy := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 2
-		p.Clusters[hmp.Little].Cores = 6
-		return p
-	}
-	tiny := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 1
-		p.Clusters[hmp.Little].Cores = 1
-		return p
-	}
 	slo := &scenario.SLOSpec{TargetHPS: 3, SlackMS: 150}
 	mkScenario := func(policy string) *scenario.Scenario {
 		return &scenario.Scenario{
@@ -50,8 +37,8 @@ func DecisionsSweep(e *Env) *Report {
 			// migrate pass (and its score gate) fires.
 			Nodes: []scenario.NodeSpec{
 				{Name: "n0"},
-				{Name: "n1", Platform: littleHeavy()},
-				{Name: "n2", Platform: tiny()},
+				{Name: "n1", Platform: board(2, 6)},
+				{Name: "n2", Platform: board(1, 1)},
 			},
 			Checkpoint: &scenario.CheckpointSpec{FreezeUS: 30_000, PerMBUS: 1_000, SizeMB: 8},
 			Apps: []scenario.AppSpec{

@@ -27,10 +27,12 @@ import (
 )
 
 // Scale selects experiment durations: Quick for tests and benchmarks, Full
-// for the command-line regeneration run.
+// for the command-line regeneration run. Every scale runs each benchmark
+// with one thread per core of the board (the paper's n) and the default
+// heartbeat window, and discards calibSkip of warm-up before measuring a
+// calibration.
 type Scale struct {
 	CalibTime   sim.Time // calibration run length
-	CalibSkip   sim.Time // calibration warm-up discarded before measuring
 	RunTime     sim.Time // measured run length per version
 	MeasureFrom sim.Time // start of the measurement window within a run
 
@@ -39,16 +41,15 @@ type Scale struct {
 	OracleFreqStride int
 
 	Profile power.ProfileConfig
-
-	Threads  int // the paper's n parameter (total core count)
-	HBWindow int
 }
+
+// calibSkip is the calibration warm-up discarded before measuring.
+const calibSkip = 12 * sim.Second
 
 // Quick returns the test/benchmark scale.
 func Quick() Scale {
 	return Scale{
 		CalibTime:   25 * sim.Second,
-		CalibSkip:   12 * sim.Second,
 		RunTime:     70 * sim.Second,
 		MeasureFrom: 25 * sim.Second,
 
@@ -60,9 +61,6 @@ func Quick() Scale {
 			Utils:  []float64{0.5, 1.0},
 			RunPer: 600 * sim.Millisecond,
 		},
-
-		Threads:  8,
-		HBWindow: 10,
 	}
 }
 
@@ -70,7 +68,6 @@ func Quick() Scale {
 func Full() Scale {
 	return Scale{
 		CalibTime:   35 * sim.Second,
-		CalibSkip:   12 * sim.Second,
 		RunTime:     180 * sim.Second,
 		MeasureFrom: 30 * sim.Second,
 
@@ -79,9 +76,6 @@ func Full() Scale {
 		OracleFreqStride: 1,
 
 		Profile: power.ProfileConfig{},
-
-		Threads:  8,
-		HBWindow: 10,
 	}
 }
 
@@ -132,25 +126,34 @@ func (e *Env) newMachine() *sim.Machine {
 	return sim.New(e.Plat, sim.Config{Power: e.GT})
 }
 
+// board returns a fresh copy of the default board with big and little
+// cores per cluster: the fleet sweeps mix the stock board with a tiny
+// (1 + 1) and a little-heavy (2 + 6) one.
+func board(big, little int) *hmp.Platform {
+	p := hmp.Default()
+	p.Clusters[hmp.Big].Cores = big
+	p.Clusters[hmp.Little].Cores = little
+	return p
+}
+
 // static configures oracle.Measure, the one static run, for benchmark b on
-// the environment's board: the scale's thread count and heartbeat window,
-// measured over the measure window that follows warmup.
+// the environment's board, one thread per core, measured over the measure
+// window that follows warmup.
 func (e *Env) static(b workload.Benchmark, tgt heartbeat.Target, warmup, measure sim.Time) oracle.Options {
 	return oracle.Options{
 		Plat:       e.Plat,
 		Power:      e.GT,
-		NewProgram: func() sim.Program { return b.New(e.Scale.Threads) },
+		NewProgram: func() sim.Program { return b.New(e.Plat.TotalCores()) },
 		Target:     tgt,
 		Warmup:     warmup,
 		Measure:    measure,
 		FreqStride: e.Scale.OracleFreqStride,
-		HBWindow:   e.Scale.HBWindow,
 	}
 }
 
 // MaxRate measures (and caches) the maximum achievable heartbeat rate of a
 // benchmark: the static run (oracle.Measure) at maximum core count and
-// frequency under the Linux HMP scheduler, measured from CalibSkip to
+// frequency under the Linux HMP scheduler, measured from calibSkip to
 // CalibTime. The scenario engine's calibration calls the same run with its
 // own window. MaxRate calibrates while holding the cache lock, so each
 // benchmark is calibrated once however many goroutines ask.
@@ -159,7 +162,7 @@ func (e *Env) MaxRate(b workload.Benchmark) float64 {
 	defer e.mu.Unlock()
 	r, ok := e.maxRates[b.Short]
 	if !ok {
-		o := e.static(b, heartbeat.Target{}, e.Scale.CalibSkip, e.Scale.CalibTime-e.Scale.CalibSkip)
+		o := e.static(b, heartbeat.Target{}, calibSkip, e.Scale.CalibTime-calibSkip)
 		r = oracle.Measure(o, hmp.MaxState(e.Plat)).Rate
 		e.maxRates[b.Short] = r
 	}
@@ -221,7 +224,7 @@ func (e *Env) RunHARS(b workload.Benchmark, tgt heartbeat.Target, cfg core.Confi
 // RunHARSTraced is RunHARS plus the manager's adaptation-decision trace.
 func (e *Env) RunHARSTraced(b workload.Benchmark, tgt heartbeat.Target, cfg core.Config) (RunResult, []core.Decision) {
 	m := e.newMachine()
-	p := m.Spawn(b.Name, b.New(e.Scale.Threads), e.Scale.HBWindow)
+	p := m.Spawn(b.Name, b.New(e.Plat.TotalCores()), heartbeat.DefaultWindow)
 	mgr := core.NewManager(m, p, core.NewEstimatorSet(m.Platform(), e.Model), tgt, cfg)
 	m.AddDaemon(mgr)
 	res := e.measure(m, p, tgt)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/hmp"
 	"repro/internal/scenario"
 )
 
@@ -26,12 +25,6 @@ func FaultsSweep(e *Env) *Report {
 		"lost (ms)", "xfail", "dropped", "stranded", "miss rate", "digest",
 	}
 
-	littleHeavy := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 2
-		p.Clusters[hmp.Little].Cores = 6
-		return p
-	}
 	slo := &scenario.SLOSpec{TargetHPS: 3, SlackMS: 150}
 	mkScenario := func(policy string, ratePerMin float64, ckptMS int64) *scenario.Scenario {
 		return &scenario.Scenario{
@@ -44,7 +37,7 @@ func FaultsSweep(e *Env) *Report {
 			// recovery always finds a home and nothing stays stranded.
 			Nodes: []scenario.NodeSpec{
 				{Name: "n0"},
-				{Name: "n1", Platform: littleHeavy()},
+				{Name: "n1", Platform: board(2, 6)},
 				{Name: "n2"},
 			},
 			Apps: []scenario.AppSpec{

@@ -53,7 +53,7 @@ func (e *Env) RunMultiApp(caseNames [2]string, version string, frac float64) Mul
 	var procs [2]*sim.Process
 	spawn := func() {
 		for i, b := range benches {
-			procs[i] = m.Spawn(fmt.Sprintf("%s-%d", b.Name, i), b.New(e.Scale.Threads), e.Scale.HBWindow)
+			procs[i] = m.Spawn(fmt.Sprintf("%s-%d", b.Name, i), b.New(e.Plat.TotalCores()), heartbeat.DefaultWindow)
 		}
 	}
 	run := MultiAppRun{Case: caseNames, Version: version}
@@ -64,7 +64,7 @@ func (e *Env) RunMultiApp(caseNames [2]string, version string, frac float64) Mul
 		m.SetPlacer(gts.New(e.Plat))
 		spawn()
 	case "CONS-I":
-		c := mphars.NewConsI(m, mphars.ConsIConfig{})
+		c := mphars.NewConsI(m)
 		spawn()
 		for i := range procs {
 			c.Register(procs[i], tgts[i])

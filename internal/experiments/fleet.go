@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/hmp"
 	"repro/internal/scenario"
 )
 
@@ -23,22 +22,10 @@ func FleetSweep(e *Env) *Report {
 		"beats", "energy (J)", "overhead", "digest",
 	}
 
-	littleHeavy := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 2
-		p.Clusters[hmp.Little].Cores = 6
-		return p
-	}
-	tiny := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 1
-		p.Clusters[hmp.Little].Cores = 1
-		return p
-	}
 	mkNodes := func(n int) []scenario.NodeSpec {
 		specs := []scenario.NodeSpec{
-			{Name: "n0", Platform: tiny()},
-			{Name: "n1", Platform: littleHeavy()},
+			{Name: "n0", Platform: board(1, 1)},
+			{Name: "n1", Platform: board(2, 6)},
 			{Name: "n2"},
 		}
 		return specs[:n]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
-	"repro/internal/hmp"
 	"repro/internal/scenario"
 )
 
@@ -23,18 +22,6 @@ func SLOSweep(e *Env) *Report {
 		"frozen (ms)", "slo miss", "miss rate", "digest",
 	}
 
-	littleHeavy := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 2
-		p.Clusters[hmp.Little].Cores = 6
-		return p
-	}
-	tiny := func() *hmp.Platform {
-		p := hmp.Default()
-		p.Clusters[hmp.Big].Cores = 1
-		p.Clusters[hmp.Little].Cores = 1
-		return p
-	}
 	regimes := []struct {
 		name string
 		spec *scenario.CheckpointSpec
@@ -53,8 +40,8 @@ func SLOSweep(e *Env) *Report {
 			Placement:  policy,
 			Checkpoint: ckpt,
 			Nodes: []scenario.NodeSpec{
-				{Name: "n0", Platform: tiny()},
-				{Name: "n1", Platform: littleHeavy()},
+				{Name: "n0", Platform: board(1, 1)},
+				{Name: "n1", Platform: board(2, 6)},
 				{Name: "n2"},
 			},
 			// Two long-running SLO'd apps the migrate pass can shuffle...

@@ -217,22 +217,17 @@ type Fleet struct {
 	jump *sim.JumpCache
 }
 
-// New builds a fleet over the given nodes. All nodes must share one tick
-// length and one current time (normally zero: assemble the fleet before
-// running anything), and node IDs must match their index.
+// New builds a fleet over the given nodes. All nodes must share one
+// current time (normally zero: assemble the fleet before running
+// anything), and node IDs must match their index.
 func New(nodes ...*Node) (*Fleet, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("fleet: no nodes")
 	}
-	tick := nodes[0].TickLen()
 	now := nodes[0].Now()
 	for i, n := range nodes {
 		if n.ID != i {
 			return nil, fmt.Errorf("fleet: node %q has ID %d at index %d", n.Name, n.ID, i)
-		}
-		if n.TickLen() != tick {
-			return nil, fmt.Errorf("fleet: node %q tick %d differs from node %q tick %d",
-				n.Name, n.TickLen(), nodes[0].Name, tick)
 		}
 		if n.Now() != now {
 			return nil, fmt.Errorf("fleet: node %q clock %d differs from node %q clock %d",

@@ -150,8 +150,7 @@ func (a *App) Migrations() int { return a.migrations }
 func (a *App) Recovering() bool { return a.recovering }
 
 // Config tunes the scheduler. The zero value selects the least-loaded
-// policy, a 250 ms saturation check, and a two-core migration destination
-// floor.
+// policy and a 250 ms saturation check.
 type Config struct {
 	// Policy places arrivals and picks migration destinations. Nil selects
 	// least-loaded.
@@ -162,11 +161,6 @@ type Config struct {
 	// disables migration entirely. With a single node migration never
 	// fires (there is nowhere to go).
 	MigrateEvery sim.Time
-
-	// MigrateMinFree is the free-core floor a destination must offer
-	// before an application is moved to it (default 2): migrating onto a
-	// nearly-full node would just spread the saturation.
-	MigrateMinFree int
 
 	// Fault, when non-nil, arms fault-aware scheduling: a heartbeat-timeout
 	// failure detector over the fleet's nodes, periodic background
@@ -204,11 +198,13 @@ func (c Config) withDefaults() Config {
 	if c.MigrateEvery == 0 {
 		c.MigrateEvery = 250 * sim.Millisecond
 	}
-	if c.MigrateMinFree <= 0 {
-		c.MigrateMinFree = 2
-	}
 	return c
 }
+
+// migrateMinFree is the free-core floor a destination must offer before an
+// application is moved to it: migrating onto a nearly-full node would just
+// spread the saturation.
+const migrateMinFree = 2
 
 // Stats is the scheduler's decision rollup.
 type Stats struct {
@@ -683,7 +679,7 @@ func (s *Scheduler) record(kind decision.Kind, app *App, src *Node, p pickResult
 // arrivals there queue and its own applications cannot grow. The victim is
 // the smallest-allocation unpinned application (cheapest to move; ties to
 // the most recent arrival), the destination is the policy's preferred node
-// among those with MigrateMinFree free cores — strictly more free cores
+// among those with migrateMinFree free cores — strictly more free cores
 // than the victim already holds, so every move gives the victim room to
 // grow and frees its whole allocation on the source — and only if the
 // policy does not score the destination below the victim's current node,
@@ -707,10 +703,7 @@ func (s *Scheduler) migratePass() {
 		if victim == nil {
 			continue
 		}
-		minFree := s.cfg.MigrateMinFree
-		if alloc+1 > minFree {
-			minFree = alloc + 1
-		}
+		minFree := max(migrateMinFree, alloc+1)
 		// One decision point per destination pick, whatever its outcome —
 		// including the no-op the score gate turns it into. A forced
 		// override (counterfactual replay) takes the pick's place and

@@ -169,7 +169,7 @@ func TestGTSSteadyMatchesStepping(t *testing.T) {
 					compareGTSMachines(t, fast, slow, fg.Scheduler, sg.Scheduler)
 					now = to
 				}
-				ticks := int(end / fast.TickLen())
+				ticks := int(end / sim.TickLen)
 				if sg.places != ticks {
 					t.Fatalf("stepped machine placed %d times in %d ticks", sg.places, ticks)
 				}

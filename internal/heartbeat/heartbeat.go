@@ -21,6 +21,12 @@ type Time = int64
 // Second is one second in heartbeat timestamps.
 const Second Time = 1_000_000
 
+// DefaultWindow is the trailing window, in beats, of the windowed rate the
+// managers adapt on: the paper's runs, the oracle's static runs, the
+// experiments, a scenario app without an hb_window and a live controller
+// without a Window all use it.
+const DefaultWindow = 10
+
 // Target is a user-specified performance goal in heartbeats per second.
 // HARS's evaluation sets Avg to a fraction of the maximum achievable rate
 // and Min/Max to ±5% of that maximum around it.
@@ -84,13 +90,17 @@ func NewMonitor(name string, window int) *Monitor {
 	return &Monitor{name: name, window: window}
 }
 
-// Clone returns an independent deep copy of the monitor: same name, window,
-// target, and beat history, sharing no mutable state with the original.
-// Checkpoint snapshots use it so a restored incarnation's rate history
-// diverges from the donor's from the snapshot point on.
+// Clone returns an independent copy of the monitor: same name, window,
+// target, and beat history. Checkpoint snapshots use it so a restored
+// incarnation's rate history diverges from the donor's from the snapshot
+// point on. The copy shares the logged beats, which no method rewrites,
+// but its log's capacity is clipped to its length, so the first Beat on
+// either side appends to an array of its own: a clone costs O(1), not
+// O(beats so far).
 func (m *Monitor) Clone() *Monitor {
 	c := *m
-	c.records = append([]Record(nil), m.records...)
+	n := len(m.records)
+	c.records = m.records[:n:n]
 	return &c
 }
 
@@ -141,14 +151,6 @@ func (m *Monitor) Latest() (Record, bool) {
 		return Record{}, false
 	}
 	return m.records[len(m.records)-1], true
-}
-
-// At returns the record at the given beat index.
-func (m *Monitor) At(index int64) (Record, bool) {
-	if index < 0 || index >= int64(len(m.records)) {
-		return Record{}, false
-	}
-	return m.records[index], true
 }
 
 // Records returns a copy of all records.

@@ -90,27 +90,58 @@ func TestAccessors(t *testing.T) {
 	if _, ok := m.Latest(); ok {
 		t.Error("Latest on empty monitor should be !ok")
 	}
-	if _, ok := m.At(0); ok {
-		t.Error("At(0) on empty monitor should be !ok")
-	}
 	m.Beat(0)
 	m.Beat(Second)
 	if m.Count() != 2 {
 		t.Errorf("Count = %d, want 2", m.Count())
 	}
-	if r, ok := m.At(1); !ok || r.Index != 1 {
-		t.Errorf("At(1) = %+v, %v", r, ok)
-	}
-	if _, ok := m.At(-1); ok {
-		t.Error("At(-1) should be !ok")
-	}
 	recs := m.Records()
-	if len(recs) != 2 {
-		t.Errorf("Records len = %d, want 2", len(recs))
+	if len(recs) != 2 || recs[1].Index != 1 {
+		t.Fatalf("Records = %+v, want two beats indexed 0 and 1", recs)
 	}
 	recs[0].Index = 99
-	if r, _ := m.At(0); r.Index == 99 {
+	if m.Records()[0].Index == 99 {
 		t.Error("Records must return a copy")
+	}
+}
+
+// TestCloneDiverges pins Clone's shared log: after the clone, beats on
+// either monitor must stay out of the other's history, even though the
+// original's log has spare capacity the clone could otherwise write into.
+func TestCloneDiverges(t *testing.T) {
+	orig := NewMonitor("app", 3)
+	for i := Time(0); i < 5; i++ {
+		orig.Beat(i * Second)
+	}
+	clone := orig.Clone()
+	for i := Time(5); i < 9; i++ {
+		orig.Beat(i * Second)         // one beat a second
+		clone.Beat(i*Second + Second) // one second behind the original
+		clone.Beat(i*Second + Second + Second/2)
+	}
+	wantTimes := func(name string, m *Monitor, want []Time) {
+		t.Helper()
+		recs := m.Records()
+		if len(recs) != len(want) {
+			t.Fatalf("%s holds %d beats, want %d", name, len(recs), len(want))
+		}
+		for i, r := range recs {
+			if r.Index != int64(i) || r.Time != want[i] {
+				t.Fatalf("%s beat %d = {index %d, time %d}, want {index %d, time %d}",
+					name, i, r.Index, r.Time, i, want[i])
+			}
+		}
+	}
+	prefix := []Time{0, Second, 2 * Second, 3 * Second, 4 * Second}
+	origWant := append(append([]Time(nil), prefix...), 5*Second, 6*Second, 7*Second, 8*Second)
+	cloneWant := append([]Time(nil), prefix...)
+	for i := Time(5); i < 9; i++ {
+		cloneWant = append(cloneWant, i*Second+Second, i*Second+Second+Second/2)
+	}
+	wantTimes("original", orig, origWant)
+	wantTimes("clone", clone, cloneWant)
+	if r, _ := orig.Latest(); r.WindowRate != 1 {
+		t.Errorf("original window rate %v, want 1 beat/s", r.WindowRate)
 	}
 }
 

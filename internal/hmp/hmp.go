@@ -100,16 +100,6 @@ func (c *ClusterSpec) ClampLevel(level int) int {
 	return level
 }
 
-// Level returns the frequency level whose OPP matches khz exactly.
-func (c *ClusterSpec) Level(khz int) (int, bool) {
-	for i, o := range c.OPPs {
-		if o.KHz == khz {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Validate's size bounds. A CPUMask is a uint64, so a board with more than
 // MaxCores cores would have CPUs that can never come online. MaxOPPs bounds
 // each cluster's DVFS grid; together the two cap one performance
@@ -197,12 +187,6 @@ func (p *Platform) ClusterOf(cpu int) ClusterKind {
 		return Little
 	}
 	return Big
-}
-
-// IndexInCluster converts a global CPU number to a 0-based index within its
-// cluster.
-func (p *Platform) IndexInCluster(cpu int) int {
-	return cpu - p.FirstCPU(p.ClusterOf(cpu))
 }
 
 // FreqScale returns f/f0 for cluster k at the given frequency level: the

@@ -67,8 +67,8 @@ func TestCPUNumbering(t *testing.T) {
 		if k != wantK {
 			t.Errorf("ClusterOf(%d) = %v, want %v", cpu, k, wantK)
 		}
-		if got := p.CPU(k, p.IndexInCluster(cpu)); got != cpu {
-			t.Errorf("CPU/IndexInCluster round trip broke for %d: got %d", cpu, got)
+		if got := p.CPU(k, cpu-p.FirstCPU(k)); got != cpu {
+			t.Errorf("CPU/FirstCPU round trip broke for %d: got %d", cpu, got)
 		}
 	}
 }
@@ -102,15 +102,9 @@ func TestClampLevel(t *testing.T) {
 	if c.ClampLevel(100) != c.MaxLevel() {
 		t.Error("ClampLevel(100) != MaxLevel")
 	}
-	if lv, ok := c.Level(1_400_000); !ok || lv != 6 {
-		t.Errorf("Level(1.4GHz) = %d,%v want 6,true", lv, ok)
-	}
-	if _, ok := c.Level(123); ok {
-		t.Error("Level(123) should not exist")
-	}
 }
 
-func TestStateValidAndClamp(t *testing.T) {
+func TestStateValid(t *testing.T) {
 	p := Default()
 	max := MaxState(p)
 	if !max.Valid(p) {
@@ -122,10 +116,6 @@ func TestStateValidAndClamp(t *testing.T) {
 	bad := State{BigCores: 9, LittleCores: -1, BigLevel: 99, LittleLevel: -5}
 	if bad.Valid(p) {
 		t.Error("clearly invalid state reported valid")
-	}
-	cl := bad.Clamp(p)
-	if cl.BigCores != 4 || cl.LittleCores != 0 || cl.BigLevel != 8 || cl.LittleLevel != 0 {
-		t.Errorf("Clamp = %+v", cl)
 	}
 	zero := State{}
 	if zero.Valid(p) {
@@ -220,10 +210,6 @@ func TestCPUMask(t *testing.T) {
 	if m.Count() != 3 {
 		t.Errorf("Count = %d, want 3", m.Count())
 	}
-	cpus := m.CPUs()
-	if len(cpus) != 3 || cpus[0] != 0 || cpus[1] != 3 || cpus[2] != 7 {
-		t.Errorf("CPUs = %v", cpus)
-	}
 	m = m.Clear(3)
 	if m.Has(3) || m.Count() != 2 {
 		t.Errorf("Clear failed: %b", m)
@@ -234,9 +220,6 @@ func TestCPUMask(t *testing.T) {
 	}
 	if MaskOf(1, 2).Intersect(MaskOf(2, 3)) != MaskOf(2) {
 		t.Error("Intersect wrong")
-	}
-	if MaskOf(1).Union(MaskOf(2)) != MaskOf(1, 2) {
-		t.Error("Union wrong")
 	}
 }
 
@@ -267,12 +250,6 @@ func TestClusterKindString(t *testing.T) {
 
 func TestStateAccessors(t *testing.T) {
 	s := State{BigCores: 2, LittleCores: 3, BigLevel: 4, LittleLevel: 1}
-	if s.Cores(Big) != 2 || s.Cores(Little) != 3 {
-		t.Error("Cores accessor wrong")
-	}
-	if s.Level(Big) != 4 || s.Level(Little) != 1 {
-		t.Error("Level accessor wrong")
-	}
 	if s.WithCores(Big, 1).BigCores != 1 || s.WithLevel(Little, 0).LittleLevel != 0 {
 		t.Error("With* wrong")
 	}

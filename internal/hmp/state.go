@@ -28,22 +28,6 @@ func MaxState(p *Platform) State {
 	}
 }
 
-// Cores returns the per-cluster core count of the state.
-func (s State) Cores(k ClusterKind) int {
-	if k == Big {
-		return s.BigCores
-	}
-	return s.LittleCores
-}
-
-// Level returns the per-cluster frequency level of the state.
-func (s State) Level(k ClusterKind) int {
-	if k == Big {
-		return s.BigLevel
-	}
-	return s.LittleLevel
-}
-
 // WithCores returns a copy of the state with cluster k's core count set.
 func (s State) WithCores(k ClusterKind, n int) State {
 	if k == Big {
@@ -75,16 +59,6 @@ func (s State) Valid(p *Platform) bool {
 		s.TotalCores() >= 1 &&
 		s.BigLevel >= 0 && s.BigLevel <= p.Clusters[Big].MaxLevel() &&
 		s.LittleLevel >= 0 && s.LittleLevel <= p.Clusters[Little].MaxLevel()
-}
-
-// Clamp returns the state with every dimension clamped to the platform's
-// grid. It does not enforce TotalCores ≥ 1.
-func (s State) Clamp(p *Platform) State {
-	s.BigCores = min(max(s.BigCores, 0), p.Clusters[Big].Cores)
-	s.LittleCores = min(max(s.LittleCores, 0), p.Clusters[Little].Cores)
-	s.BigLevel = p.Clusters[Big].ClampLevel(s.BigLevel)
-	s.LittleLevel = p.Clusters[Little].ClampLevel(s.LittleLevel)
-	return s
 }
 
 // Cpuset returns the cpuset a state's cores occupy: the first C_L little
@@ -197,22 +171,8 @@ func (m CPUMask) Count() int {
 	return n
 }
 
-// CPUs lists the global CPU numbers in the mask in ascending order.
-func (m CPUMask) CPUs() []int {
-	var out []int
-	for c := 0; c < 64; c++ {
-		if m.Has(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Intersect returns the intersection of two masks.
 func (m CPUMask) Intersect(o CPUMask) CPUMask { return m & o }
-
-// Union returns the union of two masks.
-func (m CPUMask) Union(o CPUMask) CPUMask { return m | o }
 
 // AllCPUs returns the mask of every core on the platform.
 func AllCPUs(p *Platform) CPUMask {

@@ -81,7 +81,7 @@ type Config struct {
 	Version core.Version
 
 	// AdaptEvery is the adaptation period in heartbeats (default 10);
-	// Window the rate window in beats (default 10).
+	// Window the rate window in beats (default heartbeat.DefaultWindow).
 	AdaptEvery int64
 	Window     int
 
@@ -140,7 +140,7 @@ func NewController(cfg Config, act Actuator) (*Controller, error) {
 		cfg.AdaptEvery = 10
 	}
 	if cfg.Window <= 0 {
-		cfg.Window = 10
+		cfg.Window = heartbeat.DefaultWindow
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = SystemClock{}

@@ -10,36 +10,18 @@ import (
 	"repro/internal/sim"
 )
 
-// ConsIConfig tunes the CONS-I baseline.
-type ConsIConfig struct {
-	// AdaptEvery is the adaptation period in heartbeats. CONS-I performs no
-	// estimation, so it adapts frequently, one small step at a time.
-	// Default 1 (every heartbeat outside the band).
-	AdaptEvery int64
-
-	// FreezeBeats is how many heartbeats every application must observe
-	// after a performance decrease before the next decrease is allowed (the
-	// interference-aware pause of §4.1.1). Default 5.
-	FreezeBeats int
-
-	// ScoreBucket quantizes performance scores when building the sorted
-	// configuration ladder; configurations within one bucket are considered
-	// equivalent and only the cheapest representative is kept. Default 0.25.
-	ScoreBucket float64
-}
-
-func (c ConsIConfig) withDefaults() ConsIConfig {
-	if c.AdaptEvery <= 0 {
-		c.AdaptEvery = 1
-	}
-	if c.FreezeBeats <= 0 {
-		c.FreezeBeats = 5
-	}
-	if c.ScoreBucket <= 0 {
-		c.ScoreBucket = 0.25
-	}
-	return c
-}
+// The CONS-I constants. CONS-I performs no estimation, so it adapts
+// often, one small step at a time: every consIAdaptEvery heartbeats
+// outside the band. After a performance decrease every application must
+// observe consIFreezeBeats heartbeats before the next decrease is allowed
+// (the interference-aware pause of §4.1.1). consIScoreBucket quantizes
+// performance scores when the ladder is built: configurations within one
+// bucket are equivalent, and only the cheapest one is kept.
+const (
+	consIAdaptEvery  = 1
+	consIFreezeBeats = 5
+	consIScoreBucket = 0.25
+)
 
 type consApp struct {
 	proc            *sim.Process
@@ -61,7 +43,6 @@ type consApp struct {
 // application overperforms, and a step down pauses adaptation until
 // everyone has collected fresh performance data.
 type ConsI struct {
-	cfg     ConsIConfig
 	plat    *hmp.Platform
 	g       *gts.Scheduler
 	configs []hmp.State // the perfScore ladder, ascending
@@ -70,15 +51,15 @@ type ConsI struct {
 }
 
 // NewConsI builds the CONS-I runtime on a machine: it installs a GTS placer
-// over all cores and starts at the maximum configuration.
-func NewConsI(m *sim.Machine, cfg ConsIConfig) *ConsI {
-	cfg = cfg.withDefaults()
+// over all cores and starts at the maximum configuration. CONS-I has no
+// settings: its adaptation period, freeze and ladder bucket are the
+// consI constants.
+func NewConsI(m *sim.Machine) *ConsI {
 	plat := m.Platform()
 	c := &ConsI{
-		cfg:     cfg,
 		plat:    plat,
 		g:       gts.New(plat),
-		configs: buildLadder(plat, cfg.ScoreBucket),
+		configs: buildLadder(plat, consIScoreBucket),
 	}
 	c.cur = len(c.configs) - 1
 	m.SetPlacer(c.g)
@@ -201,7 +182,7 @@ func (c *ConsI) adaptOne(m *sim.Machine, a *consApp) {
 	if !ok {
 		return
 	}
-	if rec.Index < a.adaptationIndex+c.cfg.AdaptEvery {
+	if rec.Index < a.adaptationIndex+consIAdaptEvery {
 		return
 	}
 	rate := rec.WindowRate
@@ -228,7 +209,7 @@ func (c *ConsI) adaptOne(m *sim.Machine, a *consApp) {
 			c.cur--
 			c.applyConfig(m)
 			for _, o := range c.apps {
-				o.freeze = c.cfg.FreezeBeats
+				o.freeze = consIFreezeBeats
 			}
 		}
 	}

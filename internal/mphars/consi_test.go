@@ -11,7 +11,7 @@ import (
 
 func TestLadderSortedAndEndsAtMax(t *testing.T) {
 	plat := hmp.Default()
-	ladder := buildLadder(plat, 0.25)
+	ladder := buildLadder(plat, consIScoreBucket)
 	if len(ladder) < 20 {
 		t.Fatalf("ladder too short: %d", len(ladder))
 	}
@@ -35,7 +35,7 @@ func TestConsIDescendsWhenAllOverperform(t *testing.T) {
 	plat := hmp.Default()
 	gt := power.DefaultGroundTruth(plat)
 	m := sim.New(plat, sim.Config{Power: gt})
-	c := NewConsI(m, ConsIConfig{})
+	c := NewConsI(m)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	pB := m.Spawn("b", steady("b", 0.5), 10)
 	// Targets far below max throughput: both overperform at the start.
@@ -57,7 +57,7 @@ func TestConsIDescendsWhenAllOverperform(t *testing.T) {
 func TestConsIBlockedByUnsatisfiedApp(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	c := NewConsI(m, ConsIConfig{})
+	c := NewConsI(m)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	pB := m.Spawn("b", steady("b", 0.5), 10)
 	// App a overperforms; app b can never reach its target: the system must
@@ -77,7 +77,7 @@ func TestConsIIgnoresSilentApps(t *testing.T) {
 	// paper's case-6 observation.
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	c := NewConsI(m, ConsIConfig{})
+	c := NewConsI(m)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	silent := &silentProg{}
 	pB := m.Spawn("silent", silent, 10)
@@ -102,24 +102,50 @@ func (s *silentProg) UnitDone(p *sim.Process, local int) {
 }
 func (s *silentProg) SpeedFactor(local int, k hmp.ClusterKind) float64 { return 1 }
 
+// TestConsIFreezePausesDescent runs one app far above its band, so CONS-I
+// steps down again as soon as the freeze allows: it must descend several
+// times, each descent at least consIFreezeBeats beats after the last.
 func TestConsIFreezePausesDescent(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	c := NewConsI(m, ConsIConfig{FreezeBeats: 1000}) // one decrease, then frozen ~forever
+	c := NewConsI(m)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	c.Register(pA, heartbeat.Target{Min: 0.4, Avg: 0.5, Max: 0.6})
 	m.AddDaemon(c)
-	top := c.LadderLen() - 1
+	d := &descentLog{c: c, proc: pA, rung: c.cur}
+	m.AddDaemon(d) // after c: sees each tick's rung change
 	m.Run(120 * sim.Second)
-	if c.cur != top-1 {
-		t.Fatalf("with an enormous freeze, exactly one descent expected: at rung %d of %d", c.cur, top)
+	if len(d.beats) < 3 {
+		t.Fatalf("CONS-I descended %d times in 120 s, want at least 3", len(d.beats))
 	}
+	for i := 1; i < len(d.beats); i++ {
+		if gap := d.beats[i] - d.beats[i-1]; gap < consIFreezeBeats {
+			t.Fatalf("descent %d came %d beats after the previous one, want at least %d (descents at beats %v)",
+				i, gap, consIFreezeBeats, d.beats)
+		}
+	}
+}
+
+// descentLog is a daemon that records the beat count of proc at every
+// tick on which CONS-I's rung fell.
+type descentLog struct {
+	c     *ConsI
+	proc  *sim.Process
+	rung  int
+	beats []int64
+}
+
+func (d *descentLog) Tick(*sim.Machine) {
+	if d.c.cur < d.rung {
+		d.beats = append(d.beats, d.proc.HB.Count())
+	}
+	d.rung = d.c.cur
 }
 
 func TestConsITraceRecorded(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	c := NewConsI(m, ConsIConfig{})
+	c := NewConsI(m)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	c.Register(pA, heartbeat.Target{Min: 0.4, Avg: 0.5, Max: 0.6})
 	m.AddDaemon(c)

@@ -60,39 +60,22 @@ type Config struct {
 	// Default 10.
 	AdaptEvery int64
 
-	// FreezeBeats is the freezing count installed after a frequency
-	// decrease: the number of heartbeats an affected application must
-	// observe before the cluster may be decreased again. Default 10.
-	FreezeBeats int
-
-	// Scheduler is the per-application thread scheduler. Default Chunk.
-	Scheduler core.SchedulerKind
-
-	// Overhead accounting (see core.Config).
-	PerCandidate sim.Time
-	PerSearch    sim.Time
-	PollPerTick  sim.Time
-	OverheadCPU  int
+	// OverheadCPU is the CPU charged with the runtime's own overhead, the
+	// costs of core's overhead model.
+	OverheadCPU int
 }
 
 func (c Config) withDefaults() Config {
 	if c.AdaptEvery <= 0 {
 		c.AdaptEvery = 10
 	}
-	if c.FreezeBeats <= 0 {
-		c.FreezeBeats = 10
-	}
-	if c.PerCandidate <= 0 {
-		c.PerCandidate = 150 * sim.Microsecond
-	}
-	if c.PerSearch <= 0 {
-		c.PerSearch = 500 * sim.Microsecond
-	}
-	if c.PollPerTick <= 0 {
-		c.PollPerTick = 2 * sim.Microsecond
-	}
 	return c
 }
+
+// freezeBeats is the freezing count installed after a frequency decrease:
+// the number of heartbeats an affected application must observe before
+// the cluster may be decreased again.
+const freezeBeats = 10
 
 func (c Config) params() core.SearchParams {
 	if c.Version == MPHARSI {
@@ -453,12 +436,12 @@ func (mgr *Manager) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 			return sim.SteadyEntry{}, false
 		}
 	}
-	return sim.SteadyEntry{ChargeCPU: mgr.cfg.OverheadCPU, Charge: mgr.cfg.PollPerTick}, true
+	return sim.SteadyEntry{ChargeCPU: mgr.cfg.OverheadCPU, Charge: core.PollOverhead}, true
 }
 
 // Tick implements sim.Daemon: the iterate function of Algorithm 3.
 func (mgr *Manager) Tick(m *sim.Machine) {
-	m.ChargeOverhead(mgr.cfg.OverheadCPU, mgr.cfg.PollPerTick)
+	m.ChargeOverhead(mgr.cfg.OverheadCPU, core.PollOverhead)
 	mgr.ReconcilePlatform(m)
 
 	// Rescue pass: an application stripped to zero cores by hotplug gets
@@ -597,8 +580,7 @@ func (mgr *Manager) adaptOne(m *sim.Machine, n *appNode) {
 	res := core.Search(n.est, cs, rate, n.target, mgr.cfg.params(), bounds)
 	mgr.searches++
 	mgr.exploredTotal += res.Explored
-	m.ChargeOverhead(mgr.cfg.OverheadCPU,
-		mgr.cfg.PerSearch+sim.Time(res.Explored)*mgr.cfg.PerCandidate)
+	m.ChargeOverhead(mgr.cfg.OverheadCPU, core.SearchOverhead(res.Explored))
 
 	if res.State == cs {
 		return
@@ -671,7 +653,7 @@ func (mgr *Manager) applyFreq(m *sim.Machine, k hmp.ClusterKind, level int) {
 	if decreased {
 		for o := mgr.head; o != nil; o = o.next {
 			if o.usesCluster(k) {
-				o.setFreezing(k, mgr.cfg.FreezeBeats)
+				o.setFreezing(k, freezeBeats)
 			}
 		}
 		c.frozen = true
@@ -679,10 +661,11 @@ func (mgr *Manager) applyFreq(m *sim.Machine, k hmp.ClusterKind, level int) {
 }
 
 // scheduleThreads runs Algorithm 4 to (re)allocate the application's cores,
-// then applies the per-application HARS thread schedule.
+// then applies the per-application HARS thread schedule, always the chunk
+// scheduler.
 func (mgr *Manager) scheduleThreads(m *sim.Machine, n *appNode) {
 	bigCores, littleCores := mgr.allocateCores(n)
 	st := mgr.curState(n)
 	ev := n.est.Perf.EvaluateCached(st)
-	core.ApplySchedule(n.proc, ev.Assignment, mgr.cfg.Scheduler, bigCores, littleCores)
+	core.ApplySchedule(n.proc, ev.Assignment, core.Chunk, bigCores, littleCores)
 }

@@ -162,7 +162,7 @@ func TestTwoAppsAdaptWithoutSharingCores(t *testing.T) {
 func TestFreezeProtocolOnFrequencyDecrease(t *testing.T) {
 	plat := hmp.Default()
 	m := sim.New(plat, sim.Config{})
-	mgr := New(m, testSet(plat), Config{Version: MPHARSE, FreezeBeats: 8})
+	mgr := New(m, testSet(plat), Config{Version: MPHARSE})
 	m.AddDaemon(mgr)
 	pA := m.Spawn("a", steady("a", 0.5), 10)
 	pB := m.Spawn("b", steady("b", 0.5), 10)

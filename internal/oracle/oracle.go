@@ -39,8 +39,6 @@ type Options struct {
 	Measure sim.Time
 	// FreqStride coarsens FindStatic's frequency grids (1 = full grid).
 	FreqStride int
-	// HBWindow is the heartbeat window size. Default 10.
-	HBWindow int
 }
 
 func (o Options) withDefaults() Options {
@@ -52,9 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FreqStride < 1 {
 		o.FreqStride = 1
-	}
-	if o.HBWindow <= 0 {
-		o.HBWindow = 10
 	}
 	return o
 }
@@ -79,7 +74,7 @@ func Measure(o Options, st hmp.State) Result {
 	g := gts.New(o.Plat)
 	g.SetAllowed(st.Cpuset(o.Plat))
 	m.SetPlacer(g)
-	p := m.Spawn("probe", o.NewProgram(), o.HBWindow)
+	p := m.Spawn("probe", o.NewProgram(), heartbeat.DefaultWindow)
 	m.Run(o.Warmup)
 	e0, t0 := m.EnergyJ(), m.Now()
 	m.Run(o.Measure)

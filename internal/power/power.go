@@ -153,28 +153,15 @@ type Sample struct {
 	WattsBy [hmp.NumClusters]float64
 }
 
-// TotalWatts returns the sum over clusters.
-func (s Sample) TotalWatts() float64 {
-	t := 0.0
-	for _, w := range s.WattsBy {
-		t += w
-	}
-	return t
-}
-
 // Sensor periodically samples per-cluster average power from the machine's
-// energy counters, as the board's INA231 sensors do. It is a sim.Daemon.
+// energy counters, as the board's INA231 sensors do, once every
+// SensorPeriod. It is a sim.Daemon; the zero value is ready to use.
 type Sensor struct {
-	Period sim.Time
-
 	samples    []Sample
 	lastEnergy [hmp.NumClusters]float64
 	lastT      sim.Time
 	started    bool
 }
-
-// NewSensor returns a sensor with the board's sampling period.
-func NewSensor() *Sensor { return &Sensor{Period: SensorPeriod} }
 
 // Tick implements sim.Daemon.
 func (s *Sensor) Tick(m *sim.Machine) {
@@ -187,7 +174,7 @@ func (s *Sensor) Tick(m *sim.Machine) {
 		}
 		return
 	}
-	if now-s.lastT < s.Period {
+	if now-s.lastT < SensorPeriod {
 		return
 	}
 	dt := sim.Seconds(now - s.lastT)
@@ -266,13 +253,6 @@ func (lm *LinearModel) Estimate(k hmp.ClusterKind, level int, coresUsed int, uti
 		return 0
 	}
 	return p
-}
-
-// EstimateState sums the two cluster estimates for a full system state with
-// the given used core counts and utilizations.
-func (lm *LinearModel) EstimateState(st hmp.State, bigUsed, littleUsed int, bigUtil, littleUtil float64) float64 {
-	return lm.Estimate(hmp.Big, st.BigLevel, bigUsed, bigUtil) +
-		lm.Estimate(hmp.Little, st.LittleLevel, littleUsed, littleUtil)
 }
 
 // String summarizes the model.

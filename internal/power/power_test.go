@@ -79,7 +79,7 @@ func TestSensorSampling(t *testing.T) {
 	p := m.Spawn("b", bench, 4)
 	p.SetAffinity(0, hmp.MaskOf(4))
 	p.SetAffinity(1, hmp.MaskOf(5))
-	s := NewSensor()
+	s := &Sensor{}
 	m.AddDaemon(s)
 	m.Run(3 * sim.Second)
 	want := int(3*sim.Second/SensorPeriod) - 1
@@ -91,17 +91,13 @@ func TestSensorSampling(t *testing.T) {
 	if math.Abs(meanTotal-m.AvgPowerW()) > 0.15 {
 		t.Errorf("sensor mean %.3f W vs machine avg %.3f W", meanTotal, m.AvgPowerW())
 	}
-	smp := s.Samples()[0]
-	if smp.TotalWatts() != smp.WattsBy[hmp.Big]+smp.WattsBy[hmp.Little] {
-		t.Error("TotalWatts inconsistent")
-	}
 	if s.MeanWatts(hmp.Big) <= s.MeanWatts(hmp.Little) {
 		t.Error("busy big cluster should outdraw idle little cluster")
 	}
 }
 
 func TestSensorEmpty(t *testing.T) {
-	s := NewSensor()
+	s := &Sensor{}
 	if s.MeanWatts(hmp.Big) != 0 {
 		t.Error("MeanWatts on empty sensor should be 0")
 	}
@@ -186,11 +182,6 @@ func TestLinearModelEstimateEdges(t *testing.T) {
 	}
 	if got := lm.Estimate(hmp.Little, 0, 1, 0.5); got != 0 {
 		t.Errorf("negative estimates clamp to 0, got %v", got)
-	}
-	st := hmp.State{BigCores: 1, LittleCores: 1, BigLevel: 0, LittleLevel: 0}
-	sum := lm.EstimateState(st, 1, 1, 1, 1)
-	if sum != lm.Estimate(hmp.Big, 0, 1, 1)+lm.Estimate(hmp.Little, 0, 1, 1) {
-		t.Error("EstimateState should sum cluster estimates")
 	}
 	if lm.String() == "" {
 		t.Error("String empty")

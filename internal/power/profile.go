@@ -72,10 +72,12 @@ type ProfilePoint struct {
 
 // ProfileConfig controls the profiling sweep.
 type ProfileConfig struct {
-	Utils      []float64 // utilization grid, default {0.25, 0.5, 0.75, 1.0}
-	RunPer     sim.Time  // measurement time per configuration, default 1.6 s
-	DutyPeriod sim.Time  // microbenchmark duty-cycle period, default 10 ms
+	Utils  []float64 // utilization grid, default {0.25, 0.5, 0.75, 1.0}
+	RunPer sim.Time  // measurement time per configuration, default 1.6 s
 }
+
+// dutyPeriod is the profiling microbenchmark's duty-cycle period.
+const dutyPeriod = 10 * sim.Millisecond
 
 func (c *ProfileConfig) withDefaults() ProfileConfig {
 	out := *c
@@ -84,9 +86,6 @@ func (c *ProfileConfig) withDefaults() ProfileConfig {
 	}
 	if out.RunPer <= 0 {
 		out.RunPer = 1600 * sim.Millisecond
-	}
-	if out.DutyPeriod <= 0 {
-		out.DutyPeriod = 10 * sim.Millisecond
 	}
 	return out
 }
@@ -121,14 +120,14 @@ func measurePoint(plat *hmp.Platform, gt *GroundTruth, cfg ProfileConfig, k hmp.
 	bench := &Microbench{
 		Threads: cores,
 		Util:    util,
-		Period:  cfg.DutyPeriod,
+		Period:  dutyPeriod,
 		Speed:   plat.FreqScale(k, lv),
 	}
 	p := m.Spawn("microbench", bench, 4)
 	for i := 0; i < cores; i++ {
 		p.SetAffinity(i, hmp.MaskOf(plat.CPU(k, i)))
 	}
-	sensor := &Sensor{Period: SensorPeriod}
+	sensor := &Sensor{}
 	m.AddDaemon(sensor)
 	m.Run(cfg.RunPer)
 	if len(sensor.Samples()) == 0 {

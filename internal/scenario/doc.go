@@ -51,11 +51,13 @@
 //     runs to the end). The performance target is either an explicit
 //     {min, avg, max} band or target_frac, a fraction of the benchmark's
 //     measured maximum rate (±5% band). init_big/init_little are the
-//     MP-HARS initial core allocation (default 1+1). threads defaults to
-//     8; validation rejects more than 1,024, here and in an arrival
-//     stream's template, more than 10,000 declared apps, and more than
-//     2^18 threads over the declared apps and every arrival stream's worst
-//     case (max_apps arrivals of its template's threads).
+//     MP-HARS initial core allocation (default 1+1). hb_window is the
+//     app's heartbeat window in beats (default heartbeat.DefaultWindow,
+//     10 beats). threads defaults to 8; validation rejects more than
+//     1,024, here and in an arrival stream's template, more than 10,000
+//     declared apps, and more than 2^18 threads over the declared apps
+//     and every arrival stream's worst case (max_apps arrivals of its
+//     template's threads).
 //   - duration_ms, sample_every_ms, migrate_every_ms and the faults
 //     block's *_ms fields: validation rejects any above sim.MaxMS (2^40 ms,
 //     about 35 years), where converting them to simulated microseconds

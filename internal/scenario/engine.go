@@ -909,7 +909,7 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 		b, _ := workload.ByShort(a.spec.Bench)
 		window := a.spec.HBWindow
 		if window <= 0 {
-			window = 10
+			window = heartbeat.DefaultWindow
 		}
 		a.prog = b.New(threads)
 		a.applyPhaseScale() // before Spawn: Start hands out the first units

@@ -86,7 +86,7 @@ type AppSpec struct {
 	StopMS     int64       `json:"stop_ms,omitempty"`     // departure time; 0 = end of run
 	TargetFrac float64     `json:"target_frac,omitempty"` // fraction of max rate; default 0.5
 	Target     *TargetSpec `json:"target,omitempty"`      // explicit band (overrides frac)
-	HBWindow   int         `json:"hb_window,omitempty"`   // heartbeat window; default 10
+	HBWindow   int         `json:"hb_window,omitempty"`   // heartbeat window; default heartbeat.DefaultWindow
 	// InitBig and InitLittle are the MP-HARS initial core allocation.
 	// Pointers so an explicit 0 ("no big cores, please") is distinguishable
 	// from unset (default 1+1).

@@ -50,7 +50,7 @@ func (c *thermalInvariants) tick(m *sim.Machine) {
 			c.maxW[k] = watts[k]
 		}
 	}
-	dt := sim.Seconds(m.TickLen())
+	dt := sim.Seconds(sim.TickLen)
 	c.shadow.Step(dt, watts)
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		temp := c.shadow.TempC(k)

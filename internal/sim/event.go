@@ -26,7 +26,7 @@ func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 	if d <= 0 {
 		return
 	}
-	steps := int64((d + m.cfg.TickLen - 1) / m.cfg.TickLen) // ceil: RunUntil overshoots to the tick grid
+	steps := int64((d + TickLen - 1) / TickLen) // ceil: RunUntil overshoots to the tick grid
 	if m.cfg.Power != nil && !m.failed {
 		if jc != nil {
 			jc.apply(m, steps)
@@ -36,7 +36,7 @@ func (m *Machine) FastForwardCached(until Time, jc *JumpCache) {
 	}
 	m.execTick += steps
 	m.ticks += steps
-	m.now += Time(steps) * m.cfg.TickLen
+	m.now += Time(steps) * TickLen
 }
 
 // advanceEnergy adds steps ticks of the memoized per-cluster energy, bit

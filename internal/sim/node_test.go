@@ -43,8 +43,8 @@ func TestNodeStepEqualsMachineStep(t *testing.T) {
 func TestNodeImplementsTicker(t *testing.T) {
 	n := sim.NewNode(0, "n", hmp.Default(), sim.Config{})
 	n.Step()
-	if n.Now() != n.Machine.Now() || n.Now() != n.TickLen() {
-		t.Fatalf("after one step node at %d, machine at %d, tick %d", n.Now(), n.Machine.Now(), n.TickLen())
+	if n.Now() != n.Machine.Now() || n.Now() != sim.TickLen {
+		t.Fatalf("after one step node at %d, machine at %d, tick %d", n.Now(), n.Machine.Now(), sim.TickLen)
 	}
 }
 

@@ -5,7 +5,7 @@
 // per-cluster DVFS, and cluster power draw — while running entirely in
 // process with no OS-thread control.
 //
-// The machine advances in fixed ticks (default 1 ms). Each tick the placer
+// The machine advances in fixed ticks of TickLen (1 ms). Each tick the placer
 // (an OS scheduler model: the mask balancer for HARS runs, the GTS model for
 // baselines) places runnable threads on cores; each core divides its tick
 // capacity equally among the threads on it; threads retire abstract work
@@ -42,6 +42,25 @@ const MaxMS = 1 << 40
 
 // Seconds converts a simulated duration to floating-point seconds.
 func Seconds(d Time) float64 { return float64(d) / float64(Second) }
+
+// TickLen is the simulation tick: every machine advances its clock, runs
+// its placer, executes and integrates power in steps of one millisecond.
+const TickLen = Millisecond
+
+// The fixed machine rules. A thread pays migrationPenaltySame of stall
+// after migrating within a cluster and migrationPenaltyCross across
+// clusters (cold caches). maxUnitsPerTick bounds how many work units one
+// thread may complete in a single tick, a guard against zero-work
+// programs. tickUS and tickSec are TickLen as float microseconds and
+// seconds, the forms execute and integratePower divide and multiply by.
+const (
+	migrationPenaltySame  = 50 * Microsecond
+	migrationPenaltyCross = 300 * Microsecond
+	maxUnitsPerTick       = 10000
+
+	tickUS  = float64(TickLen)
+	tickSec = float64(TickLen) / float64(Second)
+)
 
 // PowerModel computes the power drawn by one cluster during a tick.
 // Implementations live in internal/power; the interface lives here so the
@@ -86,23 +105,12 @@ type Daemon interface {
 	Tick(m *Machine)
 }
 
-// Config carries machine construction parameters. The zero value selects
-// sensible defaults.
+// Config carries machine construction parameters. Power is the only one:
+// the tick (TickLen), the migration penalties and the per-tick unit guard
+// are fixed rules of the simulator, the same on every machine.
 type Config struct {
-	TickLen Time // simulation tick, default 1 ms
-
-	// MigrationPenaltySame and MigrationPenaltyCross are the stall a thread
-	// pays after migrating within a cluster / across clusters (cold caches).
-	// Defaults: 50 µs and 300 µs.
-	MigrationPenaltySame  Time
-	MigrationPenaltyCross Time
-
 	// Power is the machine's power model; nil disables energy accounting.
 	Power PowerModel
-
-	// MaxUnitsPerTick bounds how many work units one thread may complete in
-	// a single tick, a guard against zero-work programs. Default 10000.
-	MaxUnitsPerTick int
 }
 
 type coreState struct {
@@ -162,9 +170,7 @@ type Machine struct {
 
 	execTick int64 // index of the tick execute is processing (or last processed)
 
-	tickSec float64 // Seconds(cfg.TickLen), hoisted for integratePower
-	tickUS  float64 // float64(cfg.TickLen)
-	nLittle int     // plat.Clusters[Little].Cores, hoisted for cacheFactor
+	nLittle int // plat.Clusters[Little].Cores, hoisted for cacheFactor
 
 	// Power-integration memo: while a cluster's DVFS level, online-core
 	// count, and every core's busy time are identical to the previous
@@ -225,26 +231,12 @@ type Machine struct {
 // New creates a machine over the platform with both clusters at their
 // maximum frequency level and the default mask-balancing placer.
 func New(plat *hmp.Platform, cfg Config) *Machine {
-	if cfg.TickLen <= 0 {
-		cfg.TickLen = Millisecond
-	}
-	if cfg.MigrationPenaltySame <= 0 {
-		cfg.MigrationPenaltySame = 50 * Microsecond
-	}
-	if cfg.MigrationPenaltyCross <= 0 {
-		cfg.MigrationPenaltyCross = 300 * Microsecond
-	}
-	if cfg.MaxUnitsPerTick <= 0 {
-		cfg.MaxUnitsPerTick = 10000
-	}
 	balancer := NewMaskBalancer()
 	balancer.Prime(plat.TotalCores())
 	m := &Machine{plat: plat, cfg: cfg, placer: balancer}
 	if o, ok := cfg.Power.(OnlinePowerModel); ok {
 		m.opm = o
 	}
-	m.tickSec = Seconds(cfg.TickLen)
-	m.tickUS = float64(cfg.TickLen)
 	m.nLittle = plat.Clusters[hmp.Little].Cores
 	m.online = hmp.AllCPUs(plat)
 	m.allMask = m.online
@@ -272,9 +264,6 @@ func (m *Machine) Platform() *hmp.Platform { return m.plat }
 
 // Now returns the current simulated time.
 func (m *Machine) Now() Time { return m.now }
-
-// TickLen returns the machine's tick length.
-func (m *Machine) TickLen() Time { return m.cfg.TickLen }
 
 // SetPlacer installs the OS scheduler model.
 func (m *Machine) SetPlacer(p Placer) { m.placer = p }
@@ -703,7 +692,7 @@ func (m *Machine) RunUntilCached(t Time, jc *JumpCache) {
 			m.FastForwardCached(until, jc)
 			continue
 		}
-		if until >= m.now+steadyMinTicks*m.cfg.TickLen && m.RunSteady(until) {
+		if until >= m.now+steadyMinTicks*TickLen && m.RunSteady(until) {
 			if m.steady.edge {
 				m.steadySkip = 1
 			}
@@ -728,12 +717,11 @@ func (m *Machine) Step() {
 	for _, d := range m.daemons {
 		d.Tick(m)
 	}
-	m.now += m.cfg.TickLen
+	m.now += TickLen
 	m.ticks++
 }
 
 func (m *Machine) execute() {
-	tick := m.cfg.TickLen
 	m.execTick++
 	// Freeze the run queues for the duration of the tick: threads unblocked
 	// by a UnitDone callback mid-tick must not run until the next tick, and
@@ -748,13 +736,10 @@ func (m *Machine) execute() {
 	for i := range m.cores {
 		c := &m.cores[i]
 		c.tickUse = 0
-		avail := float64(tick)
+		avail := tickUS
 		// Manager overhead charged to this core steals capacity first.
 		if c.stolen > 0 {
-			steal := c.stolen
-			if steal > tick {
-				steal = tick
-			}
+			steal := min(c.stolen, TickLen)
 			c.stolen -= steal
 			avail -= float64(steal)
 			c.tickUse += float64(steal)
@@ -851,9 +836,9 @@ func (m *Machine) runThreadSlow(t *Thread, budget, speed float64) float64 {
 		t.workDone += t.remaining
 		t.remaining = 0
 		completions++
-		if completions > m.cfg.MaxUnitsPerTick {
+		if completions > maxUnitsPerTick {
 			panic(fmt.Sprintf("sim: thread %s/%d completed >%d units in one tick; zero-size work units?",
-				t.Proc.Name, t.Local, m.cfg.MaxUnitsPerTick))
+				t.Proc.Name, t.Local, maxUnitsPerTick))
 		}
 		m.makeBlocked(t) // program must hand out work to keep running
 		t.Proc.prog.UnitDone(t.Proc, t.Local)
@@ -905,7 +890,7 @@ func (m *Machine) integratePower() {
 			tu := m.cores[first+i].tickUse
 			if tu != last[i] {
 				last[i] = tu
-				busy[i] = tu / m.tickUS
+				busy[i] = tu / tickUS
 				changed = true
 			}
 		}
@@ -916,7 +901,7 @@ func (m *Machine) integratePower() {
 			} else {
 				p = m.cfg.Power.ClusterPower(k, m.levels[k], busy)
 			}
-			m.lastE[k] = p * m.tickSec
+			m.lastE[k] = p * tickSec
 			m.lastPW[k] = p
 			m.lastLevel[k] = m.levels[k]
 			m.lastOnline[k] = online
@@ -942,9 +927,9 @@ func (m *Machine) Migrate(t *Thread, cpu int) {
 	}
 	if t.core >= 0 {
 		if m.plat.ClusterOf(t.core) != m.plat.ClusterOf(cpu) {
-			t.penalty += m.cfg.MigrationPenaltyCross
+			t.penalty += migrationPenaltyCross
 		} else {
-			t.penalty += m.cfg.MigrationPenaltySame
+			t.penalty += migrationPenaltySame
 		}
 		t.migrations++
 	}

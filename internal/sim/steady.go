@@ -352,7 +352,7 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 	for i := range m.cores {
 		c := &m.cores[i]
 		stealT := p.charges[i]
-		if c.stolen != stealT || stealT >= m.cfg.TickLen {
+		if c.stolen != stealT || stealT >= TickLen {
 			// The steal/recharge cycle is a fixed point only when the
 			// pending balance equals the per-tick charge and execute can
 			// consume it whole with capacity left over.
@@ -367,7 +367,7 @@ func (m *Machine) SteadyUntil(limit Time) Time {
 			tu += sc.steal
 		}
 		if n > 0 {
-			avail := m.tickUS - sc.steal
+			avail := tickUS - sc.steal
 			share := avail / float64(n)
 			sc.share = share
 			cluster := c.cluster
@@ -457,8 +457,7 @@ func (m *Machine) settlePlacer(sp SteadyPlacer, until Time, cold bool) Time {
 // observable).
 func (m *Machine) RunSteady(until Time) bool {
 	p := &m.steady
-	tickLen := m.cfg.TickLen
-	n := int64((until - m.now + tickLen - 1) / tickLen) // RunUntil overshoots to the tick grid
+	n := int64((until - m.now + TickLen - 1) / TickLen) // RunUntil overshoots to the tick grid
 	if p.short(n) {
 		b := min(n, plainTicks)
 		k := m.tickerBound(b)
@@ -484,7 +483,7 @@ func (m *Machine) RunSteady(until Time) bool {
 		p.threads[i].t.lastRan = m.execTick
 	}
 	m.ticks += n
-	m.now += Time(n) * tickLen
+	m.now += Time(n) * TickLen
 	m.overhead += Time(n) * p.totalCharge
 	return true
 }

@@ -194,15 +194,6 @@ func (p *Process) SetAffinity(local int, mask hmp.CPUMask) {
 	p.m.updateMisplaced(t)
 }
 
-// AffinityAll resets every thread of the process to run anywhere.
-func (p *Process) AffinityAll() {
-	all := hmp.AllCPUs(p.m.plat)
-	for i := range p.Threads {
-		p.Threads[i].affinity = all
-		p.m.updateMisplaced(p.Threads[i])
-	}
-}
-
 // WorkDone sums the retired work units of all threads of the process.
 func (p *Process) WorkDone() float64 {
 	var sum float64

@@ -1,7 +1,7 @@
 // Package stats provides the small statistics and reporting toolkit the
 // experiment harness uses: geometric means for the figures' GM bars, labeled
-// time series for the behaviour graphs, aligned text tables, CSV rendering,
-// and a terminal line chart.
+// time series for the behaviour graphs, aligned text tables, and a terminal
+// line chart.
 package stats
 
 import (
@@ -48,22 +48,6 @@ type Series struct {
 func (s *Series) Add(x, y float64) {
 	s.X = append(s.X, x)
 	s.Y = append(s.Y, y)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.X) }
-
-// YMin and YMax return the Y range (0,0 when empty).
-func (s *Series) YRange() (lo, hi float64) {
-	if len(s.Y) == 0 {
-		return 0, 0
-	}
-	lo, hi = s.Y[0], s.Y[0]
-	for _, y := range s.Y[1:] {
-		lo = math.Min(lo, y)
-		hi = math.Max(hi, y)
-	}
-	return lo, hi
 }
 
 // Table is an aligned text table.
@@ -124,23 +108,6 @@ func F(v float64, prec int) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.*f", prec, v)
-}
-
-// CSV renders a header and float rows as comma-separated text.
-func CSV(header []string, rows [][]float64) string {
-	var b strings.Builder
-	b.WriteString(strings.Join(header, ","))
-	b.WriteByte('\n')
-	for _, row := range rows {
-		for i, v := range row {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%g", v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Chart renders series as a fixed-size ASCII line chart, the terminal

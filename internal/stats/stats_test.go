@@ -39,17 +39,8 @@ func TestSeries(t *testing.T) {
 	s.Add(0, 2)
 	s.Add(1, 4)
 	s.Add(2, 3)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	lo, hi := s.YRange()
-	if lo != 2 || hi != 4 {
-		t.Errorf("YRange = %v,%v", lo, hi)
-	}
-	var empty Series
-	lo, hi = empty.YRange()
-	if lo != 0 || hi != 0 {
-		t.Error("empty YRange should be 0,0")
+	if len(s.X) != 3 || len(s.Y) != 3 || s.X[2] != 2 || s.Y[1] != 4 {
+		t.Errorf("series after three Adds = %v, %v", s.X, s.Y)
 	}
 }
 
@@ -77,14 +68,6 @@ func TestF(t *testing.T) {
 	}
 	if F(math.NaN(), 2) != "n/a" {
 		t.Errorf("F(NaN) = %s", F(math.NaN(), 2))
-	}
-}
-
-func TestCSV(t *testing.T) {
-	out := CSV([]string{"a", "b"}, [][]float64{{1, 2}, {3.5, 4}})
-	want := "a,b\n1,2\n3.5,4\n"
-	if out != want {
-		t.Errorf("CSV = %q, want %q", out, want)
 	}
 }
 

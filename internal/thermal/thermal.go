@@ -182,7 +182,7 @@ func (s Spec) WithDefaults() Spec {
 // minTimeConstant is the smallest permitted per-node RC time constant
 // (with coupling folded in): C / (1/R + G) ≥ 10 ms. The model integrates
 // with one forward-Euler step per simulator tick, which is stable only
-// while the step is well under the time constant; ten default 1 ms ticks
+// while the step is well under the time constant; ten 1 ms ticks (sim.TickLen)
 // of headroom keeps divergent (sign-flipping, NaN-producing) networks out
 // by construction.
 const minTimeConstant = 0.010 // seconds
@@ -391,7 +391,7 @@ func (g *Governor) Tick(m *sim.Machine) {
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		watts[k] = m.LastTickPowerW(k)
 	}
-	g.model.Step(sim.Seconds(m.TickLen()), watts)
+	g.model.Step(sim.Seconds(sim.TickLen), watts)
 	g.ticks++
 	stepEdge := g.ticks%int64(g.spec.PeriodTicks) == 0
 
@@ -493,7 +493,7 @@ func (g *Governor) advance(m *sim.Machine, st *windowState, n int64) int64 {
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		watts[k] = m.LastTickPowerW(k)
 	}
-	dt := sim.Seconds(m.TickLen())
+	dt := sim.Seconds(sim.TickLen)
 	traced := m.Tracer() != nil
 	plat := m.Platform()
 	var minLv, maxLv, caps [hmp.NumClusters]int
@@ -536,7 +536,7 @@ func (g *Governor) advance(m *sim.Machine, st *windowState, n int64) int64 {
 				st.peak[k] = temp[k]
 			}
 		}
-		now += m.TickLen()
+		now += sim.TickLen
 	}
 	return n
 }

@@ -175,7 +175,7 @@ func (c *tripChecker) Tick(m *sim.Machine) {
 	if c.err != nil {
 		return
 	}
-	dt := sim.Seconds(m.TickLen())
+	dt := sim.Seconds(sim.TickLen)
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		slack := c.gov.Model().MaxStepC(k, m.LastTickPowerW(k), dt)
 		if t := c.gov.TempC(k); t > c.trip+slack {

@@ -167,16 +167,6 @@ func ByShort(short string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
-// ByName looks a benchmark up by its full PARSEC name.
-func ByName(name string) (Benchmark, bool) {
-	for _, b := range paper {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
-}
-
 // Shorts returns the sorted list of two-letter tags.
 func Shorts() []string {
 	var out []string

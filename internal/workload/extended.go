@@ -92,16 +92,3 @@ func Extended() []Benchmark {
 func AllExtended() []Benchmark {
 	return append(All(), Extended()...)
 }
-
-// ByShortExtended looks a benchmark up across both catalogs.
-func ByShortExtended(short string) (Benchmark, bool) {
-	if b, ok := ByShort(short); ok {
-		return b, true
-	}
-	for _, b := range Extended() {
-		if b.Short == short {
-			return b, true
-		}
-	}
-	return Benchmark{}, false
-}

@@ -23,15 +23,18 @@ func TestExtendedCatalog(t *testing.T) {
 	if len(seen) != 10 {
 		t.Fatalf("AllExtended = %d entries, want 10", len(seen))
 	}
-	if _, ok := workload.ByShortExtended("CA"); !ok {
-		t.Error("ByShortExtended(CA) failed")
+}
+
+// extended returns the extended-catalog benchmark with the given tag.
+func extended(t *testing.T, short string) workload.Benchmark {
+	t.Helper()
+	for _, b := range workload.Extended() {
+		if b.Short == short {
+			return b
+		}
 	}
-	if _, ok := workload.ByShortExtended("BL"); !ok {
-		t.Error("ByShortExtended must cover the paper set too")
-	}
-	if _, ok := workload.ByShortExtended("ZZ"); ok {
-		t.Error("ByShortExtended(ZZ) should fail")
-	}
+	t.Fatalf("no extended benchmark %s", short)
+	return workload.Benchmark{}
 }
 
 func TestExtendedBenchmarksRun(t *testing.T) {
@@ -56,7 +59,7 @@ func TestExtendedBenchmarksRun(t *testing.T) {
 }
 
 func TestCannealTraits(t *testing.T) {
-	b, _ := workload.ByShortExtended("CA")
+	b := extended(t, "CA")
 	prog := b.New(8)
 	if f := prog.SpeedFactor(0, hmp.Big); f > 1.2 {
 		t.Errorf("canneal big factor = %v, want memory-bound ≈1.1", f)
@@ -69,7 +72,7 @@ func TestCannealTraits(t *testing.T) {
 }
 
 func TestStreamclusterPhaseJumps(t *testing.T) {
-	b, _ := workload.ByShortExtended("SC")
+	b := extended(t, "SC")
 	dp := b.New(8).(*workload.DataParallel)
 	lo, hi := dp.Unit(0), dp.Unit(30)
 	if hi <= lo*1.5 {
@@ -79,7 +82,7 @@ func TestStreamclusterPhaseJumps(t *testing.T) {
 
 func TestExtendedPipelinesExposeHierarchy(t *testing.T) {
 	for _, short := range []string{"DE", "X2"} {
-		b, _ := workload.ByShortExtended(short)
+		b := extended(t, short)
 		prog := b.New(4)
 		g, ok := prog.(sim.ThreadGrouper)
 		if !ok {

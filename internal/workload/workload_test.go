@@ -199,27 +199,18 @@ func TestBenchmarkCatalog(t *testing.T) {
 	if _, ok := workload.ByShort("XX"); ok {
 		t.Error("ByShort(XX) should fail")
 	}
-	if _, ok := workload.ByName("ferret"); !ok {
-		t.Error("ByName(ferret) failed")
-	}
-	if _, ok := workload.ByName("nope"); ok {
-		t.Error("ByName(nope) should fail")
-	}
 	if got := workload.Shorts(); len(got) != 6 {
 		t.Errorf("Shorts = %v", got)
 	}
 }
 
-// TestLookupAllocatesNothing: ByShort and ByName read the catalogue built
-// once at package init; the scenario engine looks a benchmark up per
+// TestLookupAllocatesNothing: ByShort reads the catalogue built once at
+// package init; the scenario engine looks a benchmark up per
 // arrival. All hands out a copy, so a caller writing into it cannot
 // change later lookups.
 func TestLookupAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { workload.ByShort("FE") }); n != 0 {
 		t.Errorf("ByShort(FE) allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { workload.ByName("ferret") }); n != 0 {
-		t.Errorf("ByName(ferret) allocates %v times per call, want 0", n)
 	}
 	all := workload.All()
 	all[3].Short = "XX"
