@@ -41,10 +41,11 @@
 // cluster power — with hotplugged-off cores excluded from leakage via
 // sim.OnlinePowerModel — and a hysteretic Governor daemon lowers
 // sim.Machine.SetLevelCap as a cluster approaches its trip point and
-// releases the ceilings as it cools, emitting EvTemp/EvThrottle trace
-// events. Scenarios opt in with a "thermal" block; the "thermal"
-// experiments driver sweeps governor aggressiveness across managers. The
-// loop is deterministic (byte-identical replays) and, when disabled,
+// releases the ceilings as it cools; the scenario trace's "h" lines carry
+// its temperatures, ceilings and actuation counts. Scenarios opt in with a
+// "thermal" block; the "thermal" experiments driver sweeps governor
+// aggressiveness across managers. The loop is deterministic
+// (byte-identical replays) and, when disabled,
 // bit-for-bit invisible: property tests pin the trip-point ceiling, the
 // cap/temperature monotonicity, and the disabled-path golden digests.
 //
@@ -55,8 +56,7 @@
 // running unmodified while a fleet scheduler decides which node an
 // application lands on. internal/sim contributes the Node identity — a
 // named machine bundling its platform, power model, thermal governor, and
-// manager daemons, with node-tagged trace events (one sim.Tracer per
-// node) — and fleet.Fleet advances any number of Nodes on one
+// manager daemons — and fleet.Fleet advances any number of Nodes on one
 // deterministic clock. Advancement is event-driven: the fleet advances to
 // the earliest wake time its scheduler hooks report (fleet.Sleeper), and
 // each node in turn runs ahead to it through the windows its machine
@@ -82,8 +82,9 @@
 // first-class checkpointable identity (sim.ProcSnapshot — program state,
 // per-thread progress, heartbeat history, pending wakeups) that
 // Machine.Checkpoint captures and Machine.Restore continues on another
-// node, statistics continuous across the move (EvMigrateOut/EvMigrateIn
-// trace events). A configurable checkpoint-cost model (freeze time plus
+// node, statistics continuous across the move (the scenario trace's "a"
+// lines count each app's node moves). A configurable checkpoint-cost
+// model (freeze time plus
 // per-MB transfer delay, charged on the shared clock) prices each move;
 // managers re-attach to moved applications without state loss. A strict
 // placement cooldown makes consecutive-pass ping-pong impossible.
@@ -115,15 +116,17 @@
 // transient checkpoint-transfer failure probability, all expanded on the
 // shared clock as a pure function of the spec's seed. A crash kills the
 // node's processes without a clean exit (sim.Machine.Fail/Heal: cores dark,
-// power frozen, clock still in lockstep; EvNodeDown/EvNodeUp trace events);
+// power frozen, clock still in lockstep; "x" down and up trace lines);
 // the fleet scheduler detects it by heartbeat timeout, salvages the dead
 // node's applications from their last periodic background snapshot
 // (non-destructive sim.Machine.Snapshot every checkpoint_every_ms — work
 // lost per crash is bounded by the snapshot interval), and re-places them
 // on surviving nodes through the ordinary admission queue, degrading
 // gracefully to queueing when no capacity survives. Failed transfers retry
-// under capped exponential backoff with seeded jitter. Recoveries are
-// marked by EvRecover/"x" trace lines and counted per app
+// under capped exponential backoff with seeded jitter. A recovery restores
+// its snapshot as a migration restores its checkpoint
+// (sim.Machine.Restore); it is marked by an "x" recover trace line and
+// counted per app
 // (Recoveries/LostWorkUS); the slo-aware policy scores recovery placements
 // like any other move. Everything replays byte-identically, scenarios
 // without a "faults" block are bit-for-bit the pre-fault runs (golden
@@ -144,9 +147,7 @@
 // per-decision stream is opt-in ("decisions" scenario block,
 // -trace-decisions) and renders as "d," trace lines — scores in hex
 // floats so the stream is byte-stable, and byte-identical whether the
-// fleet runs lockstep or event-driven (a decision.TracerSink can also
-// feed the records to a sim.Tracer, whose CSV and Chrome exports then
-// gain decision/detail columns). With tracing disabled every golden
+// fleet runs lockstep or event-driven. With tracing disabled every golden
 // digest reproduces bit-for-bit.
 //
 // Because runs are deterministic, a recorded decision can be replayed

@@ -46,8 +46,11 @@ func TestKalmanSmootherThanLastValueOnNoise(t *testing.T) {
 	}
 }
 
+// TestKalmanTracksDrift feeds a 400-step ramp; at the filter's constants
+// the estimate ends about 0.095 below the ramp's last value, its
+// steady-state lag.
 func TestKalmanTracksDrift(t *testing.T) {
-	k := KalmanPredictor{Q: 1e-2, R: 1e-2}
+	var k KalmanPredictor
 	for i := 0; i < 400; i++ {
 		k.Observe(1.0 + float64(i)*0.01)
 	}

@@ -28,30 +28,22 @@ type WorkloadPredictor interface {
 //	x_{t+1} = x_t + w,  w ~ N(0, Q)       (workload drifts slowly)
 //	z_t     = x_t + v,  v ~ N(0, R)       (rates are noisy measurements)
 //
-// Q/R trades responsiveness against smoothing: larger Q tracks phase
-// changes faster, larger R suppresses heartbeat jitter.
+// Q/R (kalmanQ, kalmanR) trades responsiveness against smoothing: a larger
+// Q would track phase changes faster, a larger R suppress more heartbeat
+// jitter. The zero value is ready to use.
 type KalmanPredictor struct {
-	// Q is the process-noise variance; R the measurement-noise variance.
-	// Zero values select defaults (Q = 1e-4, R = 1e-2, relative to the
-	// first observation's magnitude).
-	Q, R float64
-
 	x      float64 // state estimate
 	p      float64 // estimate covariance
 	scale  float64 // magnitude normalization from the first observation
 	primed bool
 }
 
-func (k *KalmanPredictor) params() (q, r float64) {
-	q, r = k.Q, k.R
-	if q <= 0 {
-		q = 1e-4
-	}
-	if r <= 0 {
-		r = 1e-2
-	}
-	return q, r
-}
+// The filter's process-noise (Q) and measurement-noise (R) variances,
+// relative to the square of the first observation's magnitude.
+const (
+	kalmanQ = 1e-4
+	kalmanR = 1e-2
+)
 
 // Observe implements WorkloadPredictor.
 func (k *KalmanPredictor) Observe(z float64) {
@@ -65,11 +57,10 @@ func (k *KalmanPredictor) Observe(z float64) {
 		k.primed = true
 		return
 	}
-	q, r := k.params()
-	// Normalize noise magnitudes to the signal scale so defaults behave
-	// across workloads of very different sizes.
-	q *= k.scale * k.scale
-	r *= k.scale * k.scale
+	// Normalize noise magnitudes to the signal scale so the constants
+	// behave across workloads of very different sizes.
+	q := kalmanQ * (k.scale * k.scale)
+	r := kalmanR * (k.scale * k.scale)
 	// Time update (random walk): x stays, covariance grows.
 	k.p += q
 	// Measurement update.

@@ -148,32 +148,6 @@ func AppendCandidates(b []byte, cands []Candidate) []byte {
 	return b
 }
 
-// FormatCandidates renders a candidate set as AppendCandidates does.
-func FormatCandidates(cands []Candidate) string {
-	return string(AppendCandidates(nil, cands))
-}
-
-// Detail renders the record's payload (everything but ID, time, and app)
-// as one space-free CSV-safe token sequence, the form sim.Tracer's gated
-// decision column carries.
-func (r Record) Detail() string {
-	from, to := r.From, r.Chosen
-	if from == "" {
-		from = "-"
-	}
-	if to == "" {
-		to = "-"
-	}
-	head := fmt.Sprintf("%s %s>%s %s margin=%x ", r.Kind, from, to, r.Outcome, r.Margin)
-	return string(AppendCandidates([]byte(head), r.Candidates))
-}
-
-// Event converts the record to a sim tracer event (EvDecision): the app in
-// Proc, the decision ID in Decision, and the rendered payload in Detail.
-func (r Record) Event() sim.Event {
-	return sim.Event{T: r.T, Kind: sim.EvDecision, Proc: r.App, Decision: r.ID, Detail: r.Detail()}
-}
-
 // Sink consumes decision records as the scheduler makes them. Sinks run on
 // the main simulation goroutine inside hook ticks; they must not mutate
 // scheduler or fleet state.
@@ -196,18 +170,9 @@ func Tee(sinks ...Sink) Sink {
 	})
 }
 
-// TracerSink forwards records to a sim.Tracer as EvDecision events,
-// subject to the tracer's own retention cap.
-type TracerSink struct {
-	Tr *sim.Tracer
-}
-
-// Decision implements Sink.
-func (s TracerSink) Decision(r Record) { s.Tr.Record(r.Event()) }
-
 // Log is a bounded in-memory Sink: records beyond Max are counted and
-// dropped, mirroring sim.Tracer's retention discipline (a backed-up queue
-// can generate one failed pick per app per tick).
+// dropped, so a backed-up queue, which can generate one failed pick per app
+// per tick, cannot grow it without bound.
 type Log struct {
 	// Max bounds retained records; 0 selects 100,000.
 	Max int

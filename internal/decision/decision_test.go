@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestKindString(t *testing.T) {
@@ -30,13 +28,13 @@ func TestFormatCandidates(t *testing.T) {
 		{Node: "node1", Score: math.Inf(-1), Reason: ReasonDown},
 		{Node: "node2", Score: 0},
 	}
-	got := FormatCandidates(cands)
+	got := string(AppendCandidates(nil, cands))
 	want := "node0:0x1.8p+00|node1:-Inf:down|node2:0x0p+00"
 	if got != want {
-		t.Fatalf("FormatCandidates = %q, want %q", got, want)
+		t.Fatalf("AppendCandidates = %q, want %q", got, want)
 	}
-	if FormatCandidates(nil) != "" {
-		t.Fatalf("FormatCandidates(nil) = %q, want empty", FormatCandidates(nil))
+	if got := AppendCandidates(nil, nil); len(got) != 0 {
+		t.Fatalf("AppendCandidates(nil, nil) = %q, want empty", got)
 	}
 }
 
@@ -45,17 +43,17 @@ func TestFormatCandidates(t *testing.T) {
 func TestFormatCandidatesByteStable(t *testing.T) {
 	a := []Candidate{{Node: "n", Score: 0.1}}
 	b := []Candidate{{Node: "n", Score: math.Nextafter(0.1, 1)}}
-	if FormatCandidates(a) != FormatCandidates(a) {
+	render := func(c []Candidate) string { return string(AppendCandidates(nil, c)) }
+	if render(a) != render(a) {
 		t.Fatal("same input rendered differently")
 	}
-	if s1, s2 := FormatCandidates(a), FormatCandidates(b); s1 == s2 {
+	if s1, s2 := render(a), render(b); s1 == s2 {
 		t.Fatalf("adjacent floats rendered identically: %q", s1)
 	}
 }
 
-// fmtCandidates and fmtDetail are FormatCandidates and Record.Detail as
-// they were written on fmt: the references the append encoders must match
-// byte for byte.
+// fmtCandidates is the candidate encoding written on fmt: the reference
+// AppendCandidates must match byte for byte.
 func fmtCandidates(cands []Candidate) string {
 	var b strings.Builder
 	for i, c := range cands {
@@ -69,18 +67,6 @@ func fmtCandidates(cands []Candidate) string {
 		}
 	}
 	return b.String()
-}
-
-func fmtDetail(r Record) string {
-	from, to := r.From, r.Chosen
-	if from == "" {
-		from = "-"
-	}
-	if to == "" {
-		to = "-"
-	}
-	return fmt.Sprintf("%s %s>%s %s margin=%x %s",
-		r.Kind, from, to, r.Outcome, r.Margin, fmtCandidates(r.Candidates))
 }
 
 func TestAppendCandidatesMatchesFmt(t *testing.T) {
@@ -99,47 +85,11 @@ func TestAppendCandidatesMatchesFmt(t *testing.T) {
 			{Node: "h", Score: math.Inf(-1), Reason: ReasonDown},
 		},
 	}
-	margins := []float64{0, math.Copysign(0, -1), 0.5, math.Inf(1), math.NaN()}
 	for i, cands := range sets {
 		want := fmtCandidates(cands)
-		if got := FormatCandidates(cands); got != want {
-			t.Errorf("set %d: FormatCandidates = %q, want %q", i, got, want)
-		}
 		if got := string(AppendCandidates([]byte("d,"), cands)); got != "d,"+want {
 			t.Errorf("set %d: AppendCandidates = %q, want %q", i, got, "d,"+want)
 		}
-		for _, mg := range margins {
-			r := Record{Kind: Gated, App: "app", From: "n0", Outcome: OutcomeHeld, Margin: mg, Candidates: cands}
-			if i%2 == 0 {
-				r.From, r.Chosen = "", "n1"
-			}
-			if got, want := r.Detail(), fmtDetail(r); got != want {
-				t.Errorf("set %d margin %v: Detail = %q, want %q", i, mg, got, want)
-			}
-		}
-	}
-}
-
-func TestRecordDetailAndEvent(t *testing.T) {
-	r := Record{
-		ID: 7, T: 5 * sim.Millisecond, Kind: Migrate, App: "app0",
-		From: "node0", Chosen: "node1", Outcome: OutcomeMoved, Margin: 0.5,
-		Candidates: []Candidate{{Node: "node1", Score: 2}},
-	}
-	d := r.Detail()
-	want := "migrate node0>node1 moved margin=0x1p-01 node1:0x1p+01"
-	if d != want {
-		t.Fatalf("Detail = %q, want %q", d, want)
-	}
-	ev := r.Event()
-	if ev.Kind != sim.EvDecision || ev.Proc != "app0" || ev.Decision != 7 || ev.T != r.T || ev.Detail != d {
-		t.Fatalf("Event = %+v", ev)
-	}
-
-	// Empty from/to render as "-" so the token count is fixed.
-	r2 := Record{Kind: Admit, App: "a", Outcome: OutcomeNoCandidate}
-	if got := r2.Detail(); !strings.HasPrefix(got, "admit ->- no-candidate") {
-		t.Fatalf("Detail = %q, want '-' placeholders", got)
 	}
 }
 
@@ -177,15 +127,6 @@ func TestLogDefaultCap(t *testing.T) {
 	}
 	if len(l.Records()) != 100_000 || l.Dropped() != 1 {
 		t.Fatalf("default cap: retained=%d dropped=%d", len(l.Records()), l.Dropped())
-	}
-}
-
-func TestTracerSink(t *testing.T) {
-	tr := &sim.Tracer{Max: 10}
-	TracerSink{Tr: tr}.Decision(Record{ID: 3, T: sim.Millisecond, Kind: Admit, App: "a", Chosen: "n", Outcome: OutcomePlaced})
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Kind != sim.EvDecision || evs[0].Decision != 3 {
-		t.Fatalf("tracer events = %+v", evs)
 	}
 }
 

@@ -331,28 +331,45 @@ func (c *stepCounter) SteadyBegin(*sim.Machine) (sim.SteadyEntry, bool) {
 	return sim.SteadyEntry{}, true
 }
 
-// TestSharedTracerMatchesLockstep covers traced fleets: a sim.Tracer
-// records one machine, so each node carries its own, and traced nodes run
-// the ordinary windows. A node that sleeps between short bursts, an idle
-// node, and a busy node that crashes and heals each record a trace; the
-// event core must give the lockstep reference's clocks, energy bits, and
-// every node's Events() sequence, and the idle node must have stepped
-// almost none of its ticks. The name predates per-node tracers.
-func TestSharedTracerMatchesLockstep(t *testing.T) {
+// nodeState renders what a node's run left behind: its clock and energy
+// bits, and for every process it has run, in spawn order, whether it
+// exited, the index and time of each beat, and each thread's migration count
+// and core.
+func nodeState(n *fleet.Node) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d energy=%x\n", n.Now(), math.Float64bits(n.EnergyJ()))
+	for _, p := range n.Procs() {
+		fmt.Fprintf(&b, "proc %s exited=%v\n", p.Name, p.Exited())
+		for _, r := range p.HB.Records() {
+			fmt.Fprintf(&b, "beat %d t=%d\n", r.Index, r.Time)
+		}
+		for _, th := range p.Threads {
+			fmt.Fprintf(&b, "thread %d migrations=%d core=%d\n", th.Local, th.Migrations(), th.Core())
+		}
+	}
+	return b.String()
+}
+
+// TestNodeStateMatchesLockstep runs three nodes through the event core and
+// the lockstep reference: a node that sleeps between short bursts (one of
+// its threads re-pinned to a big core halfway, so it migrates), an idle
+// node, and a busy node that crashes and heals. Each node must end with the
+// reference's state (nodeState: clock, energy bits, every beat, every
+// thread's migrations and core), and the idle node must have stepped
+// almost none of its ticks.
+func TestNodeStateMatchesLockstep(t *testing.T) {
 	type outcome struct {
 		now    sim.Time
-		energy []uint64
-		events [][]sim.Event
+		states []string
 		steps  int
+		busy   *sim.Process
+		healed bool
 	}
 	run := func(lockstep bool) outcome {
 		nodes := make([]*fleet.Node, 3)
-		tracers := make([]*sim.Tracer, len(nodes))
 		for i := range nodes {
 			plat := hmp.Default()
 			sn := sim.NewNode(i, string(rune('a'+i)), plat, sim.Config{Power: power.DefaultGroundTruth(plat)})
-			tracers[i] = &sim.Tracer{}
-			sn.SetTracer(tracers[i])
 			nodes[i] = &fleet.Node{Node: sn}
 		}
 		f, err := fleet.New(nodes...)
@@ -362,20 +379,20 @@ func TestSharedTracerMatchesLockstep(t *testing.T) {
 		f.SetLockstep(lockstep)
 		ctr := &stepCounter{}
 		nodes[1].AddDaemon(ctr)
-		nodes[0].Spawn("burst", &burster{period: 150 * sim.Millisecond}, 4)
+		burst := nodes[0].Spawn("burst", &burster{period: 150 * sim.Millisecond}, 4)
 		b, _ := workload.ByShort("SW")
-		nodes[2].Spawn("busy", b.New(4), 10)
+		busy := nodes[2].Spawn("busy", b.New(4), 10)
 
 		f.RunUntil(400 * sim.Millisecond)
 		nodes[2].Fail()
 		f.RunUntil(1200 * sim.Millisecond)
 		nodes[2].Heal()
+		burst.SetAffinity(0, hmp.MaskOf(4))
 		f.RunUntil(2 * sim.Second)
 
-		out := outcome{now: f.Now(), steps: ctr.n}
-		for i, n := range nodes {
-			out.energy = append(out.energy, math.Float64bits(n.EnergyJ()))
-			out.events = append(out.events, tracers[i].Events())
+		out := outcome{now: f.Now(), steps: ctr.n, busy: busy, healed: !nodes[2].Failed()}
+		for _, n := range nodes {
+			out.states = append(out.states, nodeState(n))
 		}
 		return out
 	}
@@ -384,29 +401,29 @@ func TestSharedTracerMatchesLockstep(t *testing.T) {
 	if got.now != ref.now {
 		t.Fatalf("clocks diverged: %d != %d", got.now, ref.now)
 	}
-	for i := range ref.energy {
-		if got.energy[i] != ref.energy[i] {
-			t.Fatalf("node %d energy bits diverged: %x != %x", i, got.energy[i], ref.energy[i])
+	for i := range ref.states {
+		if got.states[i] == ref.states[i] {
+			continue
 		}
-	}
-	kinds := map[sim.EventKind]bool{}
-	for n := range ref.events {
-		if len(got.events[n]) != len(ref.events[n]) {
-			t.Fatalf("node %d event counts diverged: %d != %d", n, len(got.events[n]), len(ref.events[n]))
-		}
-		for i, e := range ref.events[n] {
-			if got.events[n][i] != e {
-				t.Fatalf("node %d event %d diverged: %+v != %+v", n, i, got.events[n][i], e)
+		g, r := strings.Split(got.states[i], "\n"), strings.Split(ref.states[i], "\n")
+		for j := 0; j < min(len(g), len(r)); j++ {
+			if g[j] != r[j] {
+				t.Fatalf("node %d diverged at line %d: %q != %q", i, j, g[j], r[j])
 			}
-			kinds[e.Kind] = true
 		}
+		t.Fatalf("node %d state lengths diverged: %d != %d lines", i, len(g), len(r))
 	}
-	for _, k := range []sim.EventKind{sim.EvMigrate, sim.EvBeat, sim.EvNodeDown, sim.EvNodeUp} {
-		if !kinds[k] {
-			t.Fatalf("fixture emitted no %v event; the sequence check is weak", k)
-		}
+	all := strings.Join(ref.states, "")
+	if !strings.Contains(all, "beat ") {
+		t.Fatal("fixture beat no heartbeat; the state check is weak")
+	}
+	if strings.Count(all, "migrations=0 ") == strings.Count(all, "migrations=") {
+		t.Fatal("fixture migrated no thread; the state check is weak")
+	}
+	if !ref.busy.Exited() || !ref.healed {
+		t.Fatalf("busy node did not crash and heal (busy exited %v, healed %v)", ref.busy.Exited(), ref.healed)
 	}
 	if got.steps >= ref.steps/100 {
-		t.Fatalf("traced idle node stepped %d of %d ticks: its windows did not run", got.steps, ref.steps)
+		t.Fatalf("idle node stepped %d of %d ticks: its windows did not run", got.steps, ref.steps)
 	}
 }

@@ -1,8 +1,7 @@
-// Package linreg provides ordinary least-squares linear regression, the
-// fitting machinery behind HARS's power estimator. The paper constructs
-// per-cluster, per-frequency linear models P = α·(C_U·U_U) + β from profiled
-// power-sensor data; Fit1D performs exactly that fit, and FitMulti solves the
-// general multi-variate case via the normal equations.
+// Package linreg provides the one-variable ordinary least-squares fit behind
+// HARS's power estimator. The paper constructs per-cluster, per-frequency
+// linear models P = α·(C_U·U_U) + β from profiled power-sensor data; Fit1D
+// performs exactly that fit, and RSquared scores it.
 package linreg
 
 import (
@@ -12,7 +11,7 @@ import (
 )
 
 // ErrDegenerate is returned when the input does not determine a unique fit
-// (too few samples or collinear predictors).
+// (fewer than two samples, or every x equal).
 var ErrDegenerate = errors.New("linreg: degenerate system")
 
 // Fit1D fits y ≈ alpha*x + beta by ordinary least squares.
@@ -38,111 +37,6 @@ func Fit1D(xs, ys []float64) (alpha, beta float64, err error) {
 	alpha = (n*sxy - sx*sy) / den
 	beta = (sy - alpha*sx) / n
 	return alpha, beta, nil
-}
-
-// FitMulti fits y ≈ X·w (+ intercept if addIntercept) by least squares,
-// solving the normal equations XᵀX w = Xᵀy with Gaussian elimination and
-// partial pivoting. The returned weights have the intercept last when
-// requested.
-func FitMulti(x [][]float64, y []float64, addIntercept bool) ([]float64, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("linreg: mismatched rows %d and %d", len(x), len(y))
-	}
-	if len(x) == 0 {
-		return nil, ErrDegenerate
-	}
-	p := len(x[0])
-	for i, row := range x {
-		if len(row) != p {
-			return nil, fmt.Errorf("linreg: row %d has %d columns, want %d", i, len(row), p)
-		}
-	}
-	cols := p
-	if addIntercept {
-		cols++
-	}
-	if len(x) < cols {
-		return nil, ErrDegenerate
-	}
-	// Build XᵀX (cols×cols) and Xᵀy (cols).
-	xtx := make([][]float64, cols)
-	for i := range xtx {
-		xtx[i] = make([]float64, cols)
-	}
-	xty := make([]float64, cols)
-	feat := func(row []float64, j int) float64 {
-		if j < p {
-			return row[j]
-		}
-		return 1 // intercept column
-	}
-	for r := range x {
-		for i := 0; i < cols; i++ {
-			fi := feat(x[r], i)
-			xty[i] += fi * y[r]
-			for j := 0; j < cols; j++ {
-				xtx[i][j] += fi * feat(x[r], j)
-			}
-		}
-	}
-	w, err := SolveLinear(xtx, xty)
-	if err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// SolveLinear solves the square linear system A·x = b using Gaussian
-// elimination with partial pivoting. A and b are not modified.
-func SolveLinear(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	if n == 0 || len(b) != n {
-		return nil, ErrDegenerate
-	}
-	// Work on copies.
-	m := make([][]float64, n)
-	for i := range a {
-		if len(a[i]) != n {
-			return nil, fmt.Errorf("linreg: matrix row %d has %d columns, want %d", i, len(a[i]), n)
-		}
-		m[i] = append([]float64(nil), a[i]...)
-	}
-	x := append([]float64(nil), b...)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(m[piv][col]) < 1e-12 {
-			return nil, ErrDegenerate
-		}
-		m[col], m[piv] = m[piv], m[col]
-		x[col], x[piv] = x[piv], x[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for col := n - 1; col >= 0; col-- {
-		sum := x[col]
-		for c := col + 1; c < n; c++ {
-			sum -= m[col][c] * x[c]
-		}
-		x[col] = sum / m[col][col]
-	}
-	return x, nil
 }
 
 // RSquared returns the coefficient of determination of predictions yhat
@@ -172,6 +66,3 @@ func RSquared(y, yhat []float64) float64 {
 	}
 	return 1 - ssRes/ssTot
 }
-
-// Predict1D evaluates alpha*x + beta.
-func Predict1D(alpha, beta, x float64) float64 { return alpha*x + beta }

@@ -78,94 +78,6 @@ func TestFit1DRecoversPlantedLine(t *testing.T) {
 	}
 }
 
-func TestFitMultiExact(t *testing.T) {
-	// y = 2*x0 - 3*x1 + 5
-	var x [][]float64
-	var y []float64
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 50; i++ {
-		r := []float64{rng.Float64() * 4, rng.Float64() * 4}
-		x = append(x, r)
-		y = append(y, 2*r[0]-3*r[1]+5)
-	}
-	w, err := FitMulti(x, y, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w) != 3 {
-		t.Fatalf("w has %d entries, want 3", len(w))
-	}
-	if !almostEq(w[0], 2, 1e-8) || !almostEq(w[1], -3, 1e-8) || !almostEq(w[2], 5, 1e-8) {
-		t.Fatalf("w = %v, want [2 -3 5]", w)
-	}
-}
-
-func TestFitMultiNoIntercept(t *testing.T) {
-	x := [][]float64{{1}, {2}, {3}}
-	y := []float64{2, 4, 6}
-	w, err := FitMulti(x, y, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w) != 1 || !almostEq(w[0], 2, 1e-9) {
-		t.Fatalf("w = %v, want [2]", w)
-	}
-}
-
-func TestFitMultiDegenerate(t *testing.T) {
-	// Collinear predictors: x1 = 2*x0.
-	x := [][]float64{{1, 2}, {2, 4}, {3, 6}, {4, 8}}
-	y := []float64{1, 2, 3, 4}
-	if _, err := FitMulti(x, y, false); err == nil {
-		t.Error("collinear predictors should be degenerate")
-	}
-	if _, err := FitMulti(nil, nil, true); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := FitMulti([][]float64{{1}}, []float64{1, 2}, false); err == nil {
-		t.Error("mismatched rows should error")
-	}
-	if _, err := FitMulti([][]float64{{1}, {2, 3}}, []float64{1, 2}, false); err == nil {
-		t.Error("ragged rows should error")
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	a := [][]float64{
-		{2, 1, -1},
-		{-3, -1, 2},
-		{-2, 1, 2},
-	}
-	b := []float64{8, -11, -3}
-	x, err := SolveLinear(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if !almostEq(x[i], want[i], 1e-9) {
-			t.Fatalf("x = %v, want %v", x, want)
-		}
-	}
-	// Inputs must be untouched.
-	if a[0][0] != 2 || b[0] != 8 {
-		t.Error("SolveLinear modified its inputs")
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	a := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
-		t.Error("singular matrix should error")
-	}
-	if _, err := SolveLinear(nil, nil); err == nil {
-		t.Error("empty system should error")
-	}
-	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("non-square should error")
-	}
-}
-
 func TestRSquared(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
 	if r := RSquared(y, y); r != 1 {
@@ -183,11 +95,5 @@ func TestRSquared(t *testing.T) {
 	}
 	if r := RSquared([]float64{3, 3}, []float64{4, 4}); !math.IsInf(r, -1) {
 		t.Errorf("constant/miss R² = %v, want -Inf", r)
-	}
-}
-
-func TestPredict1D(t *testing.T) {
-	if Predict1D(2, 1, 3) != 7 {
-		t.Error("Predict1D wrong")
 	}
 }

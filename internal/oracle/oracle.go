@@ -33,21 +33,16 @@ type Options struct {
 	// Target is the performance target the chosen state must satisfy.
 	Target heartbeat.Target
 	// Warmup is simulated time discarded before measuring; it must cover
-	// any heartbeat-less startup phase of the application. Default 2 s.
+	// any heartbeat-less startup phase of the application. Required.
 	Warmup sim.Time
-	// Measure is the simulated measurement window per state. Default 3 s.
+	// Measure is the simulated measurement window per state. Required and
+	// positive: rate and power are averaged over it.
 	Measure sim.Time
 	// FreqStride coarsens FindStatic's frequency grids (1 = full grid).
 	FreqStride int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Warmup <= 0 {
-		o.Warmup = 2 * sim.Second
-	}
-	if o.Measure <= 0 {
-		o.Measure = 3 * sim.Second
-	}
 	if o.FreqStride < 1 {
 		o.FreqStride = 1
 	}

@@ -72,7 +72,10 @@
 //     repeating event behaves exactly like its occurrences written out by
 //     hand. Validation bounds the total expansion (100,000 occurrences).
 //   - thermal: the closed-loop block (see thermal.Spec for every field and
-//     default). With enabled=true the engine attaches an RC temperature
+//     default). It has no sample cadence of its own: "sample_every_ms"
+//     inside it is an unknown field and fails to decode (the top-level
+//     sample_every_ms is the trace cadence). With enabled=true the engine
+//     attaches an RC temperature
 //     model fed by the machine's per-tick cluster power and a hysteretic
 //     governor daemon that lowers SetLevelCap as a cluster approaches
 //     trip_c and releases the ceilings as it cools below release_c; the
@@ -179,9 +182,9 @@
 // on consecutive passes. The move checkpoints the application's run state
 // — program-internal state, per-thread progress, heartbeat history,
 // pending wakeups (sim.ProcSnapshot) — and restores it on the destination
-// with statistics continuous across nodes (EvMigrateOut/EvMigrateIn
-// machine-trace events mark the two sides; AppResult.NodeMigrations
-// counts the moves). The "checkpoint" block prices the move: the app
+// with statistics continuous across nodes (the last column of each "a"
+// line and AppResult.NodeMigrations count the moves). The "checkpoint"
+// block prices the move: the app
 // stays frozen for freeze_us + per_mb_us × size_mb on the shared clock
 // before resuming (AppResult.MigrationDelayUS totals the frozen time); a
 // missing or all-zero block is a free move, bit-for-bit identical to no
@@ -262,9 +265,9 @@
 // and the winner's score margin over the runner-up. Scores and margins
 // render as hexadecimal floats, so the lines are byte-stable and exact.
 // The same records land in Result.DecisionRecords (bounded by "keep",
-// default 100,000; overflow counted in Result.DecisionsDropped). The
-// scenario attaches no sim.Tracer; the "d" lines are its only per-decision
-// output. Options.TraceDecisions arms the stream from
+// default 100,000; overflow counted in Result.DecisionsDropped); the "d"
+// lines and those records are the only per-decision output.
+// Options.TraceDecisions arms the stream from
 // the command line (hars-scenario -trace-decisions) without touching the
 // document. With the block absent or disabled (and the flag off) the trace
 // is bit-for-bit the undecorated run — every golden digest reproduces

@@ -920,11 +920,7 @@ func (e *engine) Admit(n *fleet.Node, app *fleet.App) fleet.AdmitResult {
 			return fleet.AdmitTransferFailed
 		}
 		start = max(a.ckptAt+e.ckptCost.Delay(), start)
-		restore := nr.m.Restore
-		if app.Recovering() {
-			restore = nr.m.Recover // the trace records it as a recovery
-		}
-		a.proc = restore(a.ckpt, start)
+		a.proc = nr.m.Restore(a.ckpt, start)
 		// Track the restored program object: identical to a.prog for a
 		// migration (Checkpoint moves the live object into the snapshot),
 		// but a crash recovery restores a clone — scripted phase events must

@@ -147,9 +147,6 @@ func (m *Machine) Checkpoint(p *Process) *ProcSnapshot {
 		m.timers.entries = kept
 		heap.Init(&m.timers)
 	}
-	if m.tracer != nil {
-		m.emit(Event{T: m.now, Kind: EvMigrateOut, Proc: p.Name})
-	}
 	m.Kill(p)
 	return snap
 }
@@ -222,19 +219,10 @@ func (m *Machine) capture(p *Process, prog Program, hb *heartbeat.Monitor) *Proc
 // until resumeAt (clamped to now): runnable threads and wakeups due
 // earlier are delivered at resumeAt, later wakeups fire on time. The
 // program's Start hook is NOT invoked — the snapshot already holds the
-// started state.
+// started state. A work-conserving move (a Checkpoint's snapshot) and a
+// crash recovery (a background Snapshot taken before the crash) restore
+// alike.
 func (m *Machine) Restore(snap *ProcSnapshot, resumeAt Time) *Process {
-	return m.restore(snap, resumeAt, EvMigrateIn)
-}
-
-// Recover is Restore for crash recovery: identical semantics, but the trace
-// records an EvRecover event so replays distinguish a fault-driven
-// re-placement from an ordinary work-conserving move.
-func (m *Machine) Recover(snap *ProcSnapshot, resumeAt Time) *Process {
-	return m.restore(snap, resumeAt, EvRecover)
-}
-
-func (m *Machine) restore(snap *ProcSnapshot, resumeAt Time, kind EventKind) *Process {
 	if m.inExec {
 		panic("sim: Restore called during execute")
 	}
@@ -265,9 +253,6 @@ func (m *Machine) restore(snap *ProcSnapshot, resumeAt Time, kind EventKind) *Pr
 			at = resumeAt
 		}
 		m.timers.push(timerEntry{at: at, proc: p, local: w.Local, units: w.Units})
-	}
-	if m.tracer != nil {
-		m.emit(Event{T: m.now, Kind: kind, Proc: p.Name, Until: resumeAt})
 	}
 	return p
 }

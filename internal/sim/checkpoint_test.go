@@ -134,39 +134,3 @@ func TestCheckpointMovesWakeups(t *testing.T) {
 		t.Fatal("dead source incarnation executed after the move")
 	}
 }
-
-// TestCheckpointTraceEvents pins the migrate_out/migrate_in event pair.
-func TestCheckpointTraceEvents(t *testing.T) {
-	b, _ := workload.ByShort("SW")
-	m1 := newTestMachine()
-	tr1 := &sim.Tracer{}
-	m1.SetTracer(tr1)
-	p1 := m1.Spawn("app", b.New(4), 10)
-	m1.Run(100 * sim.Millisecond)
-	snap := m1.Checkpoint(p1)
-
-	m2 := newTestMachine()
-	tr2 := &sim.Tracer{}
-	m2.SetTracer(tr2)
-	m2.RunUntil(100 * sim.Millisecond)
-	resume := m2.Now() + 42*sim.Millisecond
-	m2.Restore(snap, resume)
-
-	var out, in *sim.Event
-	for i := range tr1.Events() {
-		if tr1.Events()[i].Kind == sim.EvMigrateOut {
-			out = &tr1.Events()[i]
-		}
-	}
-	for i := range tr2.Events() {
-		if tr2.Events()[i].Kind == sim.EvMigrateIn {
-			in = &tr2.Events()[i]
-		}
-	}
-	if out == nil || out.Proc != "app" {
-		t.Fatalf("no migrate_out event: %+v", out)
-	}
-	if in == nil || in.Proc != "app" || in.Until != resume {
-		t.Fatalf("bad migrate_in event: %+v", in)
-	}
-}

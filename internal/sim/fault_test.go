@@ -159,46 +159,3 @@ func TestProcSnapshotCloneIndependent(t *testing.T) {
 		t.Fatal("clone failed to restore after the original was consumed")
 	}
 }
-
-// TestFaultTraceEvents pins the fault trace vocabulary: Fail/Heal emit
-// node_down/node_up and Recover emits recover (not migrate_in) with the
-// resume time.
-func TestFaultTraceEvents(t *testing.T) {
-	b, _ := workload.ByShort("SW")
-	m := newTestMachine()
-	tr := &sim.Tracer{}
-	m.SetTracer(tr)
-	p := m.Spawn("app", b.New(4), 10)
-	m.Run(sim.Second)
-	snap, ok := m.Snapshot(p)
-	if !ok {
-		t.Fatal("SW program not snapshottable")
-	}
-	m.Fail()
-	m.RunUntil(m.Now() + 500*sim.Millisecond)
-	m.Heal()
-	resume := m.Now() + 42*sim.Millisecond
-	m.Recover(snap, resume)
-
-	var down, up, rec *sim.Event
-	evs := tr.Events()
-	for i := range evs {
-		switch evs[i].Kind {
-		case sim.EvNodeDown:
-			down = &evs[i]
-		case sim.EvNodeUp:
-			up = &evs[i]
-		case sim.EvRecover:
-			rec = &evs[i]
-		}
-	}
-	if down == nil || up == nil {
-		t.Fatalf("missing node_down/node_up events: %v/%v", down, up)
-	}
-	if up.T-down.T != 500*sim.Millisecond {
-		t.Fatalf("outage spanned %d, want 500 ms", up.T-down.T)
-	}
-	if rec == nil || rec.Proc != "app" || rec.Until != resume {
-		t.Fatalf("bad recover event: %+v", rec)
-	}
-}

@@ -195,28 +195,3 @@ func TestChargeOverheadRedirectsFromOfflineCore(t *testing.T) {
 		t.Fatal("overhead not redirected to the first online core")
 	}
 }
-
-// TestHotplugTraceEvents checks the tracer records hotplug and cap events.
-func TestHotplugTraceEvents(t *testing.T) {
-	plat := hmp.Default()
-	m := sim.New(plat, sim.Config{})
-	tr := &sim.Tracer{}
-	m.SetTracer(tr)
-	m.SetCoreOnline(5, false)
-	m.SetLevelCap(hmp.Big, 3)
-	m.SetCoreOnline(5, true)
-	var hot, cap, dvfs int
-	for _, e := range tr.Events() {
-		switch e.Kind {
-		case sim.EvHotplug:
-			hot++
-		case sim.EvCap:
-			cap++
-		case sim.EvDVFS:
-			dvfs++
-		}
-	}
-	if hot != 2 || cap != 1 || dvfs != 1 {
-		t.Fatalf("hotplug/cap/dvfs events = %d/%d/%d, want 2/1/1", hot, cap, dvfs)
-	}
-}

@@ -15,28 +15,14 @@ import "repro/internal/hmp"
 type Node struct {
 	// ID is the node's index within its fleet (0 for a standalone node).
 	ID int
-	// Name is the node's fleet-unique name, stamped onto trace events.
+	// Name is the node's fleet-unique name, the one the fleet scheduler's
+	// decisions and the scenario trace's node lines use.
 	Name string
 
 	*Machine
 }
 
-// NewNode creates a named machine over its own platform description. Every
-// event the machine emits is stamped with the node name, so the per-node
-// streams of a fleet stay attributable when combined.
+// NewNode creates a named machine over its own platform description.
 func NewNode(id int, name string, plat *hmp.Platform, cfg Config) *Node {
-	n := &Node{ID: id, Name: name, Machine: New(plat, cfg)}
-	n.Machine.nodeName = name
-	return n
-}
-
-// SetTracer attaches a tracer to the node's machine and tags it with the
-// node name, the fallback for daemon-recorded events that do not stamp a
-// node themselves (machine-originated events carry the name regardless).
-// One tracer records one node: give each node of a fleet its own.
-func (n *Node) SetTracer(tr *Tracer) {
-	if tr != nil {
-		tr.Node = n.Name
-	}
-	n.Machine.SetTracer(tr)
+	return &Node{ID: id, Name: name, Machine: New(plat, cfg)}
 }

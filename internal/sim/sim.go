@@ -219,13 +219,6 @@ type Machine struct {
 	windowID            int64
 	jumpTicks, jumpCost int64
 	steps, windows      int64
-
-	tracer *Tracer
-	// nodeName is the machine's fleet identity (set by NewNode, "" for a
-	// standalone machine), stamped onto every event the machine emits, so
-	// its events carry the node even through a tracer attached with
-	// Machine.SetTracer, which sets no tracer-level tag.
-	nodeName string
 }
 
 // New creates a machine over the platform with both clusters at their
@@ -295,12 +288,6 @@ func (m *Machine) SetLevel(k hmp.ClusterKind, level int) {
 	if level > m.caps[k] {
 		level = m.caps[k]
 	}
-	if m.tracer != nil && level != m.levels[k] {
-		m.emit(Event{
-			T: m.now, Kind: EvDVFS, Cluster: k, Level: level,
-			KHz: m.plat.Clusters[k].KHz(level),
-		})
-	}
 	m.levels[k] = level
 }
 
@@ -313,12 +300,6 @@ func (m *Machine) Level(k hmp.ClusterKind) int { return m.levels[k] }
 // ceiling until it is raised again (restore with the cluster's MaxLevel).
 func (m *Machine) SetLevelCap(k hmp.ClusterKind, cap int) {
 	cap = m.plat.Clusters[k].ClampLevel(cap)
-	if m.tracer != nil && cap != m.caps[k] {
-		m.emit(Event{
-			T: m.now, Kind: EvCap, Cluster: k, Level: cap,
-			KHz: m.plat.Clusters[k].KHz(cap),
-		})
-	}
 	m.caps[k] = cap
 	if m.levels[k] > cap {
 		m.SetLevel(k, cap)
@@ -360,9 +341,6 @@ func (m *Machine) SetCoreOnline(cpu int, online bool) {
 		if m.preFailOnline.Has(cpu) == online {
 			return
 		}
-		if m.tracer != nil {
-			m.emit(Event{T: m.now, Kind: EvHotplug, CPU: cpu, Online: online})
-		}
 		if online {
 			m.preFailOnline = m.preFailOnline.Set(cpu)
 		} else {
@@ -372,9 +350,6 @@ func (m *Machine) SetCoreOnline(cpu int, online bool) {
 	}
 	if m.online.Has(cpu) == online {
 		return
-	}
-	if m.tracer != nil {
-		m.emit(Event{T: m.now, Kind: EvHotplug, CPU: cpu, Online: online})
 	}
 	if online {
 		m.online = m.online.Set(cpu)
@@ -401,9 +376,6 @@ func (m *Machine) Fail() {
 	}
 	if m.failed {
 		return
-	}
-	if m.tracer != nil {
-		m.emit(Event{T: m.now, Kind: EvNodeDown})
 	}
 	m.failed = true
 	for _, p := range m.procs {
@@ -439,9 +411,6 @@ func (m *Machine) Heal() {
 	m.failed = false
 	m.online = m.preFailOnline
 	m.preFailOnline = 0
-	if m.tracer != nil {
-		m.emit(Event{T: m.now, Kind: EvNodeUp})
-	}
 }
 
 // Failed reports whether the machine is crashed (Fail without Heal).
@@ -932,12 +901,6 @@ func (m *Machine) Migrate(t *Thread, cpu int) {
 			t.penalty += migrationPenaltySame
 		}
 		t.migrations++
-	}
-	if m.tracer != nil {
-		m.emit(Event{
-			T: m.now, Kind: EvMigrate, Proc: t.Proc.Name, Thread: t.Local,
-			From: t.core, To: cpu,
-		})
 	}
 	if t.queued {
 		m.cores[t.core].run = removeID(m.cores[t.core].run, int32(t.Global))

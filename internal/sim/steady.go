@@ -15,8 +15,8 @@ import (
 // clock and the energy sums move. SteadyUntil certifies a window in which
 // that repetition is provable; RunSteady executes it in one jump, and
 // FastForwardCached executes an empty one. The jump skips the runnable
-// scan, placer dispatch, daemon walk, and trace checks that are provably
-// no-ops, bounds the window at the first tick on which a unit would
+// scan, placer dispatch and daemon walk, which are provably no-ops,
+// bounds the window at the first tick on which a unit would
 // complete or a ticker would act, and gives each float accumulator its
 // value after n ticks from its bit pattern (see accum.go), at a cost of a
 // few real additions per binade the accumulator crosses instead of one per
@@ -179,8 +179,8 @@ const (
 
 // primeSteady sizes the reusable window plan for the machine's current
 // core, daemon, and thread population so that certification inside the hot
-// loop never allocates. New, AddDaemon, and newProcess (so Spawn, Restore
-// and Recover) call it from the cold construction paths. The plan's thread
+// loop never allocates. New, AddDaemon, and newProcess (so Spawn and
+// Restore) call it from the cold construction paths. The plan's thread
 // rows hold runnable threads only, so they are sized for the live
 // processes' threads: m.threads also keeps every exited process's threads,
 // and sizing for those would reallocate the rows at each arrival on a node

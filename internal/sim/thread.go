@@ -162,9 +162,6 @@ func (p *Process) Blocked(local int) bool { return p.Threads[local].blocked }
 
 // Beat emits an application heartbeat at the current simulated time.
 func (p *Process) Beat() heartbeat.Record {
-	if p.m.tracer != nil {
-		p.m.emit(Event{T: p.m.Now(), Kind: EvBeat, Proc: p.Name})
-	}
 	return p.HB.Beat(p.m.Now())
 }
 

@@ -17,7 +17,7 @@ func FuzzDecodeSpec(f *testing.F) {
 	f.Add([]byte(`{"enabled":true}`))
 	f.Add([]byte(`{"enabled":true,"ambient_c":20,"trip_c":85,"throttle_c":78,"release_c":70,"min_level":1}`))
 	f.Add([]byte(`{"enabled":false,"big":{"capacitance_j_per_k":2.5,"resistance_k_per_w":7},"little":{"capacitance_j_per_k":1,"resistance_k_per_w":12}}`))
-	f.Add([]byte(`{"enabled":true,"coupling_w_per_k":0.08,"period_ticks":50,"sample_every_ms":250,"init_c":40}`))
+	f.Add([]byte(`{"enabled":true,"coupling_w_per_k":0.08,"period_ticks":50,"init_c":40}`))
 	f.Add([]byte(`{"trip_c":-5}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))

@@ -43,11 +43,12 @@
 // Ceilings move through sim.Machine.SetLevelCap, the same knob scripted
 // thermal capping uses, so managers react through their existing
 // bounds-clamping paths (core.MachineBounds, mphars.ReconcilePlatform).
-// Every actuation emits an EvThrottle trace event carrying the triggering
-// temperature, and temperatures are sampled into EvTemp events on a fixed
-// cadence. The governor assumes it owns the ceilings; mixing it with
-// scripted dvfs_cap events is last-writer-wins (the scenario format rejects
-// the combination).
+// The governor counts its actuations (Trips, Throttles, Releases) and
+// tracks each cluster's peak temperature; hars-scenario reports both in its
+// summaries, and the scenario trace's "h" lines carry the temperatures,
+// ceilings and actuation counts at every sample. The governor assumes it
+// owns the ceilings; mixing it with scripted dvfs_cap events is
+// last-writer-wins (the scenario format rejects the combination).
 //
 // Spec is the JSON configuration block (embedded in scenario files under
 // "thermal"); DecodeSpec is its strict decoder. The zero Spec resolves to
@@ -76,7 +77,6 @@ const (
 	DefaultLittleC  = 0.5  // J/K
 	DefaultLittleR  = 20.0 // K/W
 	DefaultPeriodMS = 10   // graduated step cadence, in ticks (1 ms each)
-	DefaultSampleMS = 100  // EvTemp cadence
 )
 
 // ClusterRC are one cluster node's lumped thermal constants. Zero fields
@@ -91,7 +91,9 @@ type ClusterRC struct {
 // Spec is the thermal configuration block of a scenario: model constants,
 // governor thresholds, and the enable flag. The zero value (and any zero
 // field) resolves to the package defaults; WithDefaults returns the resolved
-// form.
+// form. The block has no temperature-sample cadence: "sample_every_ms"
+// inside it is an unknown field, which DecodeSpec and the scenario decoder
+// reject.
 type Spec struct {
 	// Enabled turns the closed loop on. A disabled spec is still validated,
 	// but no model or governor is attached — the run is bit-for-bit the
@@ -121,8 +123,6 @@ type Spec struct {
 	// PeriodTicks is the graduated step cadence in simulator ticks
 	// (default 10). The trip clamp ignores it and fires every tick.
 	PeriodTicks int `json:"period_ticks,omitempty"`
-	// SampleEveryMS is the EvTemp trace cadence (default 100).
-	SampleEveryMS int64 `json:"sample_every_ms,omitempty"`
 
 	// CouplingWPerK is the inter-cluster coupling conductance G in W/K
 	// (default 0: thermally isolated clusters).
@@ -153,9 +153,6 @@ func (s Spec) WithDefaults() Spec {
 	}
 	if s.PeriodTicks == 0 {
 		s.PeriodTicks = DefaultPeriodMS
-	}
-	if s.SampleEveryMS == 0 {
-		s.SampleEveryMS = DefaultSampleMS
 	}
 	big := ClusterRC{CapacitanceJPerK: DefaultBigC, ResistanceKPerW: DefaultBigR}
 	if s.Big != nil {
@@ -218,9 +215,6 @@ func (s Spec) Validate() error {
 	}
 	if r.PeriodTicks < 0 {
 		return fmt.Errorf("thermal: negative period_ticks %d", r.PeriodTicks)
-	}
-	if r.SampleEveryMS < 0 {
-		return fmt.Errorf("thermal: negative sample_every_ms %d", r.SampleEveryMS)
 	}
 	if r.CouplingWPerK < 0 {
 		return fmt.Errorf("thermal: negative coupling_w_per_k %v", r.CouplingWPerK)
@@ -317,9 +311,7 @@ type Governor struct {
 	model *Model
 	spec  Spec // default-resolved
 
-	sampleEvery sim.Time
-	nextSample  sim.Time
-	ticks       int64
+	ticks int64
 
 	trips     int
 	throttles int
@@ -334,12 +326,11 @@ type Governor struct {
 }
 
 // windowState is the governor state a certified window advances: the RC
-// temperatures, the peaks, the tick counter and the sample clock.
+// temperatures, the peaks and the tick counter.
 type windowState struct {
-	temp       [hmp.NumClusters]float64
-	peak       [hmp.NumClusters]float64
-	ticks      int64
-	nextSample sim.Time
+	temp  [hmp.NumClusters]float64
+	peak  [hmp.NumClusters]float64
+	ticks int64
 }
 
 // NewGovernor validates the spec and builds a governor with a fresh model.
@@ -348,19 +339,15 @@ func NewGovernor(spec Spec) (*Governor, error) {
 		return nil, err
 	}
 	r := spec.WithDefaults()
-	g := &Governor{
-		model:       NewModel(r),
-		spec:        r,
-		sampleEvery: sim.Time(r.SampleEveryMS) * sim.Millisecond,
-	}
+	g := &Governor{model: NewModel(r), spec: r}
 	for k := range g.peak {
 		g.peak[k] = g.model.temp[k]
 	}
 	return g, nil
 }
 
-// Model returns the governor's thermal model (for observation; tests and
-// trace emitters read temperatures through it).
+// Model returns the governor's thermal model (for observation; tests read
+// temperatures through it).
 func (g *Governor) Model() *Model { return g.model }
 
 // TempC returns cluster k's current modeled temperature.
@@ -395,20 +382,6 @@ func (g *Governor) Tick(m *sim.Machine) {
 	g.ticks++
 	stepEdge := g.ticks%int64(g.spec.PeriodTicks) == 0
 
-	now := m.Now()
-	tr := m.Tracer()
-	if now >= g.nextSample {
-		if tr != nil {
-			for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
-				tr.Record(sim.Event{
-					T: now, Kind: sim.EvTemp, Cluster: k, TempC: g.model.TempC(k),
-					Node: m.NodeName(),
-				})
-			}
-		}
-		g.nextSample = now + g.sampleEvery
-	}
-
 	plat := m.Platform()
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		t := g.model.TempC(k)
@@ -424,18 +397,18 @@ func (g *Governor) Tick(m *sim.Machine) {
 		switch {
 		case t >= g.spec.TripC:
 			if cap > minLv {
-				g.setCap(m, tr, k, minLv, t)
+				m.SetLevelCap(k, minLv)
 				g.trips++
 				g.throttles++
 			}
 		case t >= g.spec.ThrottleC:
 			if stepEdge && cap > minLv {
-				g.setCap(m, tr, k, cap-1, t)
+				m.SetLevelCap(k, cap-1)
 				g.throttles++
 			}
 		case t <= g.spec.ReleaseC:
 			if stepEdge && cap < maxLv {
-				g.setCap(m, tr, k, cap+1, t)
+				m.SetLevelCap(k, cap+1)
 				g.releases++
 			}
 		}
@@ -444,9 +417,9 @@ func (g *Governor) Tick(m *sim.Machine) {
 
 // SteadyBegin implements sim.SteadyDaemon: the governor charges no overhead
 // and keeps purely internal per-tick state (the RC integrator, its tick
-// counter, the peak tracker, the sample clock), so inside a steady window —
-// where the machine certifies its per-cluster power constant — every Tick
-// that takes no action and emits nothing is internal-only. Whether a given
+// counter, the peak tracker), so inside a steady window — where the machine
+// certifies its per-cluster power constant — every Tick that moves no
+// ceiling is internal-only. Whether a given
 // tick qualifies depends on the evolving temperatures, so the decision
 // lives in the declared Ticker; SteadyBegin itself always accepts.
 func (g *Governor) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
@@ -455,10 +428,9 @@ func (g *Governor) SteadyBegin(m *sim.Machine) (sim.SteadyEntry, bool) {
 
 // SteadyBound implements sim.SteadyTicker: it loops the RC step over the
 // next n ticks (the exact IEEE operations Tick's model.Step performs) and
-// stops before the first tick whose Tick would not stay internal-only at
-// the resulting temperatures — an EvTemp sample due while a tracer
-// listens, a trip clamp, or a graduated step or release on a period edge —
-// so the actuation (or emission) happens on the general path. The state
+// stops before the first tick whose Tick would move a ceiling at the
+// resulting temperatures — a trip clamp, or a graduated step or release on
+// a period edge — so the actuation happens on the general path. The state
 // reached is kept for SteadyAdvance.
 func (g *Governor) SteadyBound(m *sim.Machine, n int64) int64 {
 	g.window = g.state()
@@ -475,26 +447,24 @@ func (g *Governor) SteadyAdvance(m *sim.Machine, n int64) {
 		st = g.state()
 		g.advance(m, &st, n)
 	}
-	g.model.temp, g.peak, g.ticks, g.nextSample = st.temp, st.peak, st.ticks, st.nextSample
+	g.model.temp, g.peak, g.ticks = st.temp, st.peak, st.ticks
 }
 
 // state returns the governor's current window state.
 func (g *Governor) state() windowState {
-	return windowState{temp: g.model.temp, peak: g.peak, ticks: g.ticks, nextSample: g.nextSample}
+	return windowState{temp: g.model.temp, peak: g.peak, ticks: g.ticks}
 }
 
 // advance runs up to n window ticks of Tick's internal effects on st, in
-// Tick's order — the model step, the tick count, the (tracerless) sample
-// clock and the peaks — and returns how many it ran: it stops before the
-// first tick that would act or emit. The machine is as it stands at the
-// window's start; the clock of tick j is that start plus j-1 ticks.
+// Tick's order — the model step, the tick count and the peaks — and
+// returns how many it ran: it stops before the first tick that would move a
+// ceiling. The machine is as it stands at the window's start.
 func (g *Governor) advance(m *sim.Machine, st *windowState, n int64) int64 {
 	var watts [hmp.NumClusters]float64
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		watts[k] = m.LastTickPowerW(k)
 	}
 	dt := sim.Seconds(sim.TickLen)
-	traced := m.Tracer() != nil
 	plat := m.Platform()
 	var minLv, maxLv, caps [hmp.NumClusters]int
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
@@ -502,12 +472,8 @@ func (g *Governor) advance(m *sim.Machine, st *windowState, n int64) int64 {
 		minLv[k] = min(g.spec.MinLevel, maxLv[k])
 		caps[k] = m.LevelCap(k)
 	}
-	now := m.Now()
 	for j := int64(0); j < n; j++ {
 		temp := g.model.stepped(st.temp, dt, watts)
-		if traced && now >= st.nextSample {
-			return j
-		}
 		stepEdge := (st.ticks+1)%int64(g.spec.PeriodTicks) == 0
 		for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 			t, cap := temp[k], caps[k]
@@ -528,26 +494,11 @@ func (g *Governor) advance(m *sim.Machine, st *windowState, n int64) int64 {
 		}
 		st.temp = temp
 		st.ticks++
-		if now >= st.nextSample {
-			st.nextSample = now + g.sampleEvery
-		}
 		for k := range st.peak {
 			if temp[k] > st.peak[k] {
 				st.peak[k] = temp[k]
 			}
 		}
-		now += sim.TickLen
 	}
 	return n
-}
-
-func (g *Governor) setCap(m *sim.Machine, tr *sim.Tracer, k hmp.ClusterKind, level int, tempC float64) {
-	m.SetLevelCap(k, level)
-	if tr != nil {
-		tr.Record(sim.Event{
-			T: m.Now(), Kind: sim.EvThrottle, Cluster: k, Level: level,
-			KHz: m.Platform().Clusters[k].KHz(level), TempC: tempC,
-			Node: m.NodeName(),
-		})
-	}
 }
