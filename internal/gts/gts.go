@@ -20,11 +20,18 @@
 // advances in the simulator's certified windows like a mask-balanced one.
 // Its Place keeps per-call state — the load averages and the count of
 // calls that times the migration pass — which its ticker advances over a
-// whole window at once. The ticker runs the load recurrences four threads
-// at a time, so their independent multiply-adds overlap, and checks for
-// the recurrences' fixed points once per migration period or 32-tick
-// chunk; the window ends before any tick whose Place would move a thread,
-// so every decision is the one per-tick stepping makes.
+// whole window at once. The ticker skips every settled thread, one whose
+// load a tick leaves unchanged and whose run flag the window keeps, and
+// advances the other loads in two groups that each add one constant term
+// after the window's first tick: the threads that run, and those that do
+// not, whose ticks are bare multiplies. Each group runs four threads at a
+// time, so their independent recurrences overlap, and checks for their
+// fixed points once per migration period or 32-tick chunk; the window ends
+// before any tick whose Place would move a thread, so every decision is
+// the one per-tick stepping makes. Place and Settled reach their no-op
+// verdicts from per-core minima before they look at a thread: the big
+// cores with room for an up-migration, and each cluster's lightest usable
+// queue.
 package gts
 
 import (
@@ -74,9 +81,10 @@ type Scheduler struct {
 	ticks  int
 	counts []int
 
-	// watch and lanes are window scratch: the runnable threads whose
-	// threshold move the window's frozen queue counts permit (see Settled),
-	// and every thread's recurrence for SteadyAdvance.
+	// watch and lanes are window scratch, both sized by Settled: the
+	// runnable threads whose threshold move the window's frozen queue
+	// counts permit and whose load can cross (see Settled), and every
+	// thread's recurrence for SteadyAdvance.
 	watch []lane
 	lanes []lane
 }
@@ -253,35 +261,63 @@ func leastLoaded(t *sim.Thread, counts []int, within hmp.CPUMask) int {
 // sweep. Hot little threads migrate up eagerly (piling two-deep onto the
 // big cores while the little cores idle — the paper's §4.1.1 observation),
 // but not past UpQueueLimit, which prevents ping-pong against the reluctant
-// little-ward idle balance under heavy overcommit.
+// little-ward idle balance under heavy overcommit. The pass keeps the big
+// cores with room under that limit (see room) up to date across its moves,
+// so a thread whose affinity misses every destination costs one mask test.
 func (g *Scheduler) migrationPass(m *sim.Machine, threads []*sim.Thread, counts []int, usable hmp.CPUMask) {
 	plat := m.Platform()
 	big := usable & hmp.ClusterMask(plat, hmp.Big)
 	little := usable & hmp.ClusterMask(plat, hmp.Little)
+	room := g.room(counts, big)
 	for _, t := range threads {
 		if !t.Runnable() || t.Core() < 0 {
 			continue
 		}
-		up := plat.ClusterOf(t.Core()) == hmp.Little
-		if !g.crosses(g.loads[t.Global], up) {
+		cur := t.Core()
+		up := plat.ClusterOf(cur) == hmp.Little
+		dest := destinations(up, little, room)
+		if t.Affinity()&dest == 0 || !g.crosses(g.loads[t.Global], up) {
 			continue
 		}
-		within := little
-		if up {
-			within = big
-		}
-		if t.Affinity()&within == 0 {
-			continue // no destination core: leastLoaded would find none
-		}
-		cpu := leastLoaded(t, counts, within)
-		if cpu < 0 || up && counts[cpu]+1 > g.UpQueueLimit {
-			continue
-		}
-		counts[t.Core()]--
+		cpu := leastLoaded(t, counts, dest)
+		counts[cur]--
 		m.Migrate(t, cpu)
 		counts[cpu]++
+		room = g.refit(g.refit(room, big, counts, cur), big, counts, cpu)
 	}
 	g.idleBalance(m, threads, counts, usable)
+}
+
+// room returns the cores an up-migration may land on under counts: the
+// usable big cores (big) whose queue stays within UpQueueLimit with one
+// more thread.
+func (g *Scheduler) room(counts []int, big hmp.CPUMask) hmp.CPUMask {
+	var room hmp.CPUMask
+	for cpu := range counts {
+		room = g.refit(room, big, counts, cpu)
+	}
+	return room
+}
+
+// refit returns room with cpu's membership recomputed from counts.
+func (g *Scheduler) refit(room, big hmp.CPUMask, counts []int, cpu int) hmp.CPUMask {
+	if big.Has(cpu) && counts[cpu]+1 <= g.UpQueueLimit {
+		return room.Set(cpu)
+	}
+	return room.Clear(cpu)
+}
+
+// destinations returns the cores the migration pass may move a crossing
+// thread to: room for a little thread (up), the usable little cores for a
+// big one. A thread whose affinity misses them does not move. Otherwise
+// leastLoaded over them picks the core the pass moves it to; for a little
+// thread that is the least loaded big core of its affinity, which has room
+// whenever any of them has.
+func destinations(up bool, little, room hmp.CPUMask) hmp.CPUMask {
+	if up {
+		return room
+	}
+	return little
 }
 
 // crosses reports whether a load is past its thread's migration threshold:
@@ -349,18 +385,21 @@ func (g *Scheduler) idleVictim(cpu int, threads []*sim.Thread, counts []int, usa
 }
 
 // balanceClusters does one intra-cluster load-balance sweep with
-// hysteresis. When every cluster is level (see level) no thread has a core
-// two lighter, so the sweep is skipped outright.
+// hysteresis. When every cluster is level (see floors) no thread has a core
+// two lighter, so the sweep is skipped outright. The sweep's moves only
+// drain queues at least two above their cluster's floor, so each floor
+// stays a lower bound on its cluster's usable queues throughout.
 func (g *Scheduler) balanceClusters(m *sim.Machine, threads []*sim.Thread, counts []int, usable hmp.CPUMask) {
 	plat := m.Platform()
-	if level(plat, counts, usable) {
+	lo, even := floors(plat, counts, usable)
+	if even {
 		return
 	}
 	for _, t := range threads {
 		if !t.Runnable() || t.Core() < 0 {
 			continue
 		}
-		if cur, best := t.Core(), balanceTarget(plat, t, counts, usable); best != cur {
+		if cur, best := t.Core(), balanceTarget(plat, t, counts, usable, &lo); best != cur {
 			counts[cur]--
 			counts[best]++
 			m.Migrate(t, best)
@@ -370,10 +409,15 @@ func (g *Scheduler) balanceClusters(m *sim.Machine, threads []*sim.Thread, count
 
 // balanceTarget returns the core of t's cluster the sweep moves t to: the
 // last permitted core that is two threads lighter than the best so far, or
-// t's own core when none is.
-func balanceTarget(plat *hmp.Platform, t *sim.Thread, counts []int, usable hmp.CPUMask) int {
+// t's own core when none is. lo bounds each cluster's usable queues from
+// below (see floors), so a thread at most one above its cluster's bound
+// stays without a scan.
+func balanceTarget(plat *hmp.Platform, t *sim.Thread, counts []int, usable hmp.CPUMask, lo *[hmp.NumClusters]int) int {
 	cur := t.Core()
 	k := plat.ClusterOf(cur)
+	if counts[cur]-1 <= lo[k] {
+		return cur
+	}
 	first := plat.FirstCPU(k)
 	mask := t.Affinity() & usable
 	best := cur
@@ -388,28 +432,29 @@ func balanceTarget(plat *hmp.Platform, t *sim.Thread, counts []int, usable hmp.C
 	return best
 }
 
-// level reports whether the intra-cluster sweep is certain to move nothing:
-// in every cluster the heaviest queue is within one thread of the lightest
-// usable core. Every core the sweep may choose is usable, so no thread then
-// finds one two lighter than its own.
-func level(plat *hmp.Platform, counts []int, usable hmp.CPUMask) bool {
+// floors returns each cluster's lightest usable queue (MaxInt for a
+// cluster with no usable core), and whether the intra-cluster sweep is
+// certain to move nothing: in every cluster the heaviest queue is within
+// one thread of that floor. Every core the sweep may choose is usable, so
+// no thread then finds one two lighter than its own.
+func floors(plat *hmp.Platform, counts []int, usable hmp.CPUMask) (lo [hmp.NumClusters]int, even bool) {
+	even = true
 	for k := hmp.ClusterKind(0); k < hmp.NumClusters; k++ {
 		first := plat.FirstCPU(k)
-		lo, hi := -1, 0
+		lo[k] = math.MaxInt
+		hi := 0
 		for cpu := first; cpu < first+plat.Clusters[k].Cores; cpu++ {
 			n := counts[cpu]
-			if n > hi {
-				hi = n
-			}
-			if usable.Has(cpu) && (lo < 0 || n < lo) {
-				lo = n
+			hi = max(hi, n)
+			if usable.Has(cpu) {
+				lo[k] = min(lo[k], n)
 			}
 		}
-		if lo >= 0 && hi-lo > 1 {
-			return false
+		if hi-lo[k] > 1 {
+			even = false
 		}
 	}
-	return true
+	return lo, even
 }
 
 // Settled implements sim.SteadyPlacer. Within a window the runnable set,
@@ -419,10 +464,13 @@ func level(plat *hmp.Platform, counts []int, usable hmp.CPUMask) bool {
 // runnable thread needs repair or when the idle balance or the
 // intra-cluster sweep would move one, each replayed read-only on the counts
 // Place would compute (with the machine's online mask, since Place reads
-// it afresh). A threshold move depends on the evolving load as well;
-// Settled records the runnable threads whose move the counts permit, and
-// the returned ticker (g itself) ends the window before the first
-// migration-pass tick at which one of them crosses its threshold. Settled
+// it afresh) through the rules Place applies (floors and balanceTarget,
+// room and destinations). A threshold move depends on the evolving load as
+// well; Settled records the runnable threads whose move the counts permit
+// and whose load can cross, and the returned ticker (g itself) ends the
+// window before the first migration-pass tick at which one of them crosses
+// its threshold. A settled lane (see settled) keeps its load for the whole
+// window, so it is watched only when that load already crosses. Settled
 // writes only its scratch: that watch list, with each thread's run flags
 // for the window (RanLastTick, and RunsInWindow, which the machine has
 // settled before it asks the placer).
@@ -433,7 +481,7 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 	}
 	if cap(g.watch) < len(threads) {
 		g.watch = make([]lane, 0, len(threads))
-		g.lanes = make([]lane, 0, len(threads))
+		g.lanes = make([]lane, len(threads))
 	}
 	usable := g.Allowed & m.OnlineMask()
 	counts, clean := g.queueCounts(m, threads, usable)
@@ -441,34 +489,25 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 		return nil, false // a runnable thread needs repair
 	}
 	plat := m.Platform()
-	// Under these counts a crossing little thread moves up exactly when a
-	// big core of its affinity has room under UpQueueLimit (the least
-	// loaded one then does), a crossing big thread exactly when a little
-	// core of its affinity is usable.
 	little := usable & hmp.ClusterMask(plat, hmp.Little)
-	var room hmp.CPUMask
-	for cpu, n := range counts {
-		if usable.Has(cpu) && plat.ClusterOf(cpu) == hmp.Big && n+1 <= g.UpQueueLimit {
-			room = room.Set(cpu)
-		}
-	}
-	even := level(plat, counts, usable)
+	room := g.room(counts, usable&hmp.ClusterMask(plat, hmp.Big))
+	lo, even := floors(plat, counts, usable)
+	d, gain := g.Decay, g.gain()
 	g.watch = g.watch[:0]
 	for _, t := range threads {
 		if !t.Runnable() {
 			continue
 		}
 		cur := t.Core()
-		if !even && balanceTarget(plat, t, counts, usable) != cur {
+		if !even && balanceTarget(plat, t, counts, usable, &lo) != cur {
 			return nil, false
 		}
 		up := plat.ClusterOf(cur) == hmp.Little
-		dest := little
-		if up {
-			dest = room
+		if t.Affinity()&destinations(up, little, room) == 0 {
+			continue
 		}
-		if t.Affinity()&dest != 0 {
-			g.watch = append(g.watch, lane{id: t.Global, ran0: t.RanLastTick(), ran: t.RunsInWindow(), up: up})
+		if l := (lane{id: t.Global, ran0: t.RanLastTick(), ran: t.RunsInWindow(), up: up}); g.watched(l, d, gain) {
+			g.watch = append(g.watch, l)
 		}
 	}
 	if g.pulls(counts) {
@@ -486,30 +525,84 @@ func (g *Scheduler) Settled(m *sim.Machine) (sim.SteadyTicker, bool) {
 // first tick feeds RanLastTick, the later ones RunsInWindow, both recorded
 // by Settled), and returns the ticks before the first migration-pass tick
 // at which one of them crosses its threshold, so that tick's pass runs
-// through Step.
+// through Step. Settled left off every thread the counts forbid to move
+// and every settled one whose load does not cross.
 func (g *Scheduler) SteadyBound(m *sim.Machine, n int64) int64 { return g.bound(g.watch, n) }
 
-// SteadyAdvance implements sim.SteadyTicker: it runs every thread's load
-// recurrence over n ticks and counts the skipped Place calls.
+// SteadyAdvance implements sim.SteadyTicker: it advances every thread's
+// load over n ticks (see advance), in the lanes scratch Settled sized, and
+// counts the skipped Place calls.
 func (g *Scheduler) SteadyAdvance(m *sim.Machine, n int64) {
-	g.lanes = g.lanes[:0]
-	for _, t := range m.Threads() {
-		g.lanes = append(g.lanes, lane{id: t.Global, ran0: t.RanLastTick(), ran: t.RunsInWindow()})
+	threads := m.Threads()
+	ls := g.lanes[:len(threads)]
+	for i, t := range threads {
+		ls[i] = lane{id: t.Global, ran0: t.RanLastTick(), ran: t.RunsInWindow()}
 	}
-	g.advance(g.lanes, n)
+	g.advance(ls, n)
 	g.ticks += int(n)
 }
 
-// Four recurrences at a time: a load's tick is a multiply and an add that
-// wait on the previous tick, so one recurrence leaves the floating-point
-// units idle most of the time, and four independent ones, held in
-// registers, fill them. A thread that runs reaches its fixed point (1024
-// less 23 ulps) within about 1.5k ticks; one that does not decays for
-// about 34.5k ticks, into the subnormals, before a tick leaves its load
-// unchanged. Past a fixed point every tick is a no-op, so a group stops
-// once all four of its loads have reached theirs, and the check for it
-// runs once per migration period (bound) or 32-tick chunk (advance)
-// rather than every tick. A group short of four repeats its first lane.
+// advance runs every lane's load recurrence over n ticks, reordering ls.
+// A settled lane keeps its load, so it is skipped. Every other lane takes
+// the window's first tick here; its remaining n−1 ticks add one constant
+// term, the same for every lane of a group: the lanes that run in the
+// window (gain) are gathered at the front of ls, those that do not (0) at
+// the back, and each group runs through its own kernel.
+func (g *Scheduler) advance(ls []lane, n int64) {
+	d, gain := g.Decay, g.gain()
+	// ls[:run] runs, ls[idle:] does not, ls[i:idle] is unread.
+	run, idle := 0, len(ls)
+	for i := 0; i < idle; {
+		l := ls[i]
+		if g.settled(l, d, gain) {
+			i++
+			continue
+		}
+		g.loads[l.id] = decay(g.loads[l.id], d, term(l.ran0, gain))
+		if l.ran {
+			ls[run] = l
+			run++
+			i++
+		} else {
+			idle--
+			ls[i], ls[idle] = ls[idle], l
+		}
+	}
+	if n > 1 {
+		g.advanceRunning(ls[:run], n-1, gain)
+		g.advanceIdle(ls[idle:], n-1)
+	}
+}
+
+// settled reports whether lane l's load is the same after every tick of
+// the window: the thread runs in the window as it ran in the tick before
+// it, so every tick adds the same constant term, and one tick with that
+// term leaves the load unchanged.
+func (g *Scheduler) settled(l lane, d, gain float64) bool {
+	load := g.loads[l.id]
+	return l.ran0 == l.ran && decay(load, d, term(l.ran, gain)) == load
+}
+
+// watched reports whether SteadyBound must follow lane l: unless l is
+// settled, its load moves in the window and may cross its threshold; a
+// settled lane's load crosses at every migration pass or at none.
+func (g *Scheduler) watched(l lane, d, gain float64) bool {
+	return !g.settled(l, d, gain) || g.crosses(g.loads[l.id], l.up)
+}
+
+// Four recurrences at a time: a load's tick is a multiply and an add (or,
+// for a thread that does not run, a bare multiply) that wait on the
+// previous tick, so one recurrence leaves the floating-point units idle
+// most of the time, and four independent ones, held in registers, fill
+// them. A thread that runs reaches its fixed point (1024 less 23 ulps)
+// within about 1.5k ticks; one that does not decays for about 34.5k
+// ticks, into the subnormals, before a tick leaves its load unchanged.
+// Past a fixed point every tick is a no-op, so a group stops once all
+// four of its loads have reached theirs, and the check for it runs once
+// per migration period (bound) or 32-tick chunk (advanceRunning,
+// advanceIdle) rather than every tick. A group short of four repeats its
+// first lane: the recurrences are latency-bound, so the padding lanes run
+// in the shadow of the first.
 
 // quad returns the first four lanes of ls, the first repeated where ls is
 // shorter.
@@ -579,30 +672,53 @@ func (g *Scheduler) bound4(ls []lane, first, n int64) int64 {
 	return n
 }
 
-// advanceChunk is how many ticks advance runs between fixed-point checks.
+// advanceChunk is how many ticks the advance kernels run between
+// fixed-point checks.
 const advanceChunk = 32
 
-// advance runs every lane's load recurrence over n ticks.
-func (g *Scheduler) advance(ls []lane, n int64) {
-	d, gain := g.Decay, g.gain()
+// advanceRunning runs n ticks of the load recurrence of lanes that each
+// tick add c.
+func (g *Scheduler) advanceRunning(ls []lane, n int64, c float64) {
+	d := g.Decay
 	for i := 0; i < len(ls); i += 4 {
-		a, b, c, e := quad(ls[i:])
-		la, ca := g.start(a, d, gain)
-		lb, cb := g.start(b, d, gain)
-		lc, cc := g.start(c, d, gain)
-		le, ce := g.start(e, d, gain)
-		for j := int64(1); j < n; {
+		a, b, e, f := quad(ls[i:])
+		la, lb, le, lf := g.loads[a.id], g.loads[b.id], g.loads[e.id], g.loads[f.id]
+		for j := int64(0); j < n; {
 			for end := min(j+advanceChunk, n) - 1; j < end; j++ {
-				la, lb, lc, le = decay(la, d, ca), decay(lb, d, cb), decay(lc, d, cc), decay(le, d, ce)
+				la, lb, le, lf = decay(la, d, c), decay(lb, d, c), decay(le, d, c), decay(lf, d, c)
 			}
-			pa, pb, pc, pe := la, lb, lc, le
-			la, lb, lc, le = decay(la, d, ca), decay(lb, d, cb), decay(lc, d, cc), decay(le, d, ce)
+			pa, pb, pe, pf := la, lb, le, lf
+			la, lb, le, lf = decay(la, d, c), decay(lb, d, c), decay(le, d, c), decay(lf, d, c)
 			j++
-			if la == pa && lb == pb && lc == pc && le == pe {
+			if la == pa && lb == pb && le == pe && lf == pf {
 				break
 			}
 		}
 		// A repeated lane writes its first lane's value back to it.
-		g.loads[a.id], g.loads[b.id], g.loads[c.id], g.loads[e.id] = la, lb, lc, le
+		g.loads[a.id], g.loads[b.id], g.loads[e.id], g.loads[f.id] = la, lb, le, lf
+	}
+}
+
+// advanceIdle runs n ticks of the load recurrence of lanes that do not
+// run. Such a tick adds zero, and adding zero to a non-negative load
+// leaves it unchanged, so each tick is a bare multiply, half the latency
+// of decay's multiply-add chain.
+func (g *Scheduler) advanceIdle(ls []lane, n int64) {
+	d := g.Decay
+	for i := 0; i < len(ls); i += 4 {
+		a, b, e, f := quad(ls[i:])
+		la, lb, le, lf := g.loads[a.id], g.loads[b.id], g.loads[e.id], g.loads[f.id]
+		for j := int64(0); j < n; {
+			for end := min(j+advanceChunk, n) - 1; j < end; j++ {
+				la, lb, le, lf = la*d, lb*d, le*d, lf*d
+			}
+			pa, pb, pe, pf := la, lb, le, lf
+			la, lb, le, lf = la*d, lb*d, le*d, lf*d
+			j++
+			if la == pa && lb == pb && le == pe && lf == pf {
+				break
+			}
+		}
+		g.loads[a.id], g.loads[b.id], g.loads[e.id], g.loads[f.id] = la, lb, le, lf
 	}
 }

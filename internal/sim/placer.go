@@ -1,6 +1,11 @@
 package sim
 
-import "repro/internal/hmp"
+import (
+	"math"
+	"math/bits"
+
+	"repro/internal/hmp"
+)
 
 // MaskBalancer is the placement policy used underneath HARS: every runnable
 // thread is kept on a CPU inside its affinity mask, spread to the
@@ -11,13 +16,19 @@ import "repro/internal/hmp"
 // The balancer works off the machine's incrementally maintained run-queue
 // state: per-core counts come from the O(1) run-queue lengths, the repair
 // pass runs only while the machine's misplaced-runnable counter is non-zero,
-// and the balancing sweep visits only runnable threads — and only when some
-// core is at least two threads heavier than the lightest. Decisions are
-// tick-for-tick identical to the historical full-scan implementation (see
-// the equivalence tests in the repository root). The sweep's two rules,
-// the spread that skips it and the target it moves a thread to, are the
-// spread and target functions below; Settled certifies windows with those
-// same two functions, so it keeps no copy of the sweep.
+// and the balancing sweep visits only runnable threads, and only when some
+// online core is at least two threads heavier than the lightest. The sweep
+// moves a thread only when a core of its own mask (affinity & online) is
+// at least two threads lighter than the thread's core, so it compares the
+// thread's count with the lightest count over that mask before it looks
+// for a destination. It computes that floor once per distinct mask and
+// keeps it until a move changes the counts. Decisions are tick-for-tick
+// identical to the historical full-scan implementation (see the
+// equivalence tests in the repository root). The sweep's three rules are
+// the functions below: spread, whose bounds skip it; stays, which leaves a
+// thread on its core; and target, the core it moves a thread to. Settled
+// certifies windows with those same functions, so it keeps no copy of the
+// sweep.
 type MaskBalancer struct {
 	counts []int // scratch: in-mask runnable threads per core
 }
@@ -46,14 +57,14 @@ func (b *MaskBalancer) Prime(nc int) {
 // online mask are frozen, because the counts cannot change underneath it.
 // Settled asks the sweep's own rules on those counts: the spread that
 // skips it (routinely over one under affinity masks that pack threads onto
-// a core subset while permitted cores sit level), then each runnable
-// thread's target. The sweep's counts do not change before its first move,
-// so that move is the first thread whose target is not its own core, and
-// with no such thread the sweep moves none. Certification runs this once
-// per window, not per tick, so the O(runnable × cores) scan amortizes
-// across every tick the window jumps. It writes only the scratch counts,
-// which Place recomputes; the balancer keeps no per-call state, so it
-// returns no ticker: skipping the no-op calls is invisible.
+// a core subset while permitted cores sit level), then whether each
+// runnable thread stays. The sweep's counts do not change before its first
+// move, so that move is the first thread that does not stay, and with no
+// such thread the sweep moves none. Certification runs this once per
+// window, not per tick, and it costs one comparison per thread and one
+// pass per distinct mask. It writes only scratch (the counts, which Place
+// recomputes); the balancer keeps no per-call state, so it returns no
+// ticker: skipping the no-op calls is invisible.
 func (b *MaskBalancer) Settled(m *Machine) (SteadyTicker, bool) {
 	if m.misplaced != 0 {
 		return nil, false
@@ -69,9 +80,9 @@ func (b *MaskBalancer) Settled(m *Machine) (SteadyTicker, bool) {
 	if maxC-minC <= 1 {
 		return nil, true
 	}
+	s := sweep{counts: counts, online: m.online, minC: minC}
 	for _, id := range m.runnable {
-		t := m.threads[id]
-		if counts[t.core] > minC+1 && target(t, counts, m.online) != t.core {
+		if !s.stays(m.threads[id]) {
 			return nil, false
 		}
 	}
@@ -117,22 +128,23 @@ func (b *MaskBalancer) Place(m *Machine) {
 	// own. When every online core is within one thread of the online minimum
 	// no such move exists anywhere, so the sweep is skipped outright; minC
 	// stays a valid lower bound during the sweep because a move only ever
-	// drains cores that are at least two above it.
+	// drains cores that are at least two above it. A move changes two
+	// counts, so the sweep forgets its mask floors after it.
 	minC, maxC, ok := spread(m, counts)
 	if !ok || maxC-minC <= 1 {
 		return
 	}
+	s := sweep{counts: counts, online: online, minC: minC}
 	for _, id := range m.runnable {
 		t := m.threads[id]
-		cur := t.core
-		if cur < 0 || counts[cur] <= minC+1 {
-			continue // unplaced, or no core anywhere is two lighter
+		if t.core < 0 || s.stays(t) {
+			continue
 		}
-		if best := target(t, counts, online); best != cur {
-			counts[cur]--
-			counts[best]++
-			m.Migrate(t, best)
-		}
+		best := target(t, counts, online)
+		counts[t.core]--
+		counts[best]++
+		m.Migrate(t, best)
+		s.floors = 0
 	}
 }
 
@@ -174,6 +186,55 @@ func spread(m *Machine, counts []int) (minC, maxC int, ok bool) {
 		ok = true
 	}
 	return minC, maxC, ok
+}
+
+// sweep is one balancing sweep's view of the counts: the online cores, a
+// lower bound on their counts (minC), and the lightest count over each
+// mask the sweep has met since the counts last changed. It lives on its
+// caller's stack; a move clears its floors.
+type sweep struct {
+	counts []int
+	online hmp.CPUMask
+	minC   int
+	masks  [maxFloors]hmp.CPUMask
+	mins   [maxFloors]int
+	floors int // entries of masks and mins in use
+}
+
+// maxFloors bounds the masks a sweep remembers. HARS installs two per
+// process; a sweep that meets more starts over rather than search a long
+// list.
+const maxFloors = 8
+
+// stays reports whether the balancing sweep leaves placed thread t on its
+// core: whether no core of t.affinity & online is two threads lighter than
+// t's own, which is exactly when target returns t's own core. A thread at
+// most one above minC stays without a look at its mask; any other is
+// compared with the lightest count over its mask, computed once per
+// distinct mask.
+func (s *sweep) stays(t *Thread) bool {
+	n := s.counts[t.core] - 1
+	return n <= s.minC || n <= s.floor(t.affinity&s.online)
+}
+
+// floor returns the lightest count over the cores of mask (MaxInt when it
+// is empty), remembered from an earlier call when it can be.
+func (s *sweep) floor(mask hmp.CPUMask) int {
+	for i, m := range s.masks[:s.floors] {
+		if m == mask {
+			return s.mins[i]
+		}
+	}
+	lo := math.MaxInt
+	for rest := uint64(mask); rest != 0; rest &= rest - 1 {
+		lo = min(lo, s.counts[bits.TrailingZeros64(rest)])
+	}
+	if s.floors == maxFloors {
+		s.floors = 0
+	}
+	s.masks[s.floors], s.mins[s.floors] = mask, lo
+	s.floors++
+	return lo
 }
 
 // target returns the core the balancing sweep moves placed thread t to
